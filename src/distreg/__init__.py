@@ -58,6 +58,7 @@ from .kernels import (  # noqa: E402
 from .rff import (  # noqa: E402
     FourierBasis,
     bag_feature_matrix,
+    bag_feature_sweep,
     bag_mean_features,
     feature_map,
     feature_matrix,

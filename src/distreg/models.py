@@ -218,12 +218,19 @@ def predict_kdr(
     return cross @ model.solution.coefficients + model.solution.intercept
 
 
+def _rdr_gram(z: np.ndarray) -> np.ndarray:
+    """The lambda-independent matrix ``fit_rdr`` factorizes for features ``z``:
+    Z'Z on the primal route, ZZ' on the dual one (the smaller of the two)."""
+    return z.T @ z if z.shape[1] <= z.shape[0] else z @ z.T
+
+
 def fit_rdr(
     train: BagDataset,
     basis: FourierBasis,
     lam: float,
     *,
     _features: np.ndarray | None = None,
+    _gram: np.ndarray | None = None,
 ) -> FittedModel:
     """Randomized distribution regression: ridge on per-bag mean Fourier features.
 
@@ -238,12 +245,13 @@ def fit_rdr(
             f"feature dimension mismatch: basis has d={basis.dim}, data has d={train.dim}"
         )
     z = bag_feature_matrix(train, basis) if _features is None else _features
+    gram = _rdr_gram(z) if _gram is None else _gram
     yc, ybar = _centered_targets(train)
     n_bags, n_feat = z.shape
     if n_feat <= n_bags:
-        w = _solve_spd(z.T @ z, z.T @ yc, lam)
+        w = _solve_spd(gram, z.T @ yc, lam)
     else:
-        w = z.T @ _solve_spd(z @ z.T, yc, lam)
+        w = z.T @ _solve_spd(gram, yc, lam)
     return FittedModel(
         kind="rdr",
         solution=RidgeSolution(w, ybar, lam),
@@ -579,9 +587,12 @@ def _enc_array(a: np.ndarray) -> dict:
     }
 
 
-def _dec_array(obj: dict) -> np.ndarray:
+def _dec_array(obj: dict, ndim: int | None = None) -> np.ndarray:
     flat = np.frombuffer(base64.b64decode(obj["data"]), dtype=float)
-    return flat.reshape(obj["shape"]).copy()
+    a = flat.reshape(obj["shape"]).copy()
+    if ndim is not None and a.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D array, got shape {list(a.shape)}")
+    return a
 
 
 def _enc_dataset(data: BagDataset) -> dict:
@@ -642,8 +653,99 @@ def save_model(model: FittedModel, path: str | Path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+# Top-level fields of a model file; save_model writes every one of them.
+_FIELDS = (
+    "kind",
+    "solution",
+    "normalizers",
+    "kernel_params",
+    "basis",
+    "train_bag_data",
+    "train_multisource",
+    "train_means",
+    "feature_means",
+    "source_dims",
+)
+
+# Per base kind: the field the coefficients index, and how many it implies.
+_COEF_ANCHORS = {
+    "lr": ("feature_means", lambda m: m.feature_means.shape[0]),
+    "kr": ("train_means", lambda m: m.train_means.shape[0]),
+    "kdr": ("train_bag_data", lambda m: m.train_bag_data.n_bags),
+    "rdr": ("basis", lambda m: m.basis.feature_dim),
+    "mdr": ("train_multisource", lambda m: m.train_multisource.n_bags),
+}
+
+
+def _decode_field(path, doc: dict, name: str, decode):
+    """Decode one top-level field (null stays None), naming the file and the
+    field when its content is malformed."""
+    value = doc[name]
+    if value is None:
+        return None
+    try:
+        return decode(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"model file {path}: malformed field {name!r}: {detail}") from exc
+
+
+def _check_fields(model: FittedModel, path) -> None:
+    """Check that a loaded model has every field its kind predicts with and
+    that their sizes agree with the coefficients."""
+    base = model.kind.removeprefix("stacked-")
+    stacked = base != model.kind
+    anchor, n_expected = _COEF_ANCHORS[base]
+    needed = [anchor]
+    if base in ("kr", "kdr", "mdr"):
+        needed.append("kernel_params")
+    if stacked:
+        needed.append("source_dims")
+    for name in needed:
+        if getattr(model, name) is None:
+            raise ValueError(
+                f"model file {path}: field {name!r} is null but a {model.kind} model needs it"
+            )
+    n_coef = model.solution.coefficients.shape[0]
+    if n_coef != n_expected(model):
+        raise ValueError(
+            f"model file {path}: field 'solution' holds {n_coef} coefficients, "
+            f"but field {anchor!r} implies {n_expected(model)}"
+        )
+    if base == "mdr":
+        n_sources = model.train_multisource.n_sources
+    else:
+        n_sources = len(model.source_dims) if stacked else 1
+    counts = {"normalizers": n_sources}
+    if "kernel_params" in needed:
+        counts["kernel_params"] = n_sources if base == "mdr" else 1
+    for name, count in counts.items():
+        value = getattr(model, name)
+        if value is not None and len(value) != count:
+            raise ValueError(
+                f"model file {path}: field {name!r} holds {len(value)} entries, expected {count}"
+            )
+
+
+def _dec_solution(obj: dict) -> RidgeSolution:
+    return RidgeSolution(
+        _dec_array(obj["coefficients"]), float(obj["intercept"]), float(obj["lam"])
+    )
+
+
+def _dec_basis(obj: dict) -> FourierBasis:
+    return sample_basis(
+        int(obj["dim"]), int(obj["n_components"]), float(obj["sigma"]), int(obj["seed"])
+    )
+
+
 def load_model(path: str | Path) -> FittedModel:
-    """Read a model written by ``save_model``."""
+    """Read a model written by ``save_model``.
+
+    A file with a missing or malformed field, an unknown kind, or fields whose
+    sizes disagree with the coefficients raises ``ValueError`` naming the
+    file and the field.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -652,33 +754,35 @@ def load_model(path: str | Path) -> FittedModel:
         raise ValueError(f"{path} is not a {_FORMAT} file")
     if doc.get("version") != _VERSION:
         raise ValueError(f"unsupported model file version {doc.get('version')!r}")
-    sol = doc["solution"]
-    solution = RidgeSolution(
-        coefficients=_dec_array(sol["coefficients"]),
-        intercept=float(sol["intercept"]),
-        lam=float(sol["lam"]),
-    )
-    basis = None
-    if doc["basis"] is not None:
-        b = doc["basis"]
-        basis = sample_basis(int(b["dim"]), int(b["n_components"]), float(b["sigma"]), int(b["seed"]))
-    return FittedModel(
+    for name in _FIELDS:
+        if name not in doc:
+            raise ValueError(f"model file {path}: missing field {name!r}")
+    if doc["kind"] not in MODEL_KINDS:
+        raise ValueError(
+            f"model file {path}: field 'kind' is {doc['kind']!r}, expected one of {MODEL_KINDS}"
+        )
+    solution = _decode_field(path, doc, "solution", _dec_solution)
+    if solution is None:
+        raise ValueError(f"model file {path}: field 'solution' is null")
+    model = FittedModel(
         kind=doc["kind"],
         solution=solution,
-        normalizers=None
-        if doc["normalizers"] is None
-        else tuple(Normalizer(_dec_array(n["mean"]), _dec_array(n["scale"])) for n in doc["normalizers"]),
-        kernel_params=None
-        if doc["kernel_params"] is None
-        else tuple(RbfParams(s) for s in doc["kernel_params"]),
-        basis=basis,
-        train_bag_data=None
-        if doc["train_bag_data"] is None
-        else _dec_dataset(doc["train_bag_data"]),
-        train_multisource=None
-        if doc["train_multisource"] is None
-        else MultiSourceDataset(tuple(_dec_dataset(s) for s in doc["train_multisource"])),
-        train_means=None if doc["train_means"] is None else _dec_array(doc["train_means"]),
-        feature_means=None if doc["feature_means"] is None else _dec_array(doc["feature_means"]),
-        source_dims=None if doc["source_dims"] is None else tuple(doc["source_dims"]),
+        normalizers=_decode_field(
+            path, doc, "normalizers",
+            lambda v: tuple(Normalizer(_dec_array(n["mean"]), _dec_array(n["scale"])) for n in v),
+        ),
+        kernel_params=_decode_field(
+            path, doc, "kernel_params", lambda v: tuple(RbfParams(s) for s in v)
+        ),
+        basis=_decode_field(path, doc, "basis", _dec_basis),
+        train_bag_data=_decode_field(path, doc, "train_bag_data", _dec_dataset),
+        train_multisource=_decode_field(
+            path, doc, "train_multisource",
+            lambda v: MultiSourceDataset(tuple(_dec_dataset(s) for s in v)),
+        ),
+        train_means=_decode_field(path, doc, "train_means", lambda v: _dec_array(v, ndim=2)),
+        feature_means=_decode_field(path, doc, "feature_means", lambda v: _dec_array(v, ndim=1)),
+        source_dims=_decode_field(path, doc, "source_dims", lambda v: tuple(int(d) for d in v)),
     )
+    _check_fields(model, path)
+    return model

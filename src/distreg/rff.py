@@ -21,6 +21,7 @@ from .data import Bag, BagDataset, canonical_rows
 __all__ = [
     "FourierBasis",
     "bag_feature_matrix",
+    "bag_feature_sweep",
     "bag_mean_features",
     "feature_map",
     "feature_matrix",
@@ -108,15 +109,31 @@ def feature_map(x: np.ndarray, basis: FourierBasis) -> np.ndarray:
     return feature_matrix(x[None, :], basis)[0]
 
 
-def _mean_features(x: np.ndarray, basis: FourierBasis) -> np.ndarray:
+def _sweep_means(x: np.ndarray, basis: FourierBasis, n_halvings: int) -> np.ndarray:
+    """Mean feature rows of one bag at sigma / 2^k for k = 0..n_halvings.
+
+    Halving sigma doubles every projection t, and the interleaved
+    [cos t, sin t] pairs read as complex numbers e^{it} square to e^{2it}
+    (cos 2t = cos^2 t - sin^2 t, sin 2t = 2 sin t cos t), so only level 0
+    evaluates trig. Rows go through in batches of ``_ROW_CHUNK`` at every
+    level, bounding memory for large bags.
+    """
     # canonical row order -> exactly permutation-invariant bag means
     x = canonical_rows(x)
-    if x.shape[0] <= _ROW_CHUNK:
-        return feature_matrix(x, basis).mean(axis=0)
-    acc = np.zeros(basis.feature_dim)
-    for i0 in range(0, x.shape[0], _ROW_CHUNK):
-        acc += feature_matrix(x[i0 : i0 + _ROW_CHUNK], basis).sum(axis=0)
-    return acc / x.shape[0]
+    n = x.shape[0]
+    root_d = np.sqrt(basis.n_components)
+    sums = np.zeros((n_halvings + 1, basis.feature_dim))
+    pairs = sums.view(complex)
+    for i0 in range(0, n, _ROW_CHUNK):
+        f = feature_matrix(x[i0 : i0 + _ROW_CHUNK], basis)
+        sums[0] += f.sum(axis=0)
+        z = f.view(complex) * root_d if n_halvings else None
+        for k in range(1, n_halvings + 1):
+            np.square(z, out=z)
+            pairs[k] += z.sum(axis=0)
+    sums[0] /= n
+    sums[1:] /= n * root_d
+    return sums
 
 
 def bag_mean_features(bag: Bag, basis: FourierBasis) -> np.ndarray:
@@ -129,16 +146,31 @@ def bag_mean_features(bag: Bag, basis: FourierBasis) -> np.ndarray:
         raise ValueError(
             f"feature dimension mismatch: basis has d={basis.dim}, bag has d={bag.dim}"
         )
-    return _mean_features(bag.instances, basis)
+    return _sweep_means(bag.instances, basis, 0)[0]
 
 
-def bag_feature_matrix(data: BagDataset, basis: FourierBasis) -> np.ndarray:
-    """Stack of bag mean-feature rows, shape (n_bags, 2D)."""
+def bag_feature_sweep(data: BagDataset, basis: FourierBasis, n_halvings: int) -> np.ndarray:
+    """Bag mean-feature matrices at sigma, sigma/2, ..., sigma/2^n_halvings.
+
+    Returns shape (n_halvings + 1, n_bags, 2D). ``sample_basis`` divides one
+    Gaussian draw by sigma, so the basis at sigma/2^k has exactly 2^k times
+    the weights of ``basis`` and slice k holds its features. Slice 0 is
+    bit-for-bit ``bag_feature_matrix(data, basis)``; slice k comes from k
+    double-angle steps instead of trig and agrees with direct evaluation to
+    a few ulps times 2^k. One trig pass per bag thus serves the whole sweep.
+    """
     if data.dim != basis.dim:
         raise ValueError(
             f"feature dimension mismatch: basis has d={basis.dim}, data has d={data.dim}"
         )
-    out = np.empty((data.n_bags, basis.feature_dim))
+    if n_halvings < 0:
+        raise ValueError(f"n_halvings must be >= 0, got {n_halvings}")
+    out = np.empty((n_halvings + 1, data.n_bags, basis.feature_dim))
     for i, bag in enumerate(data.bags):
-        out[i] = _mean_features(bag.instances, basis)
+        out[:, i] = _sweep_means(bag.instances, basis, n_halvings)
     return out
+
+
+def bag_feature_matrix(data: BagDataset, basis: FourierBasis) -> np.ndarray:
+    """Stack of bag mean-feature rows, shape (n_bags, 2D)."""
+    return bag_feature_sweep(data, basis, 0)[0]

@@ -272,3 +272,25 @@ class TestFitPredict:
         assert run_cli("predict", "--model-file", bad, "--instances", inst,
                        "--out", tmp_path / "p.csv") != 0
         assert "corrupt model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda doc: doc.pop("solution"), "missing field 'solution'"),
+            (lambda doc: doc.update(kind="xyz"), "field 'kind' is 'xyz'"),
+        ],
+    )
+    def test_invalid_model_file_named(self, tmp_path, variance_files, capsys, edit, message):
+        inst, tgt = variance_files
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--model", "kdr", "--instances", inst, "--targets", tgt,
+                       "--out", model_path) == 0
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        edit(doc)
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("predict", "--model-file", model_path, "--instances", inst,
+                       "--out", tmp_path / "p.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"model file {model_path}: {message}" in err
+        assert "Traceback" not in err

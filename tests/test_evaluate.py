@@ -199,6 +199,56 @@ class TestGridSearch:
             manual.append(np.sqrt(np.mean((pred - data.targets[val_idx]) ** 2)))
         np.testing.assert_allclose(result.table[0].fold_rmse, manual, atol=1e-12)
 
+    @staticmethod
+    def manual_fold_rmse(data, kind, grid, k, seed):
+        from distreg import fit_model, predict_model
+
+        folds = kfold_split(data.n_bags, k, seed=seed)
+        table = []
+        for point in grid:
+            row = []
+            for val_idx in folds:
+                train_idx = np.setdiff1d(np.arange(data.n_bags), val_idx)
+                model = fit_model(kind, data.subset(train_idx), point)
+                pred = predict_model(model, data.subset(val_idx))
+                row.append(np.sqrt(np.mean((pred - data.targets[val_idx]) ** 2)))
+            table.append(row)
+        return np.array(table)
+
+    def test_rdr_without_halving_sigmas_matches_manual_loop(self):
+        # sigmas in ratio 1.5 form no halving chain: every point is evaluated directly
+        rng = np.random.default_rng(10)
+        data = random_dataset(rng, 12)
+        grid = default_grid(
+            "rdr", data, seed=3, lams=[1e-3, 1e-1], sigma_scales=[1.0, 1.5], n_features=[16]
+        )
+        result = grid_search_cv(data, "rdr", grid, k=3, seed=5)
+        manual = self.manual_fold_rmse(data, "rdr", grid, k=3, seed=5)
+        got = np.array([cell.fold_rmse for cell in result.table])
+        np.testing.assert_allclose(got, manual, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["rdr", "stacked-rdr"])
+    def test_rdr_sigma_sweep_matches_manual_loop(self, kind):
+        from distreg import Bag, BagDataset, MultiSourceDataset
+
+        rng = np.random.default_rng(11)
+        data = random_dataset(rng, 15)
+        if kind == "stacked-rdr":
+            second = BagDataset(
+                tuple(
+                    Bag(b.id, rng.standard_normal((int(rng.integers(1, 4)), 2)))
+                    for b in data.bags
+                ),
+                data.targets,
+            )
+            data = MultiSourceDataset((data, second))
+        grid = default_grid(kind, data, seed=4, n_features=[16, 128])
+        result = grid_search_cv(data, kind, grid, k=3, seed=6)
+        manual = self.manual_fold_rmse(data, kind, grid, k=3, seed=6)
+        got = np.array([cell.fold_rmse for cell in result.table])
+        np.testing.assert_allclose(got, manual, rtol=1e-8)
+        assert result.best == grid[int(np.argmin(manual.mean(axis=1)))]
+
 
 class TestDefaultGrid:
     def test_kdr_grid_shape(self):

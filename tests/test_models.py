@@ -1,5 +1,7 @@
 """Ridge solver, the six regressor families, invariances, and persistence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -497,6 +499,37 @@ class TestPersistence:
         path = tmp_path / "model.json"
         path.write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(ValueError, match="not a distreg-model"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind,edit,field",
+        [
+            ("kdr", lambda doc: doc.pop("solution"), "missing field 'solution'"),
+            ("kdr", lambda doc: doc.update(kind="xyz"), "field 'kind' is 'xyz'"),
+            ("lr", lambda doc: doc["solution"].pop("lam"), "malformed field 'solution'"),
+            ("rdr", lambda doc: doc.update(basis=None), "field 'basis' is null"),
+            ("mdr", lambda doc: doc["kernel_params"].pop(), "field 'kernel_params' holds 1"),
+            (
+                "kdr",
+                lambda doc: doc["solution"].update(
+                    coefficients={"shape": [1], "data": "AAAAAAAA8D8="}
+                ),
+                "field 'solution' holds 1 coefficients, but field 'train_bag_data' implies",
+            ),
+        ],
+    )
+    def test_invalid_fields_named(self, kind, edit, field, tmp_path):
+        import json
+
+        from distreg import save_model
+
+        rng = np.random.default_rng(36)
+        path = tmp_path / "model.json"
+        save_model(fit_model(kind, make_task(kind, rng), HYPERS[kind]), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"model file {path}: {field}")):
             load_model(path)
 
     def test_save_is_byte_deterministic(self, tmp_path):

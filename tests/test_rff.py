@@ -8,6 +8,7 @@ from distreg import (
     BagDataset,
     RbfParams,
     bag_feature_matrix,
+    bag_feature_sweep,
     bag_mean_features,
     bag_mean_kernel_entry,
     feature_map,
@@ -148,6 +149,73 @@ class TestBagMeanFeatures:
         assert z.shape == (4, 20)
         for i, bag in enumerate(bags):
             np.testing.assert_array_equal(z[i], bag_mean_features(bag, basis))
+
+
+def reference_bag_means(data, basis, chunk):
+    """Per-bag mean features computed directly: canonical rows, trig over
+    batches of ``chunk`` rows, a plain mean for a single batch."""
+    from distreg import canonical_rows
+
+    rows = []
+    for bag in data.bags:
+        x = canonical_rows(bag.instances)
+        if x.shape[0] <= chunk:
+            rows.append(feature_matrix(x, basis).mean(axis=0))
+            continue
+        acc = np.zeros(basis.feature_dim)
+        for i0 in range(0, x.shape[0], chunk):
+            acc += feature_matrix(x[i0 : i0 + chunk], basis).sum(axis=0)
+        rows.append(acc / x.shape[0])
+    return np.array(rows)
+
+
+class TestBagFeatureSweep:
+    def test_first_level_is_bitwise_direct(self):
+        import distreg.rff as rff
+
+        rng = np.random.default_rng(20)
+        sizes = (1, 5, rff._ROW_CHUNK + 77)
+        data = BagDataset(
+            tuple(Bag(f"b{i}", rng.standard_normal((n, 2))) for i, n in enumerate(sizes)),
+            np.zeros(len(sizes)),
+        )
+        basis = sample_basis(2, 24, 1.7, seed=21)
+        want = reference_bag_means(data, basis, rff._ROW_CHUNK)
+        for n_halvings in (0, 3):
+            np.testing.assert_array_equal(bag_feature_sweep(data, basis, n_halvings)[0], want)
+        np.testing.assert_array_equal(bag_feature_matrix(data, basis), want)
+        for i, bag in enumerate(data.bags):
+            np.testing.assert_array_equal(bag_mean_features(bag, basis), want[i])
+
+    @pytest.mark.parametrize("n_components", [128, 2048])
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_halvings_match_direct_evaluation(self, n_components, chunk, monkeypatch):
+        import distreg.rff as rff
+
+        if chunk is not None:
+            monkeypatch.setattr(rff, "_ROW_CHUNK", chunk)
+        rng = np.random.default_rng(22)
+        data = BagDataset(
+            tuple(Bag(f"b{i}", rng.standard_normal((n, 3))) for i, n in enumerate((1, 9, 30))),
+            np.zeros(3),
+        )
+        sigma = 2.5
+        top = sample_basis(3, n_components, sigma, seed=23)
+        sweep = bag_feature_sweep(data, top, 6)
+        assert sweep.shape == (7, 3, 2 * n_components)
+        for k in range(7):
+            basis = sample_basis(3, n_components, sigma / 2**k, seed=23)
+            # the basis at sigma/2^k is the same draw, scaled by exactly 2^k
+            np.testing.assert_array_equal(basis.weights, top.weights * 2.0**k)
+            direct = bag_feature_matrix(data, basis)
+            assert np.max(np.abs(sweep[k] - direct)) <= 1e-14
+
+    def test_validation(self):
+        data = BagDataset((Bag("a", np.zeros((2, 2))),), np.zeros(1))
+        with pytest.raises(ValueError, match="n_halvings"):
+            bag_feature_sweep(data, sample_basis(2, 4, 1.0, seed=0), -1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            bag_feature_sweep(data, sample_basis(3, 4, 1.0, seed=0), 2)
 
 
 def max_pair_error(basis, pairs, params):
