@@ -66,24 +66,17 @@ from .rff import (  # noqa: E402
 )
 from .models import (  # noqa: E402
     FittedModel,
+    HYPER_AXES,
     IllConditionedError,
     MODEL_KINDS,
     MULTISOURCE_KINDS,
     RidgeSolution,
     SINGLE_SOURCE_KINDS,
     STACK_MODES,
-    fit_baseline,
-    fit_kdr,
-    fit_mdr,
+    default_sigmas,
     fit_model,
-    fit_rdr,
-    fit_stacked,
     load_model,
-    predict_baseline,
-    predict_kdr,
-    predict_mdr,
     predict_model,
-    predict_rdr,
     save_model,
     solve_ridge_dual,
     stack_multisource,

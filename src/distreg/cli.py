@@ -17,32 +17,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    DataFormatError,
-    MultiSourceDataset,
-    align_sources,
-    apply_normalizer,
-    fit_normalizer,
-    load_bags,
-    save_bags,
-)
+from .data import DataFormatError, align_sources, load_bags, save_bags
 from .evaluate import render_table, report_to_dict, reports_to_csv, run_protocol
-from .kernels import (
-    RbfParams,
-    median_heuristic,
-    median_heuristic_bags,
-    mmd_permutation_test,
-)
+from .kernels import RbfParams, median_heuristic, mmd_permutation_test
 from .models import (
+    HYPER_AXES,
     IllConditionedError,
     MODEL_KINDS,
-    SINGLE_SOURCE_KINDS,
-    STACK_MODES,
+    MULTISOURCE_KINDS,
+    default_sigmas,
     fit_model,
     load_model,
     predict_model,
     save_model,
-    stack_multisource,
 )
 from .synth import (
     GALLERY_SCENARIOS,
@@ -100,11 +87,28 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _load_dataset(instance_paths: list[str], targets_path: str | None):
+def _load_dataset(instance_paths: list[str], targets_path: str | None, multi: bool):
     datasets = [load_bags(p, targets_path) for p in instance_paths]
-    if len(datasets) == 1:
-        return datasets[0]
-    return align_sources(datasets)
+    return align_sources(datasets) if multi else datasets[0]
+
+
+def _check_source_count(owner: str, n_files: int, n_sources: int | None) -> None:
+    """Reject a number of instance files that does not match the sources a
+    model reads: exactly ``n_sources``, or at least two when it is None (a
+    multisource kind before fitting)."""
+    if n_files == n_sources or (n_sources is None and n_files > 1):
+        return
+    if n_sources is None:
+        need = "at least 2 sources"
+    else:
+        need = "exactly one source" if n_sources == 1 else f"exactly {n_sources} sources"
+    raise ValueError(f"{owner} needs {need}, got {n_files} instance file(s)")
+
+
+def _check_kind(kind: str, n_files: int) -> None:
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    _check_source_count(f"model kind {kind!r}", n_files, None if kind in MULTISOURCE_KINDS else 1)
 
 
 def _grid_options(config_grid: dict | None) -> dict | None:
@@ -133,18 +137,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         config.models = list(args.model)
 
     for kind in config.models:
-        if kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    data = _load_dataset(config.instances, config.targets)
-    multi = len(config.instances) > 1
-    for kind in config.models:
-        if multi and kind in SINGLE_SOURCE_KINDS:
-            raise ValueError(
-                f"model kind {kind!r} needs exactly one source, config lists "
-                f"{len(config.instances)} instance files"
-            )
-        if not multi and kind not in SINGLE_SOURCE_KINDS:
-            raise ValueError(f"model kind {kind!r} needs several sources")
+        _check_kind(kind, len(config.instances))
+    data = _load_dataset(config.instances, config.targets, len(config.instances) > 1)
 
     out_dir = Path(config.out)
     grid_options = _grid_options(config.grid)
@@ -236,47 +230,24 @@ def cmd_mmd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _normalized_median(data) -> float:
-    return median_heuristic_bags(apply_normalizer(data, fit_normalizer(data)))
-
-
 def _hyper_from_args(args: argparse.Namespace, data, kind: str) -> dict:
-    hyper: dict = {"lam": args.lam}
-    if kind == "mdr":
-        if args.sigmas:
-            hyper["sigmas"] = [float(s) for s in args.sigmas.split(",")]
-        else:
-            hyper["sigmas"] = [_normalized_median(src) for src in data.sources]
-    elif kind not in ("lr", "stacked-lr"):
-        if args.sigma is not None:
-            hyper["sigma"] = args.sigma
-        elif kind in SINGLE_SOURCE_KINDS:
-            hyper["sigma"] = _normalized_median(data)
-        else:
-            base = kind.split("-", 1)[1]
-            normalized = MultiSourceDataset(
-                tuple(apply_normalizer(s, fit_normalizer(s)) for s in data.sources)
-            )
-            hyper["sigma"] = median_heuristic_bags(
-                stack_multisource(normalized, STACK_MODES[base])
-            )
-    if kind.endswith("rdr"):
-        hyper["n_features"] = args.n_features
-        hyper["rff_seed"] = args.seed
+    given = {
+        "sigma": args.sigma,
+        "sigmas": [float(s) for s in args.sigmas.split(",")] if args.sigmas else None,
+        "n_features": args.n_features,
+        "rff_seed": args.seed,
+    }
+    hyper = {"lam": args.lam, **{axis: given[axis] for axis in HYPER_AXES[kind]}}
+    if None in hyper.values():
+        hyper.update(default_sigmas(kind, data))
     return hyper
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    data = _load_dataset(args.instances, args.targets)
     kind = args.model
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    if (len(args.instances) > 1) != (kind not in SINGLE_SOURCE_KINDS):
-        raise ValueError(
-            f"model kind {kind!r} does not match {len(args.instances)} instance file(s)"
-        )
-    hyper = _hyper_from_args(args, data, kind)
-    model = fit_model(kind, data, hyper)
+    _check_kind(kind, len(args.instances))
+    data = _load_dataset(args.instances, args.targets, kind in MULTISOURCE_KINDS)
+    model = fit_model(kind, data, _hyper_from_args(args, data, kind))
     save_model(model, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -284,11 +255,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model_file)
-    data = _load_dataset(args.instances, None)
+    _check_source_count(
+        f"model file {args.model_file} (kind {model.kind!r})", len(args.instances), model.n_sources
+    )
+    data = _load_dataset(args.instances, None, model.kind in MULTISOURCE_KINDS)
     predictions = predict_model(model, data)
     lines = ["bag_id,y_pred"]
-    ids = data.bag_ids if hasattr(data, "bag_ids") else data.sources[0].bag_ids
-    for bag_id, value in zip(ids, predictions):
+    for bag_id, value in zip(data.bag_ids, predictions):
         lines.append(f"{bag_id},{float(value)!r}")
     _write_text(Path(args.out), "\n".join(lines) + "\n")
     print(f"wrote {args.out}")

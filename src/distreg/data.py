@@ -10,6 +10,7 @@ threads.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -271,11 +272,14 @@ def align_sources(per_source: Sequence[BagDataset]) -> MultiSourceDataset:
 
 def _parse_float(value: str, path: Path, lineno: int, bag_id: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise DataFormatError(
             f"{path}:{lineno}: non-numeric value {value!r} for bag {bag_id!r}"
         ) from None
+    if not math.isfinite(number):
+        raise DataFormatError(f"{path}:{lineno}: non-finite value {value!r} for bag {bag_id!r}")
+    return number
 
 
 def load_bags(instances_path: str | Path, targets_path: str | Path | None = None) -> BagDataset:

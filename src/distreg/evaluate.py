@@ -13,32 +13,24 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import BagDataset, MultiSourceDataset, apply_normalizer, fit_normalizer
-from .kernels import RbfParams, bag_gram, cross_bag_gram, median_heuristic_bags, multisource_bag_gram
+from .data import BagDataset, MultiSourceDataset
 from .models import (
+    HYPER_AXES,
     IllConditionedError,
     MODEL_KINDS,
-    SINGLE_SOURCE_KINDS,
-    STACK_MODES,
-    _bag_means,
-    _rdr_gram,
-    fit_baseline,
-    fit_kdr,
+    _normalize,
+    _represent,
+    _Representation,
+    _transform,
+    default_sigmas,
     fit_model,
-    fit_mdr,
-    fit_rdr,
-    predict_baseline,
-    predict_kdr,
-    predict_mdr,
     predict_model,
-    predict_rdr,
-    stack_multisource,
 )
-from .rff import FourierBasis, bag_feature_sweep, sample_basis
+from .rff import bag_feature_sweep, sample_basis
 
 __all__ = [
     "CvCell",
@@ -158,33 +150,6 @@ def _group_key(point: dict):
     return tuple(items)
 
 
-def _normalized_copy(data: BagDataset) -> BagDataset:
-    return apply_normalizer(data, fit_normalizer(data))
-
-
-def _normalized_multisource(data: MultiSourceDataset) -> MultiSourceDataset:
-    return MultiSourceDataset(tuple(_normalized_copy(src) for src in data.sources))
-
-
-def _prepare_fold(kind: str, train_raw, val_raw):
-    """Normalize one fold (stats from the fold's training bags only) and, for
-    stacked kinds, build the concatenated single-source view once."""
-    if kind in SINGLE_SOURCE_KINDS:
-        norm = fit_normalizer(train_raw)
-        return apply_normalizer(train_raw, norm), apply_normalizer(val_raw, norm)
-    norms = [fit_normalizer(src) for src in train_raw.sources]
-    tr = MultiSourceDataset(
-        tuple(apply_normalizer(s, n) for s, n in zip(train_raw.sources, norms))
-    )
-    va = MultiSourceDataset(
-        tuple(apply_normalizer(s, n) for s, n in zip(val_raw.sources, norms))
-    )
-    if kind == "mdr":
-        return tr, va
-    mode = STACK_MODES[kind.split("-", 1)[1]]
-    return stack_multisource(tr, mode), stack_multisource(va, mode)
-
-
 def _sigma_chains(points: list[dict]) -> list[list[int]]:
     """Split rdr group points into chains whose sigmas halve exactly.
 
@@ -216,66 +181,14 @@ def _sigma_chains(points: list[dict]) -> list[list[int]]:
 
 
 def _rdr_sweep(tr: BagDataset, va: BagDataset, chain: list[dict]):
-    """Basis at the chain's largest sigma and both splits' features at every
-    sigma of the chain, from one trig pass per bag."""
+    """Both splits' features at every sigma of a chain, from one trig pass
+    per bag with the basis drawn at the chain's largest sigma."""
     top = chain[0]
     basis = sample_basis(
         tr.dim, int(top["n_features"]), float(top["sigma"]), int(top.get("rff_seed", 0))
     )
     n_halvings = len(chain) - 1
-    return basis, bag_feature_sweep(tr, basis, n_halvings), bag_feature_sweep(va, basis, n_halvings)
-
-
-def _group_solver(
-    kind: str, tr, va, point: dict, sweep, level: int
-) -> Callable[[float], np.ndarray]:
-    """Build the lambda-independent representation for a grid group and return
-    a solver mapping lambda to validation predictions.
-
-    The heavy parts (Gram matrices, feature matrices, bag means) are computed
-    once per (fold, group); each lambda then costs one Cholesky solve. rdr
-    groups take their features from ``sweep``, the ``_rdr_sweep`` of their
-    chain, at position ``level``.
-    """
-    base = kind.split("-", 1)[1] if kind.startswith("stacked-") else kind
-    if base == "lr":
-        m_tr, m_va = _bag_means(tr), _bag_means(va)
-        return lambda lam: predict_baseline(
-            fit_baseline(tr, "lr", lam, _means=m_tr), va, _means=m_va
-        )
-    if base == "kr":
-        params = RbfParams(point["sigma"])
-        m_tr, m_va = _bag_means(tr), _bag_means(va)
-        return lambda lam: predict_baseline(
-            fit_baseline(tr, "kr", lam, params, _means=m_tr), va, _means=m_va
-        )
-    if base == "kdr":
-        params = RbfParams(point["sigma"])
-        gram = bag_gram(tr, params)
-        cross = cross_bag_gram(va, tr, params)
-        return lambda lam: predict_kdr(
-            fit_kdr(tr, params, lam, _gram=gram), va, _cross=cross
-        )
-    if base == "rdr":
-        top, z_tr, z_va = sweep
-        # sample_basis at sigma / 2^level, bit for bit: the same draw over an
-        # exactly halved sigma
-        basis = FourierBasis(top.weights * 2.0**level, float(point["sigma"]), top.seed)
-        z_tr, z_va = z_tr[level], z_va[level]
-        gram = _rdr_gram(z_tr)
-        return lambda lam: predict_rdr(
-            fit_rdr(tr, basis, lam, _features=z_tr, _gram=gram), va, _features=z_va
-        )
-    if base == "mdr":
-        params = [RbfParams(s) for s in point["sigmas"]]
-        gram = multisource_bag_gram(tr, params)
-        cross = np.zeros((va.n_bags, tr.n_bags))
-        for te_src, tr_src, p in zip(va.sources, tr.sources, params):
-            cross += cross_bag_gram(te_src, tr_src, p)
-        return lambda lam: predict_mdr(
-            fit_mdr(tr, params, lam, _gram=gram), va, _cross=cross
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    return bag_feature_sweep(tr, basis, n_halvings), bag_feature_sweep(va, basis, n_halvings)
 
 
 def grid_search_cv(
@@ -319,8 +232,8 @@ def grid_search_cv(
         groups.setdefault(_group_key(point), []).append(i)
     members = list(groups.values())
     points = [grid[indices[0]] for indices in members]
-    rdr = kind.endswith("rdr")
-    chains = _sigma_chains(points) if rdr else [[j] for j in range(len(points))]
+    sweep = "n_features" in HYPER_AXES[kind]
+    chains = _sigma_chains(points) if sweep else [[j] for j in range(len(points))]
 
     def fail(indices, fi, exc):
         for i in indices:
@@ -330,18 +243,26 @@ def grid_search_cv(
 
     for fi, val_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, val_idx)
-        tr, va = _prepare_fold(kind, data.subset(train_idx), data.subset(val_idx))
-        y_val = va.targets
+        # normalizer statistics come from the fold's training bags only
+        tr, norms = _normalize(data.subset(train_idx))
+        va, _ = _normalize(data.subset(val_idx), norms)
+        tr, va = _transform(kind, tr), _transform(kind, va)
+        y_val = va[0].targets
         for chain in chains:
             try:
-                sweep = _rdr_sweep(tr, va, [points[j] for j in chain]) if rdr else None
+                features = _rdr_sweep(tr[0], va[0], [points[j] for j in chain]) if sweep else None
             except _CV_ERRORS as exc:
                 for j in chain:
                     fail(members[j], fi, exc)
                 continue
             for level, j in enumerate(chain):
                 try:
-                    solver = _group_solver(kind, tr, va, points[j], sweep, level)
+                    if features is None:
+                        rep = _represent(kind, tr, points[j])[1]
+                        m_va = rep.embed(va)
+                    else:
+                        z_tr, m_va = features[0][level], features[1][level]
+                        rep = _Representation(None, None, z_tr, tr, explicit=True)
                 except _CV_ERRORS as exc:
                     fail(members[j], fi, exc)
                     continue
@@ -349,7 +270,7 @@ def grid_search_cv(
                     if i in errors:
                         continue
                     try:
-                        pred = solver(float(grid[i]["lam"]))
+                        pred = rep.solve(float(grid[i]["lam"])).predict(m_va)
                     except _CV_ERRORS as exc:
                         fail([i], fi, exc)
                         continue
@@ -392,39 +313,30 @@ def default_grid(
     """Hyperparameter grid centered on the median heuristic of the given data.
 
     Lambdas default to 9 log-spaced values in [1e-6, 1e2]; sigmas to the
-    median pairwise distance (computed on normalized instances) times
-    2^-3 ... 2^3; feature counts for the randomized kinds to (128, 512, 2048).
-    Multisource sigmas apply one shared scale to each source's own median.
+    median pairwise distance of the normalized instances (``default_sigmas``)
+    times 2^-3 ... 2^3; feature counts for the randomized kinds to
+    (128, 512, 2048). Multisource sigmas apply one shared scale to each
+    source's own median.
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     lams = [float(v) for v in (lams if lams is not None else _DEFAULT_LAMBDAS)]
     scales = [float(v) for v in (sigma_scales if sigma_scales is not None else _DEFAULT_SIGMA_SCALES)]
     feature_counts = [int(v) for v in (n_features if n_features is not None else _DEFAULT_N_FEATURES)]
-
-    if kind == "lr" or kind == "stacked-lr":
-        return [{"lam": lam} for lam in lams]
-    if kind == "mdr":
-        meds = [median_heuristic_bags(_normalized_copy(src)) for src in data.sources]
-        return [
-            {"lam": lam, "sigmas": [m * s for m in meds]}
-            for s in scales
-            for lam in lams
-        ]
-    if kind in ("kr", "kdr", "rdr"):
-        med = median_heuristic_bags(_normalized_copy(data))
-    else:  # stacked-kr / stacked-kdr / stacked-rdr
-        base = kind.split("-", 1)[1]
-        stacked = stack_multisource(_normalized_multisource(data), STACK_MODES[base])
-        med = median_heuristic_bags(stacked)
-    if kind.endswith("rdr"):
-        return [
-            {"lam": lam, "sigma": med * s, "n_features": d, "rff_seed": int(seed)}
-            for d in feature_counts
-            for s in scales
-            for lam in lams
-        ]
-    return [{"lam": lam, "sigma": med * s} for s in scales for lam in lams]
+    center = default_sigmas(kind, data)
+    extras = (
+        [{"n_features": d, "rff_seed": int(seed)} for d in feature_counts]
+        if "n_features" in HYPER_AXES[kind]
+        else [{}]
+    )
+    return [
+        {
+            "lam": lam,
+            **{a: [m * s for m in med] if isinstance(med, list) else med * s for a, med in center.items()},
+            **extra,
+        }
+        for extra in extras
+        for s in (scales if center else [1.0])
+        for lam in lams
+    ]
 
 
 def _protocol_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
@@ -529,8 +441,9 @@ def run_protocol(
             )
         )
         logger.info(
-            "%s trial %d: rmse=%.6g r2=%.6g chosen=%r", kind, t,
-            results[-1].metrics.rmse, results[-1].metrics.r2, search.best,
+            "%s trial %d: rmse=%.6g r2=%.6g chosen=%r grid_search=%.3fs fit=%.3fs predict=%.3fs",
+            kind, t, results[-1].metrics.rmse, results[-1].metrics.r2, search.best,
+            t1 - t0, t2 - t1, t3 - t2,
         )
     return EvalReport(
         kind=kind,

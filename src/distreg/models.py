@@ -1,32 +1,42 @@
 """Ridge regressors over bags and their persistence.
 
-Model kinds
------------
-lr / kr        ridge and RBF kernel ridge on the per-bag instance means
-               (the summary-vector baselines)
+Every model kind is a bag transform (``_transform``), a representation and a
+ridge solve; the spec table ``_SPECS`` declares each base kind's
+hyperparameters, saved fields and representation once:
+
+lr / kr        singleton bags holding each bag's instance mean; ``lr`` is
+               ridge on the centred means (explicit features), ``kr`` RBF
+               kernel ridge on them (the summary-vector baselines)
 kdr            kernel distribution regression: dual ridge on the bag
                mean-embedding Gram matrix
-rdr            randomized variant: primal ridge on explicit per-bag mean
-               random Fourier features
-mdr            multisource composite: dual ridge on the summed per-source
-               bag Gram matrices
-stacked-*      multisource baseline that concatenates sources into a single
-               feature space and runs the corresponding single-source model
+rdr            randomized variant: ridge on explicit per-bag mean random
+               Fourier features
+mdr            multisource composite: dual ridge on the sum over sources of
+               the bag Gram matrices
+stacked-*      multisource baseline: ``stack_multisource`` concatenates the
+               sources into a single feature space, then the base kind runs
+
+A representation (``_Representation``) holds the lambda-independent part of
+one fit: the training Gram K (dual ridge) or feature matrix Z (primal ridge on
+Z'Z, or the identical dual route on ZZ' when features outnumber bags), and
+the map from test bags to the matrix the coefficients multiply. ``fit_model``,
+``predict_model`` and ``evaluate.grid_search_cv`` all go through it.
 
 All fits center the targets and add the mean back at prediction time, so the
 dual/primal algebra is unchanged but predictions are unbiased under target
-shifts. The low-level ``fit_*`` functions expect already-normalized data;
-``fit_model`` / ``predict_model`` wrap them with per-source normalization
-fitted on the training bags only.
+shifts. ``fit_model`` / ``predict_model`` normalize each source with
+statistics fitted on the training bags only, then call the low-level
+``_fit`` / ``_predict``, which take already-normalized data.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -39,37 +49,31 @@ from .data import (
     apply_normalizer,
     canonical_rows,
     fit_normalizer,
+    pooled_instances,
 )
 from .kernels import (
     BagGram,
     RbfParams,
-    bag_gram,
     cross_bag_gram,
     cross_gram,
+    median_heuristic_bags,
     multisource_bag_gram,
 )
 from .rff import FourierBasis, bag_feature_matrix, sample_basis
 
 __all__ = [
     "FittedModel",
+    "HYPER_AXES",
     "IllConditionedError",
     "MODEL_KINDS",
     "MULTISOURCE_KINDS",
     "RidgeSolution",
     "SINGLE_SOURCE_KINDS",
     "STACK_MODES",
-    "fit_baseline",
-    "fit_kdr",
-    "fit_mdr",
+    "default_sigmas",
     "fit_model",
-    "fit_rdr",
-    "fit_stacked",
     "load_model",
-    "predict_baseline",
-    "predict_kdr",
-    "predict_mdr",
     "predict_model",
-    "predict_rdr",
     "save_model",
     "solve_ridge_dual",
     "stack_multisource",
@@ -78,6 +82,9 @@ __all__ = [
 SINGLE_SOURCE_KINDS = ("lr", "kr", "kdr", "rdr")
 MULTISOURCE_KINDS = ("mdr", "stacked-lr", "stacked-kr", "stacked-kdr", "stacked-rdr")
 MODEL_KINDS = SINGLE_SOURCE_KINDS + MULTISOURCE_KINDS
+STACK_MODES = {"lr": "means", "kr": "means", "kdr": "instances", "rdr": "instances"}
+
+logger = logging.getLogger("distreg.models")
 
 # Escalating diagonal jitter, as multiples of trace/n, tried after the plain solve.
 _JITTERS = (1e-10, 1e-8, 1e-6)
@@ -102,7 +109,8 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
 
     ``matrix`` must be symmetric PSD. On factorization failure the diagonal is
     bumped by eps * trace/n for eps in 1e-10, 1e-8, 1e-6 before giving up;
-    anything larger would silently distort cross-validated comparisons.
+    anything larger would silently distort cross-validated comparisons. A
+    solve that needed jitter is logged at INFO.
     """
     n = matrix.shape[0]
     diag_unit = float(np.trace(matrix)) / n
@@ -111,9 +119,15 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
         shifted[np.diag_indices(n)] += lam + eps * diag_unit
         try:
             factor = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
-            return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            solution = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
         except scipy.linalg.LinAlgError:
             continue
+        if eps:
+            logger.info(
+                "Cholesky needed diagonal jitter %g = %g x trace/n (n=%d, trace/n=%g, lambda=%g)",
+                eps * diag_unit, eps, n, diag_unit, lam,
+            )
+        return solution
     raise IllConditionedError(
         f"Cholesky factorization failed after diagonal jitters {list(_JITTERS)} "
         f"(scaled by trace/n = {diag_unit:g})"
@@ -133,6 +147,10 @@ class RidgeSolution:
         if not np.all(np.isfinite(coef)):
             raise ValueError("ridge coefficients are not finite")
         object.__setattr__(self, "coefficients", coef)
+
+    def predict(self, matrix: np.ndarray) -> np.ndarray:
+        """Predictions for the rows of a test matrix (cross Gram or features)."""
+        return matrix @ self.coefficients + self.intercept
 
 
 def solve_ridge_dual(gram: BagGram | np.ndarray, y: np.ndarray, lam: float) -> RidgeSolution:
@@ -156,10 +174,12 @@ def solve_ridge_dual(gram: BagGram | np.ndarray, y: np.ndarray, lam: float) -> R
 class FittedModel:
     """A fitted regressor plus everything needed to predict on new bags.
 
-    Dual models keep their (normalized) training data; the randomized model
-    keeps only the Fourier basis; baselines keep the training bag means.
-    ``normalizers`` holds the per-source transforms fitted by ``fit_model``
-    (None when the model was fitted directly on pre-normalized data).
+    Which of the optional fields a kind fills is given by its spec: dual
+    models keep their (normalized) training data or bag means, the
+    randomized model keeps only the Fourier basis, ``lr`` keeps the feature
+    means it centres with. ``normalizers`` holds the per-source transforms
+    fitted by ``fit_model`` (None when the model was fitted directly on
+    pre-normalized data).
     """
 
     kind: str
@@ -173,227 +193,171 @@ class FittedModel:
     feature_means: np.ndarray | None = None
     source_dims: tuple[int, ...] | None = None
 
-
-def _centered_targets(data: BagDataset | MultiSourceDataset) -> tuple[np.ndarray, float]:
-    y = data.targets
-    ybar = float(y.mean())
-    return y - ybar, ybar
-
-
-def fit_kdr(
-    train: BagDataset,
-    params: RbfParams,
-    lam: float,
-    *,
-    _gram: BagGram | None = None,
-) -> FittedModel:
-    """Kernel distribution regression: dual ridge on the bag mean-embedding Gram."""
-    lam = _check_lambda(lam)
-    gram = bag_gram(train, params) if _gram is None else _gram
-    yc, ybar = _centered_targets(train)
-    alpha = _solve_spd(gram.values, yc, lam)
-    return FittedModel(
-        kind="kdr",
-        solution=RidgeSolution(alpha, ybar, lam),
-        kernel_params=(params,),
-        train_bag_data=train,
-    )
+    @property
+    def n_sources(self) -> int:
+        """How many sources the model predicts from."""
+        if self.source_dims is not None:
+            return len(self.source_dims)
+        if self.train_multisource is not None:
+            return self.train_multisource.n_sources
+        return 1
 
 
-def predict_kdr(
-    model: FittedModel,
-    test: BagDataset,
-    *,
-    _cross: np.ndarray | None = None,
-) -> np.ndarray:
-    """One prediction per test bag from the dual expansion over training bags."""
-    if model.kind != "kdr":
-        raise ValueError(f"predict_kdr needs a kdr model, got {model.kind!r}")
-    train = model.train_bag_data
-    if test.dim != train.dim:
-        raise ValueError(
-            f"feature dimension mismatch: model expects d={train.dim}, got d={test.dim}"
-        )
-    cross = cross_bag_gram(test, train, model.kernel_params[0]) if _cross is None else _cross
-    return cross @ model.solution.coefficients + model.solution.intercept
+class _Representation:
+    """The lambda-independent part of a ridge fit on one training set at one
+    hyperparameter point (everything but ``lam``).
 
-
-def _rdr_gram(z: np.ndarray) -> np.ndarray:
-    """The lambda-independent matrix ``fit_rdr`` factorizes for features ``z``:
-    Z'Z on the primal route, ZZ' on the dual one (the smaller of the two)."""
-    return z.T @ z if z.shape[1] <= z.shape[0] else z @ z.T
-
-
-def fit_rdr(
-    train: BagDataset,
-    basis: FourierBasis,
-    lam: float,
-    *,
-    _features: np.ndarray | None = None,
-    _gram: np.ndarray | None = None,
-) -> FittedModel:
-    """Randomized distribution regression: ridge on per-bag mean Fourier features.
-
-    Solves the primal normal equations (Z'Z + lam*I) w = Z'y; when the feature
-    dimension exceeds the number of bags the algebraically identical dual
-    route w = Z'(ZZ' + lam*I)^-1 y is used, which factorizes the smaller
-    matrix.
+    ``embed`` maps test sources, transformed like the training ones, to the
+    matrix the coefficients multiply: the cross Gram against the training
+    bags, or the test bags' features. ``matrix`` is the matching training
+    matrix of the sources ``train``: the bag Gram K or, when ``explicit``,
+    the features Z. Both are None for a representation rebuilt from a saved
+    model, which only predicts. ``dims`` are the feature dimensions of the
+    sources it reads.
     """
-    lam = _check_lambda(lam)
-    if basis.dim != train.dim:
-        raise ValueError(
-            f"feature dimension mismatch: basis has d={basis.dim}, data has d={train.dim}"
-        )
-    z = bag_feature_matrix(train, basis) if _features is None else _features
-    gram = _rdr_gram(z) if _gram is None else _gram
-    yc, ybar = _centered_targets(train)
-    n_bags, n_feat = z.shape
-    if n_feat <= n_bags:
-        w = _solve_spd(gram, z.T @ yc, lam)
-    else:
-        w = z.T @ _solve_spd(gram, yc, lam)
-    return FittedModel(
-        kind="rdr",
-        solution=RidgeSolution(w, ybar, lam),
-        basis=basis,
-    )
+
+    def __init__(self, embed, dims, matrix=None, train=None, *, explicit=False, lam_floor=0.0):
+        self.embed, self.dims = embed, dims
+        if matrix is None:
+            return
+        self.lam_floor = lam_floor
+        y = train[0].targets
+        self.ybar = float(y.mean())
+        yc = y - self.ybar
+        # the matrix every solve factorizes: K, or the smaller of Z'Z and ZZ'
+        self.back = None
+        if explicit and matrix.shape[1] <= matrix.shape[0]:
+            self.normal, self.rhs = matrix.T @ matrix, matrix.T @ yc
+        elif explicit:
+            self.normal, self.rhs, self.back = matrix @ matrix.T, yc, matrix.T
+        else:
+            self.normal, self.rhs = matrix, yc
+
+    def solve(self, lam: float) -> RidgeSolution:
+        lam = _check_lambda(lam)
+        coef = _solve_spd(self.normal, self.rhs, max(lam, self.lam_floor))
+        if self.back is not None:
+            coef = self.back @ coef
+        return RidgeSolution(coef, self.ybar, lam)
 
 
-def predict_rdr(
-    model: FittedModel,
-    test: BagDataset,
-    *,
-    _features: np.ndarray | None = None,
-) -> np.ndarray:
-    """Linear prediction on the explicit mean feature vector of each test bag."""
-    if model.kind != "rdr":
-        raise ValueError(f"predict_rdr needs an rdr model, got {model.kind!r}")
-    if test.dim != model.basis.dim:
-        raise ValueError(
-            f"feature dimension mismatch: model expects d={model.basis.dim}, "
-            f"got d={test.dim}"
-        )
-    z = bag_feature_matrix(test, model.basis) if _features is None else _features
-    return z @ model.solution.coefficients + model.solution.intercept
+def _gram(sources: tuple[BagDataset, ...], params, train) -> _Representation:
+    """Dual ridge on the sum over sources of the bag mean-embedding Grams."""
 
-
-def fit_mdr(
-    train: MultiSourceDataset,
-    params: Sequence[RbfParams],
-    lam: float,
-    *,
-    _gram: BagGram | None = None,
-) -> FittedModel:
-    """Multisource distribution regression: dual ridge on the summed source Grams."""
-    lam = _check_lambda(lam)
-    if len(params) != train.n_sources:
-        raise ValueError(
-            f"need one RbfParams per source: got {len(params)} for "
-            f"{train.n_sources} sources"
-        )
-    gram = multisource_bag_gram(train, params) if _gram is None else _gram
-    yc, ybar = _centered_targets(train)
-    alpha = _solve_spd(gram.values, yc, lam)
-    return FittedModel(
-        kind="mdr",
-        solution=RidgeSolution(alpha, ybar, lam),
-        kernel_params=tuple(params),
-        train_multisource=train,
-    )
-
-
-def predict_mdr(
-    model: FittedModel,
-    test: MultiSourceDataset,
-    *,
-    _cross: np.ndarray | None = None,
-) -> np.ndarray:
-    """Predictions from the composite kernel: per-source cross Grams are summed."""
-    if model.kind != "mdr":
-        raise ValueError(f"predict_mdr needs an mdr model, got {model.kind!r}")
-    train = model.train_multisource
-    if test.n_sources != train.n_sources:
-        raise ValueError(
-            f"source count mismatch: model expects {train.n_sources}, got {test.n_sources}"
-        )
-    if _cross is None:
-        cross = np.zeros((test.n_bags, train.n_bags))
-        for te, tr, p in zip(test.sources, train.sources, model.kernel_params):
+    def embed(test):
+        cross = np.zeros((test[0].n_bags, sources[0].n_bags))
+        for te, tr, p in zip(test, sources, params):
             cross += cross_bag_gram(te, tr, p)
-    else:
-        cross = _cross
-    return cross @ model.solution.coefficients + model.solution.intercept
+        return cross
+
+    gram = None if train is None else multisource_bag_gram(MultiSourceDataset(sources), params).values
+    return _Representation(embed, tuple(s.dim for s in sources), gram, train)
+
+
+def _row_gram(rows: np.ndarray, params, train) -> _Representation:
+    """Dual ridge on the RBF kernel between single-row bags, which is their
+    bag Gram; ``cross_gram`` of one array with itself is exactly symmetric
+    and matches the bag Gram only up to the last bit."""
+
+    def embed(test):
+        return cross_gram(pooled_instances(test[0]), rows, params[0])
+
+    gram = None if train is None else cross_gram(rows, rows, params[0])
+    return _Representation(embed, (rows.shape[1],), gram, train)
+
+
+def _features(features, dim: int, train, lam_floor: float = 0.0) -> _Representation:
+    """Ridge on explicit per-bag feature rows ``features(sources)``."""
+    z = None if train is None else features(train)
+    return _Representation(features, (dim,), z, train, explicit=True, lam_floor=lam_floor)
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """One base kind: its hyperparameters, saved fields and representation."""
+
+    axes: tuple[str, ...]  # hyperparameters besides lam
+    fields: tuple[str, ...]  # FittedModel fields it predicts with; the first indexes the coefficients
+    n_coef: Callable[[FittedModel], int]  # coefficient count the first field implies
+    state: Callable[[tuple, dict], dict]  # (transformed training sources, point) -> field values
+    # (model, transformed training sources or None) -> representation
+    represent: Callable[..., _Representation]
+
+
+_SPECS = {
+    "lr": _Spec(
+        axes=(),
+        fields=("feature_means",),
+        n_coef=lambda m: m.feature_means.shape[0],
+        state=lambda train, p: {"feature_means": pooled_instances(train[0]).mean(axis=0)},
+        represent=lambda m, train=None: _features(
+            lambda t: pooled_instances(t[0]) - m.feature_means,
+            m.feature_means.shape[0], train, _LR_LAMBDA_FLOOR,
+        ),
+    ),
+    "kr": _Spec(
+        axes=("sigma",),
+        fields=("train_means", "kernel_params"),
+        n_coef=lambda m: m.train_means.shape[0],
+        state=lambda train, p: {
+            "train_means": pooled_instances(train[0]),
+            "kernel_params": (RbfParams(p["sigma"]),),
+        },
+        represent=lambda m, train=None: _row_gram(m.train_means, m.kernel_params, train),
+    ),
+    "kdr": _Spec(
+        axes=("sigma",),
+        fields=("train_bag_data", "kernel_params"),
+        n_coef=lambda m: m.train_bag_data.n_bags,
+        state=lambda train, p: {"train_bag_data": train[0], "kernel_params": (RbfParams(p["sigma"]),)},
+        represent=lambda m, train=None: _gram((m.train_bag_data,), m.kernel_params, train),
+    ),
+    "rdr": _Spec(
+        axes=("sigma", "n_features", "rff_seed"),
+        fields=("basis",),
+        n_coef=lambda m: m.basis.feature_dim,
+        state=lambda train, p: {
+            "basis": sample_basis(
+                train[0].dim, int(p["n_features"]), float(p["sigma"]), int(p["rff_seed"])
+            )
+        },
+        represent=lambda m, train=None: _features(
+            lambda t: bag_feature_matrix(t[0], m.basis), m.basis.dim, train
+        ),
+    ),
+    "mdr": _Spec(
+        axes=("sigmas",),
+        fields=("train_multisource", "kernel_params"),
+        n_coef=lambda m: m.train_multisource.n_bags,
+        state=lambda train, p: {
+            "train_multisource": MultiSourceDataset(train),
+            "kernel_params": tuple(RbfParams(s) for s in p["sigmas"]),
+        },
+        represent=lambda m, train=None: _gram(m.train_multisource.sources, m.kernel_params, train),
+    ),
+}
+
+# Defaults of optional hyperparameters.
+_AXIS_DEFAULTS = {"rff_seed": 0}
+
+
+def _base(kind: str) -> str:
+    return kind.removeprefix("stacked-")
+
+
+def _spec(kind: str) -> _Spec:
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    return _SPECS[_base(kind)]
+
+
+# Hyperparameters of each kind besides lam.
+HYPER_AXES = {kind: _spec(kind).axes for kind in MODEL_KINDS}
 
 
 def _bag_means(data: BagDataset) -> np.ndarray:
     # canonical row order -> exactly permutation-invariant means
     return np.array([canonical_rows(b.instances).mean(axis=0) for b in data.bags])
-
-
-def fit_baseline(
-    train: BagDataset,
-    kind: str,
-    lam: float,
-    params: RbfParams | None = None,
-    *,
-    _means: np.ndarray | None = None,
-) -> FittedModel:
-    """Summary-vector baselines working on the per-bag instance means.
-
-    ``lr`` is ridge on the (centered) means with a lambda floor of 1e-8 for
-    conditioning; ``kr`` is RBF kernel ridge treating each bag mean as a
-    single instance.
-    """
-    if kind not in ("lr", "kr"):
-        raise ValueError(f"baseline kind must be 'lr' or 'kr', got {kind!r}")
-    lam = _check_lambda(lam)
-    means = _bag_means(train) if _means is None else _means
-    yc, ybar = _centered_targets(train)
-    if kind == "lr":
-        feature_means = means.mean(axis=0)
-        centered = means - feature_means
-        w = _solve_spd(centered.T @ centered, centered.T @ yc, max(lam, _LR_LAMBDA_FLOOR))
-        return FittedModel(
-            kind="lr",
-            solution=RidgeSolution(w, ybar, lam),
-            feature_means=feature_means,
-        )
-    if params is None:
-        raise ValueError("kr needs RbfParams")
-    gram = cross_gram(means, means, params)
-    alpha = _solve_spd(gram, yc, lam)
-    return FittedModel(
-        kind="kr",
-        solution=RidgeSolution(alpha, ybar, lam),
-        kernel_params=(params,),
-        train_means=means,
-    )
-
-
-def predict_baseline(
-    model: FittedModel,
-    test: BagDataset,
-    *,
-    _means: np.ndarray | None = None,
-) -> np.ndarray:
-    if model.kind not in ("lr", "kr"):
-        raise ValueError(f"predict_baseline needs lr/kr, got {model.kind!r}")
-    means = _bag_means(test) if _means is None else _means
-    if model.kind == "lr":
-        if means.shape[1] != model.feature_means.shape[0]:
-            raise ValueError(
-                f"feature dimension mismatch: model expects d={model.feature_means.shape[0]}, "
-                f"got d={means.shape[1]}"
-            )
-        centered = means - model.feature_means
-        return centered @ model.solution.coefficients + model.solution.intercept
-    if means.shape[1] != model.train_means.shape[1]:
-        raise ValueError(
-            f"feature dimension mismatch: model expects d={model.train_means.shape[1]}, "
-            f"got d={means.shape[1]}"
-        )
-    cross = cross_gram(means, model.train_means, model.kernel_params[0])
-    return cross @ model.solution.coefficients + model.solution.intercept
 
 
 def stack_multisource(data: MultiSourceDataset, mode: str) -> BagDataset:
@@ -428,147 +392,118 @@ def stack_multisource(data: MultiSourceDataset, mode: str) -> BagDataset:
     return BagDataset(tuple(bags), data.targets)
 
 
-STACK_MODES = {"lr": "means", "kr": "means", "kdr": "instances", "rdr": "instances"}
-
-
-def fit_stacked(
-    train: MultiSourceDataset,
-    base_kind: str,
-    lam: float,
-    params: RbfParams | None = None,
-    basis: FourierBasis | None = None,
-    *,
-    _stacked: BagDataset | None = None,
-) -> FittedModel:
-    """Feature-stacking multisource baseline: run a single-source model on the
-    concatenated space built by ``stack_multisource``."""
-    if base_kind not in STACK_MODES:
-        raise ValueError(f"stacked base kind must be one of {sorted(STACK_MODES)}, got {base_kind!r}")
-    stacked = stack_multisource(train, STACK_MODES[base_kind]) if _stacked is None else _stacked
-    if base_kind in ("lr", "kr"):
-        inner = fit_baseline(stacked, base_kind, lam, params)
-    elif base_kind == "kdr":
-        inner = fit_kdr(stacked, params, lam)
-    else:
-        if basis is None:
-            raise ValueError("stacked-rdr needs a FourierBasis over the stacked dimension")
-        inner = fit_rdr(stacked, basis, lam)
-    return replace(inner, kind=f"stacked-{base_kind}", source_dims=tuple(train.dims))
-
-
-def _predict_stacked(model: FittedModel, test: MultiSourceDataset) -> np.ndarray:
-    base_kind = model.kind.split("-", 1)[1]
-    if tuple(test.dims) != model.source_dims:
+def _normalize(data, normalizers=None):
+    """Normalize each source of ``data`` (a BagDataset or MultiSourceDataset),
+    fitting the normalizers on it when none are given; returns the normalized
+    data, of the same type, and the normalizers."""
+    multi = isinstance(data, MultiSourceDataset)
+    sources = data.sources if multi else (data,)
+    if normalizers is None:
+        normalizers = tuple(fit_normalizer(src) for src in sources)
+    elif len(normalizers) != len(sources):
         raise ValueError(
-            f"source dimensions mismatch: model expects {model.source_dims}, "
-            f"got {tuple(test.dims)}"
+            f"source count mismatch: model expects {len(normalizers)}, got {len(sources)}"
         )
-    stacked = stack_multisource(test, STACK_MODES[base_kind])
-    inner = replace(model, kind=base_kind)
-    if base_kind in ("lr", "kr"):
-        return predict_baseline(inner, stacked)
-    if base_kind == "kdr":
-        return predict_kdr(inner, stacked)
-    return predict_rdr(inner, stacked)
+    out = tuple(apply_normalizer(src, n) for src, n in zip(sources, normalizers))
+    return (MultiSourceDataset(out) if multi else out[0]), normalizers
 
 
-def _require_hyper(hyper: dict, key: str, kind: str):
-    if key not in hyper:
-        raise ValueError(f"model kind {kind!r} needs hyperparameter {key!r}")
-    return hyper[key]
+def _stack(kind: str, data) -> tuple[BagDataset, ...]:
+    """The sources the base kind reads from ``data``: checked against the
+    kind's dataset type, and concatenated into one for ``stacked-*``."""
+    _spec(kind)  # rejects unknown kinds
+    multi = kind in MULTISOURCE_KINDS
+    if not isinstance(data, MultiSourceDataset if multi else BagDataset):
+        need = "a MultiSourceDataset" if multi else "a single-source BagDataset"
+        raise TypeError(f"model kind {kind!r} needs {need}")
+    base = _base(kind)
+    if base != kind:
+        return (stack_multisource(data, STACK_MODES[base]),)
+    return data.sources if multi else (data,)
 
 
-def _fit_single(kind: str, data: BagDataset, hyper: dict) -> FittedModel:
-    lam = _require_hyper(hyper, "lam", kind)
-    if kind == "lr":
-        return fit_baseline(data, "lr", lam)
-    if kind == "kr":
-        return fit_baseline(data, "kr", lam, RbfParams(_require_hyper(hyper, "sigma", kind)))
-    if kind == "kdr":
-        return fit_kdr(data, RbfParams(_require_hyper(hyper, "sigma", kind)), lam)
-    basis = sample_basis(
-        data.dim,
-        int(_require_hyper(hyper, "n_features", kind)),
-        float(_require_hyper(hyper, "sigma", kind)),
-        int(hyper.get("rff_seed", 0)),
+def _transform(kind: str, data) -> tuple[BagDataset, ...]:
+    """``_stack`` followed by the bag transform of ``lr``/``kr``: each bag
+    becomes the single instance of its mean (``stack_multisource`` in mode
+    "means" on one source; stacked kinds in that mode are reduced already)."""
+    sources = _stack(kind, data)
+    if STACK_MODES.get(kind) == "means":
+        sources = (stack_multisource(MultiSourceDataset(sources), "means"),)
+    return sources
+
+
+def _represent(kind: str, train: tuple[BagDataset, ...], hyper: dict):
+    """Representation of ``kind`` on transformed training sources at the
+    point ``hyper``, with the model fields it fixes (solution still None)."""
+    spec = _spec(kind)
+    point = {**_AXIS_DEFAULTS, **hyper}
+    for axis in ("lam",) + spec.axes:
+        if axis not in point:
+            raise ValueError(f"model kind {kind!r} needs hyperparameter {axis!r}")
+    state = FittedModel(kind, None, **spec.state(train, point))
+    return state, spec.represent(state, train)
+
+
+def default_sigmas(kind: str, data) -> dict:
+    """Median-heuristic value of each sigma axis of ``kind`` on raw ``data``:
+    ``{"sigma": m}``, ``{"sigmas": [m_1, ..., m_F]}`` (one per source) or
+    ``{}`` for kinds without one.
+
+    The medians are taken over the normalized instances that the bag
+    transform receives, which are stacked for ``stacked-*``: ``kr`` uses the
+    instances themselves, ``stacked-kr`` the stacked bag means.
+    """
+    axes = [a for a in _spec(kind).axes if a.startswith("sigma")]
+    if not axes:
+        return {}
+    meds = [median_heuristic_bags(src) for src in _stack(kind, _normalize(data)[0])]
+    return {a: meds if a == "sigmas" else meds[0] for a in axes}
+
+
+def _fit(kind: str, data, hyper: dict) -> FittedModel:
+    """Fit ``kind`` on already-normalized data; ``fit_model`` calls this
+    after normalizing."""
+    state, rep = _represent(kind, _transform(kind, data), hyper)
+    stacked = _base(kind) != kind
+    return replace(
+        state,
+        solution=rep.solve(hyper["lam"]),
+        source_dims=tuple(data.dims) if stacked else None,
     )
-    return fit_rdr(data, basis, lam)
 
 
-def _predict_single(model: FittedModel, data: BagDataset) -> np.ndarray:
-    if model.kind in ("lr", "kr"):
-        return predict_baseline(model, data)
-    if model.kind == "kdr":
-        return predict_kdr(model, data)
-    return predict_rdr(model, data)
+def _predict(model: FittedModel, data) -> np.ndarray:
+    """Predict on already-normalized data; ``predict_model`` calls this
+    after normalizing."""
+    rep = _spec(model.kind).represent(model)
+    dims = tuple(data.dims) if isinstance(data, MultiSourceDataset) else (data.dim,)
+    expected = model.source_dims or rep.dims
+    if dims != expected:
+        raise ValueError(
+            f"feature dimension mismatch: model expects d={','.join(map(str, expected))}, "
+            f"got d={','.join(map(str, dims))}"
+        )
+    return model.solution.predict(rep.embed(_transform(model.kind, data)))
 
 
 def fit_model(kind: str, data: BagDataset | MultiSourceDataset, hyper: dict) -> FittedModel:
-    """Fit any model kind on raw data: normalize, then dispatch.
+    """Fit any model kind on raw data: normalize, then fit.
 
     Normalization statistics come from the given (training) bags only and are
     stored on the model, so ``predict_model`` can apply the identical
-    transform to new bags. Hyperparameters: ``lam`` always; ``sigma`` for
-    kr/kdr/rdr and the stacked variants; ``sigmas`` (one per source) for mdr;
-    ``n_features`` and optional ``rff_seed`` for rdr variants.
+    transform to new bags. Hyperparameters (``HYPER_AXES``): ``lam`` always;
+    ``sigma`` for kr/kdr/rdr and the stacked variants; ``sigmas`` (one per
+    source) for mdr; ``n_features`` and optional ``rff_seed`` for rdr variants.
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    if kind in SINGLE_SOURCE_KINDS:
-        if not isinstance(data, BagDataset):
-            raise TypeError(f"model kind {kind!r} needs a single-source BagDataset")
-        norm = fit_normalizer(data)
-        model = _fit_single(kind, apply_normalizer(data, norm), hyper)
-        return replace(model, normalizers=(norm,))
-    if not isinstance(data, MultiSourceDataset):
-        raise TypeError(f"model kind {kind!r} needs a MultiSourceDataset")
-    norms = tuple(fit_normalizer(src) for src in data.sources)
-    normalized = MultiSourceDataset(
-        tuple(apply_normalizer(src, n) for src, n in zip(data.sources, norms))
-    )
-    lam = _require_hyper(hyper, "lam", kind)
-    if kind == "mdr":
-        sigmas = _require_hyper(hyper, "sigmas", kind)
-        model = fit_mdr(normalized, [RbfParams(s) for s in sigmas], lam)
-    else:
-        base_kind = kind.split("-", 1)[1]
-        params = None
-        basis = None
-        if base_kind in ("kr", "kdr"):
-            params = RbfParams(_require_hyper(hyper, "sigma", kind))
-        elif base_kind == "rdr":
-            basis = sample_basis(
-                sum(normalized.dims),
-                int(_require_hyper(hyper, "n_features", kind)),
-                float(_require_hyper(hyper, "sigma", kind)),
-                int(hyper.get("rff_seed", 0)),
-            )
-        model = fit_stacked(normalized, base_kind, lam, params, basis)
-    return replace(model, normalizers=norms)
+    normalized, norms = _normalize(data)
+    return replace(_fit(kind, normalized, hyper), normalizers=norms)
 
 
 def predict_model(model: FittedModel, data: BagDataset | MultiSourceDataset) -> np.ndarray:
     """Predict on raw bags, applying the model's stored normalization first."""
-    if model.kind in SINGLE_SOURCE_KINDS:
-        if not isinstance(data, BagDataset):
-            raise TypeError(f"model kind {model.kind!r} predicts on a BagDataset")
-        if model.normalizers is not None:
-            data = apply_normalizer(data, model.normalizers[0])
-        return _predict_single(model, data)
-    if not isinstance(data, MultiSourceDataset):
-        raise TypeError(f"model kind {model.kind!r} predicts on a MultiSourceDataset")
     if model.normalizers is not None:
-        if len(model.normalizers) != data.n_sources:
-            raise ValueError(
-                f"source count mismatch: model expects {len(model.normalizers)}, "
-                f"got {data.n_sources}"
-            )
-        data = MultiSourceDataset(
-            tuple(apply_normalizer(src, n) for src, n in zip(data.sources, model.normalizers))
-        )
-    if model.kind == "mdr":
-        return predict_mdr(model, data)
-    return _predict_stacked(model, data)
+        data = _normalize(data, model.normalizers)[0]
+    return _predict(model, data)
 
 
 # ---------------------------------------------------------------------------
@@ -610,71 +545,46 @@ def _dec_dataset(obj: dict) -> BagDataset:
     return BagDataset(bags, _dec_array(obj["targets"]))
 
 
-def save_model(model: FittedModel, path: str | Path) -> None:
-    """Write a fitted model to a self-describing JSON file.
+# Every top-level field of a model file: FittedModel attribute -> (encode, decode).
+# The Fourier basis is stored as (seed, dim, components, sigma) and resampled
+# on load, which reproduces the weights bit-exactly.
+_CODECS = {
+    "kind": (str, str),
+    "solution": (
+        lambda s: {"coefficients": _enc_array(s.coefficients), "intercept": s.intercept, "lam": s.lam},
+        lambda v: RidgeSolution(_dec_array(v["coefficients"]), float(v["intercept"]), float(v["lam"])),
+    ),
+    "normalizers": (
+        lambda v: [{"mean": _enc_array(n.mean), "scale": _enc_array(n.scale)} for n in v],
+        lambda v: tuple(Normalizer(_dec_array(n["mean"]), _dec_array(n["scale"])) for n in v),
+    ),
+    "kernel_params": (
+        lambda v: [p.sigma for p in v],
+        lambda v: tuple(RbfParams(s) for s in v),
+    ),
+    "basis": (
+        lambda b: {"dim": b.dim, "n_components": b.n_components, "sigma": b.sigma, "seed": b.seed},
+        lambda v: sample_basis(int(v["dim"]), int(v["n_components"]), float(v["sigma"]), int(v["seed"])),
+    ),
+    "train_bag_data": (_enc_dataset, _dec_dataset),
+    "train_multisource": (
+        lambda v: [_enc_dataset(src) for src in v.sources],
+        lambda v: MultiSourceDataset(tuple(_dec_dataset(s) for s in v)),
+    ),
+    "train_means": (_enc_array, lambda v: _dec_array(v, ndim=2)),
+    "feature_means": (_enc_array, lambda v: _dec_array(v, ndim=1)),
+    "source_dims": (list, lambda v: tuple(int(d) for d in v)),
+}
 
-    The Fourier basis is stored as (seed, dim, components, sigma) and
-    resampled on load, which reproduces the weights bit-exactly.
-    """
-    doc = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "kind": model.kind,
-        "solution": {
-            "coefficients": _enc_array(model.solution.coefficients),
-            "intercept": model.solution.intercept,
-            "lam": model.solution.lam,
-        },
-        "normalizers": None
-        if model.normalizers is None
-        else [{"mean": _enc_array(n.mean), "scale": _enc_array(n.scale)} for n in model.normalizers],
-        "kernel_params": None
-        if model.kernel_params is None
-        else [p.sigma for p in model.kernel_params],
-        "basis": None
-        if model.basis is None
-        else {
-            "dim": model.basis.dim,
-            "n_components": model.basis.n_components,
-            "sigma": model.basis.sigma,
-            "seed": model.basis.seed,
-        },
-        "train_bag_data": None
-        if model.train_bag_data is None
-        else _enc_dataset(model.train_bag_data),
-        "train_multisource": None
-        if model.train_multisource is None
-        else [_enc_dataset(src) for src in model.train_multisource.sources],
-        "train_means": None if model.train_means is None else _enc_array(model.train_means),
-        "feature_means": None if model.feature_means is None else _enc_array(model.feature_means),
-        "source_dims": None if model.source_dims is None else list(model.source_dims),
-    }
+
+def save_model(model: FittedModel, path: str | Path) -> None:
+    """Write a fitted model to a self-describing JSON file."""
+    doc = {"format": _FORMAT, "version": _VERSION}
+    for name, (encode, _) in _CODECS.items():
+        value = getattr(model, name)
+        doc[name] = None if value is None else encode(value)
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-# Top-level fields of a model file; save_model writes every one of them.
-_FIELDS = (
-    "kind",
-    "solution",
-    "normalizers",
-    "kernel_params",
-    "basis",
-    "train_bag_data",
-    "train_multisource",
-    "train_means",
-    "feature_means",
-    "source_dims",
-)
-
-# Per base kind: the field the coefficients index, and how many it implies.
-_COEF_ANCHORS = {
-    "lr": ("feature_means", lambda m: m.feature_means.shape[0]),
-    "kr": ("train_means", lambda m: m.train_means.shape[0]),
-    "kdr": ("train_bag_data", lambda m: m.train_bag_data.n_bags),
-    "rdr": ("basis", lambda m: m.basis.feature_dim),
-    "mdr": ("train_multisource", lambda m: m.train_multisource.n_bags),
-}
 
 
 def _decode_field(path, doc: dict, name: str, decode):
@@ -693,50 +603,28 @@ def _decode_field(path, doc: dict, name: str, decode):
 def _check_fields(model: FittedModel, path) -> None:
     """Check that a loaded model has every field its kind predicts with and
     that their sizes agree with the coefficients."""
-    base = model.kind.removeprefix("stacked-")
-    stacked = base != model.kind
-    anchor, n_expected = _COEF_ANCHORS[base]
-    needed = [anchor]
-    if base in ("kr", "kdr", "mdr"):
-        needed.append("kernel_params")
-    if stacked:
-        needed.append("source_dims")
-    for name in needed:
+    spec = _spec(model.kind)
+    stacked = _base(model.kind) != model.kind
+    for name in spec.fields + (("source_dims",) if stacked else ()):
         if getattr(model, name) is None:
             raise ValueError(
                 f"model file {path}: field {name!r} is null but a {model.kind} model needs it"
             )
-    n_coef = model.solution.coefficients.shape[0]
-    if n_coef != n_expected(model):
+    n_coef, n_expected = model.solution.coefficients.shape[0], spec.n_coef(model)
+    if n_coef != n_expected:
         raise ValueError(
             f"model file {path}: field 'solution' holds {n_coef} coefficients, "
-            f"but field {anchor!r} implies {n_expected(model)}"
+            f"but field {spec.fields[0]!r} implies {n_expected}"
         )
-    if base == "mdr":
-        n_sources = model.train_multisource.n_sources
-    else:
-        n_sources = len(model.source_dims) if stacked else 1
-    counts = {"normalizers": n_sources}
-    if "kernel_params" in needed:
-        counts["kernel_params"] = n_sources if base == "mdr" else 1
+    counts = {"normalizers": model.n_sources}
+    if "kernel_params" in spec.fields:
+        counts["kernel_params"] = 1 if stacked else model.n_sources
     for name, count in counts.items():
         value = getattr(model, name)
         if value is not None and len(value) != count:
             raise ValueError(
                 f"model file {path}: field {name!r} holds {len(value)} entries, expected {count}"
             )
-
-
-def _dec_solution(obj: dict) -> RidgeSolution:
-    return RidgeSolution(
-        _dec_array(obj["coefficients"]), float(obj["intercept"]), float(obj["lam"])
-    )
-
-
-def _dec_basis(obj: dict) -> FourierBasis:
-    return sample_basis(
-        int(obj["dim"]), int(obj["n_components"]), float(obj["sigma"]), int(obj["seed"])
-    )
 
 
 def load_model(path: str | Path) -> FittedModel:
@@ -754,35 +642,16 @@ def load_model(path: str | Path) -> FittedModel:
         raise ValueError(f"{path} is not a {_FORMAT} file")
     if doc.get("version") != _VERSION:
         raise ValueError(f"unsupported model file version {doc.get('version')!r}")
-    for name in _FIELDS:
+    for name in _CODECS:
         if name not in doc:
             raise ValueError(f"model file {path}: missing field {name!r}")
     if doc["kind"] not in MODEL_KINDS:
         raise ValueError(
             f"model file {path}: field 'kind' is {doc['kind']!r}, expected one of {MODEL_KINDS}"
         )
-    solution = _decode_field(path, doc, "solution", _dec_solution)
-    if solution is None:
+    values = {name: _decode_field(path, doc, name, dec) for name, (_, dec) in _CODECS.items()}
+    if values["solution"] is None:
         raise ValueError(f"model file {path}: field 'solution' is null")
-    model = FittedModel(
-        kind=doc["kind"],
-        solution=solution,
-        normalizers=_decode_field(
-            path, doc, "normalizers",
-            lambda v: tuple(Normalizer(_dec_array(n["mean"]), _dec_array(n["scale"])) for n in v),
-        ),
-        kernel_params=_decode_field(
-            path, doc, "kernel_params", lambda v: tuple(RbfParams(s) for s in v)
-        ),
-        basis=_decode_field(path, doc, "basis", _dec_basis),
-        train_bag_data=_decode_field(path, doc, "train_bag_data", _dec_dataset),
-        train_multisource=_decode_field(
-            path, doc, "train_multisource",
-            lambda v: MultiSourceDataset(tuple(_dec_dataset(s) for s in v)),
-        ),
-        train_means=_decode_field(path, doc, "train_means", lambda v: _dec_array(v, ndim=2)),
-        feature_means=_decode_field(path, doc, "feature_means", lambda v: _dec_array(v, ndim=1)),
-        source_dims=_decode_field(path, doc, "source_dims", lambda v: tuple(int(d) for d in v)),
-    )
+    model = FittedModel(**values)
     _check_fields(model, path)
     return model

@@ -265,6 +265,26 @@ class TestFitPredict:
         rows = pred_path.read_text(encoding="utf-8").strip().split("\n")
         assert len(rows) == 16
 
+    @pytest.mark.parametrize("kind,files", [("kdr", 2), ("mdr", 1)])
+    def test_source_count_mismatch_named(self, tmp_path, capsys, kind, files):
+        out = tmp_path / "ms"
+        run_cli("synth", "--kind", "multisource-task", "--out", out, "--bags", "12", "--seed", "6")
+        sources = [out / "source1_instances.csv", out / "source2_instances.csv"]
+        fit_sources = sources[:1] if kind == "kdr" else sources
+        model_path = tmp_path / "model.json"
+        fit_args = [a for src in fit_sources for a in ("--instances", src)]
+        assert run_cli("fit", "--model", kind, *fit_args, "--targets", out / "targets.csv",
+                       "--out", model_path) == 0
+        capsys.readouterr()
+        predict_args = [a for src in sources[:files] for a in ("--instances", src)]
+        assert run_cli("predict", "--model-file", model_path, *predict_args,
+                       "--out", tmp_path / "p.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"model file {model_path} (kind {kind!r})" in err
+        assert f"needs exactly {'one source' if kind == 'kdr' else '2 sources'}, got {files} " in err
+        assert "Traceback" not in err
+
     def test_corrupt_model_file(self, tmp_path, variance_files, capsys):
         inst, _ = variance_files
         bad = tmp_path / "bad.json"

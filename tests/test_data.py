@@ -59,6 +59,18 @@ class TestLoadBags:
         with pytest.raises(DataFormatError, match="'oops'.*'a'"):
             load_bags(inst, tgt)
 
+    def test_non_finite_instance_names_line_and_bag(self, tmp_path):
+        inst = write(tmp_path / "inst.csv", "bag_id,f1,f2\na,1,2\na,nan,3\n")
+        tgt = write(tmp_path / "tgt.csv", "bag_id,y\na,1.0\n")
+        with pytest.raises(DataFormatError, match=r"inst\.csv:3: non-finite value 'nan' for bag 'a'"):
+            load_bags(inst, tgt)
+
+    def test_non_finite_target_names_line_and_bag(self, tmp_path):
+        inst = write(tmp_path / "inst.csv", "bag_id,f1\na,1\nb,2\n")
+        tgt = write(tmp_path / "tgt.csv", "bag_id,y\na,1.0\nb,-inf\n")
+        with pytest.raises(DataFormatError, match=r"tgt\.csv:3: non-finite value '-inf' for bag 'b'"):
+            load_bags(inst, tgt)
+
     def test_missing_target(self, tmp_path):
         inst = write(tmp_path / "inst.csv", "bag_id,f1\na,1\nb,2\n")
         tgt = write(tmp_path / "tgt.csv", "bag_id,y\na,1.0\n")

@@ -1,12 +1,15 @@
 """Metrics, fold construction, grid search, and the repeated-trial protocol."""
 
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
 
 import distreg.evaluate as evaluate
 from distreg import (
+    apply_normalizer,
     compute_metrics,
     default_grid,
     fit_normalizer,
@@ -21,8 +24,11 @@ from distreg import (
     run_protocol,
     split_train_test,
 )
-from distreg.evaluate import _normalized_copy
 from conftest import random_dataset
+
+
+def normalized(data):
+    return apply_normalizer(data, fit_normalizer(data))
 
 
 class TestComputeMetrics:
@@ -122,7 +128,7 @@ class TestGridSearch:
 
     def test_selected_sigma_near_median_heuristic(self):
         data = make_variance_task(60, 30, 3, seed=4)
-        med = median_heuristic_bags(_normalized_copy(data))
+        med = median_heuristic_bags(normalized(data))
         grid = [
             {"lam": 1e-2, "sigma": med * s} for s in (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
         ]
@@ -258,7 +264,7 @@ class TestDefaultGrid:
         lams = sorted({p["lam"] for p in grid})
         assert lams[0] == pytest.approx(1e-6)
         assert lams[-1] == pytest.approx(1e2)
-        med = median_heuristic_bags(_normalized_copy(data))
+        med = median_heuristic_bags(normalized(data))
         scales = sorted({p["sigma"] / med for p in grid})
         np.testing.assert_allclose(scales, [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
 
@@ -282,7 +288,7 @@ class TestDefaultGrid:
         grid = default_grid("mdr", ms)
         assert len(grid) == 63
         meds = [
-            median_heuristic_bags(_normalized_copy(src)) for src in ms.sources
+            median_heuristic_bags(normalized(src)) for src in ms.sources
         ]
         for p in grid:
             ratios = [s / m for s, m in zip(p["sigmas"], meds)]
@@ -350,39 +356,59 @@ class TestRunProtocol:
             run_protocol(data, "lr", grid=[{"lam": 1e-3}], test_fraction=0.5, trials=1, k=5)
 
     def test_no_leakage_into_model_fitting(self, monkeypatch):
-        # Spy on every fit: the bags it sees must never include that trial's
+        # Spy on every normalizer fit, the first step of each CV fold fit and
+        # of each refit: the bags it sees must never include that trial's
         # held-out test bags.
+        import distreg.models as models
+
         data = make_variance_task(20, 6, 2, seed=20)
-        trials, fraction, base_seed = 3, 0.25, 7
+        trials, k, fraction, base_seed = 3, 3, 0.25, 7
         train_ids_by_seed = {}
         for t in range(trials):
             tr, _ = split_train_test(20, fraction, base_seed + t)
             train_ids_by_seed[base_seed + t] = {data.bags[i].id for i in tr}
         seen_by_fit = []
-        real_fit = evaluate.fit_model
-
-        def spy_fit(kind, fit_data, hyper):
-            seen_by_fit.append(set(fit_data.bag_ids))
-            return real_fit(kind, fit_data, hyper)
-
-        real_norm = evaluate.fit_normalizer
+        real_norm = models.fit_normalizer
 
         def spy_norm(train):
             seen_by_fit.append(set(train.bag_ids))
             return real_norm(train)
 
+        refits = []
+        real_fit = evaluate.fit_model
+
+        def spy_fit(kind, fit_data, hyper):
+            refits.append(set(fit_data.bag_ids))
+            return real_fit(kind, fit_data, hyper)
+
+        monkeypatch.setattr(models, "fit_normalizer", spy_norm)
         monkeypatch.setattr(evaluate, "fit_model", spy_fit)
-        monkeypatch.setattr(evaluate, "fit_normalizer", spy_norm)
         run_protocol(
             data, "lr", grid=[{"lam": 1e-3}],
-            test_fraction=fraction, trials=trials, k=3, seed=base_seed,
+            test_fraction=fraction, trials=trials, k=k, seed=base_seed,
         )
-        # every fit happened strictly within some trial's training bags
-        assert seen_by_fit
-        for seen in seen_by_fit:
-            assert any(
-                seen <= train_ids for train_ids in train_ids_by_seed.values()
-            ), f"fit saw bags {seen} outside every trial's training split"
+        # per trial: one fit per CV fold, then the refit on the training split
+        assert len(seen_by_fit) == trials * (k + 1)
+        assert refits == [train_ids_by_seed[base_seed + t] for t in range(trials)]
+        for t in range(trials):
+            train_ids = train_ids_by_seed[base_seed + t]
+            *fold_fits, refit = seen_by_fit[t * (k + 1) : (t + 1) * (k + 1)]
+            assert refit == train_ids
+            # each fold fit leaves out its own validation fold, and the left-out
+            # folds partition the training split
+            held_out = [train_ids - seen for seen in fold_fits]
+            assert all(seen <= train_ids for seen in fold_fits)
+            assert all(held_out) and sum(map(len, held_out)) == len(train_ids)
+            assert set().union(*held_out) == train_ids
+
+    def test_verbose_log_has_trial_timings(self, caplog):
+        data = make_variance_task(20, 6, 2, seed=22)
+        with caplog.at_level(logging.INFO, logger="distreg.evaluate"):
+            run_protocol(data, "lr", grid=[{"lam": 1e-3}], test_fraction=0.25, trials=2, k=3)
+        lines = [r.getMessage() for r in caplog.records if "trial" in r.getMessage()]
+        assert len(lines) == 2
+        for line in lines:
+            assert re.search(r"grid_search=\d+\.\d{3}s fit=\d+\.\d{3}s predict=\d+\.\d{3}s", line)
 
 
 class TestReportRendering:

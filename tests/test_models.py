@@ -1,5 +1,6 @@
 """Ridge solver, the six regressor families, invariances, and persistence."""
 
+import logging
 import re
 
 import numpy as np
@@ -14,27 +15,19 @@ from distreg import (
     RbfParams,
     apply_normalizer,
     bag_gram,
-    fit_baseline,
-    fit_kdr,
-    fit_mdr,
     fit_model,
     fit_normalizer,
-    fit_rdr,
-    fit_stacked,
     load_model,
     make_mean_task,
     make_multisource_task,
     make_variance_task,
-    predict_baseline,
-    predict_kdr,
     predict_model,
-    predict_rdr,
     sample_basis,
     solve_ridge_dual,
     stack_multisource,
 )
 from distreg.evaluate import compute_metrics, split_train_test
-from distreg.models import _solve_spd
+from distreg.models import _fit, _predict, _solve_spd
 from conftest import oracle_krr, random_dataset
 
 
@@ -80,11 +73,16 @@ class TestSolveRidgeDual:
         with pytest.raises(IllConditionedError, match="1e-06"):
             solve_ridge_dual(k, np.ones(2), 1e-10)
 
-    def test_jitter_rescues_nearly_singular(self):
+    def test_jitter_rescues_nearly_singular(self, caplog):
         # Exactly singular PSD matrix with a lambda at rounding scale still solves.
         k = np.ones((4, 4))
-        x = _solve_spd(k, np.ones(4), 1e-300)
+        with caplog.at_level(logging.INFO, logger="distreg.models"):
+            x = _solve_spd(k, np.ones(4), 1e-300)
         assert np.all(np.isfinite(x))
+        (record,) = [r for r in caplog.records if r.name == "distreg.models"]
+        assert record.levelno == logging.INFO
+        assert "jitter" in record.getMessage()
+        assert "n=4" in record.getMessage() and "trace/n=1" in record.getMessage()
 
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
@@ -112,9 +110,9 @@ class TestKdr:
     def test_single_training_bag_predicts_its_target(self):
         rng = np.random.default_rng(4)
         train = BagDataset((Bag("only", rng.standard_normal((4, 2))),), [7.5])
-        model = fit_kdr(train, RbfParams(1.0), 1e-3)
+        model = _fit("kdr", train, {"lam": 1e-3, "sigma": 1.0})
         test = random_dataset(rng, 3, dim=2, prefix="t")
-        np.testing.assert_allclose(predict_kdr(model, test), 7.5, atol=1e-12)
+        np.testing.assert_allclose(_predict(model, test), 7.5, atol=1e-12)
 
     def test_interpolation_limit(self):
         # Bags far apart give a well-conditioned Gram; tiny lambda interpolates.
@@ -123,20 +121,20 @@ class TestKdr:
             Bag(f"b{i}", 10.0 * i + 0.1 * rng.standard_normal((3, 2))) for i in range(6)
         )
         train = BagDataset(bags, rng.standard_normal(6))
-        model = fit_kdr(train, RbfParams(1.0), 1e-10)
-        fitted = predict_kdr(model, train)
+        model = _fit("kdr", train, {"lam": 1e-10, "sigma": 1.0})
+        fitted = _predict(model, train)
         assert np.linalg.norm(fitted - train.targets) <= 1e-6 * np.linalg.norm(train.targets)
 
     def test_duplicated_test_instances_predict_identically(self):
         rng = np.random.default_rng(6)
         train = random_dataset(rng, 6)
-        model = fit_kdr(train, RbfParams(1.0), 1e-3)
+        model = _fit("kdr", train, {"lam": 1e-3, "sigma": 1.0})
         test = random_dataset(rng, 3, prefix="t")
         doubled = BagDataset(
             tuple(Bag(b.id, np.vstack([b.instances, b.instances])) for b in test.bags),
             test.targets,
         )
-        assert np.max(np.abs(predict_kdr(model, test) - predict_kdr(model, doubled))) <= 1e-12
+        assert np.max(np.abs(_predict(model, test) - _predict(model, doubled))) <= 1e-12
 
     def test_variance_task_r2(self):
         data = make_variance_task(40, 30, 3, seed=7)
@@ -161,26 +159,26 @@ class TestKdr:
 
     def test_dimension_mismatch_message(self):
         rng = np.random.default_rng(8)
-        model = fit_kdr(random_dataset(rng, 4, dim=3), RbfParams(1.0), 1e-3)
+        model = _fit("kdr", random_dataset(rng, 4, dim=3), {"lam": 1e-3, "sigma": 1.0})
         with pytest.raises(ValueError, match="d=3.*d=2"):
-            predict_kdr(model, random_dataset(rng, 2, dim=2, prefix="t"))
+            _predict(model, random_dataset(rng, 2, dim=2, prefix="t"))
 
 
 class TestRdr:
     def test_seed_determinism(self):
         rng = np.random.default_rng(9)
         train = random_dataset(rng, 8)
-        basis = sample_basis(3, 32, 1.0, seed=5)
-        w1 = fit_rdr(train, basis, 1e-3).solution.coefficients
-        w2 = fit_rdr(train, basis, 1e-3).solution.coefficients
+        hyper = {"lam": 1e-3, "sigma": 1.0, "n_features": 32, "rff_seed": 5}
+        w1 = _fit("rdr", train, hyper).solution.coefficients
+        w2 = _fit("rdr", train, hyper).solution.coefficients
         assert np.array_equal(w1, w2)
 
     def test_single_training_bag(self):
         rng = np.random.default_rng(10)
         train = BagDataset((Bag("only", rng.standard_normal((3, 2))),), [-2.5])
-        model = fit_rdr(train, sample_basis(2, 16, 1.0, 0), 1e-3)
+        model = _fit("rdr", train, {"lam": 1e-3, "sigma": 1.0, "n_features": 16, "rff_seed": 0})
         test = random_dataset(rng, 4, dim=2, prefix="t")
-        np.testing.assert_allclose(predict_rdr(model, test), -2.5, atol=1e-12)
+        np.testing.assert_allclose(_predict(model, test), -2.5, atol=1e-12)
 
     def test_primal_and_dual_routes_agree(self):
         rng = np.random.default_rng(11)
@@ -192,7 +190,8 @@ class TestRdr:
         # 64 components -> 128 features > 20 bags (dual identity route).
         for n_components in (8, 64):
             basis = sample_basis(2, n_components, 1.0, seed=n_components)
-            model = fit_rdr(train, basis, lam)
+            hyper = {"lam": lam, "sigma": 1.0, "n_features": n_components, "rff_seed": n_components}
+            model = _fit("rdr", train, hyper)
             z = bag_feature_matrix(train, basis)
             yc = train.targets - train.targets.mean()
             normal = np.linalg.solve(z.T @ z + lam * np.eye(z.shape[1]), z.T @ yc)
@@ -201,22 +200,21 @@ class TestRdr:
     def test_fitted_values_consistency(self):
         rng = np.random.default_rng(12)
         train = random_dataset(rng, 10)
-        basis = sample_basis(3, 24, 1.2, 3)
-        model = fit_rdr(train, basis, 1e-2)
-        again = predict_rdr(model, train)
-        once = predict_rdr(model, train)
+        model = _fit("rdr", train, {"lam": 1e-2, "sigma": 1.2, "n_features": 24, "rff_seed": 3})
+        again = _predict(model, train)
+        once = _predict(model, train)
         assert np.array_equal(again, once)
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(13)
         train = random_dataset(rng, 6)
-        model = fit_rdr(train, sample_basis(3, 32, 1.0, 4), 1e-3)
+        model = _fit("rdr", train, {"lam": 1e-3, "sigma": 1.0, "n_features": 32, "rff_seed": 4})
         test = random_dataset(rng, 3, prefix="t")
         doubled = BagDataset(
             tuple(Bag(b.id, np.vstack([b.instances, b.instances])) for b in test.bags),
             test.targets,
         )
-        assert np.max(np.abs(predict_rdr(model, test) - predict_rdr(model, doubled))) <= 1e-12
+        assert np.max(np.abs(_predict(model, test) - _predict(model, doubled))) <= 1e-12
 
     def test_agreement_with_kdr_grows_with_components(self):
         data = make_variance_task(40, 20, 3, seed=14)
@@ -255,7 +253,7 @@ class TestMdr:
         ms = MultiSourceDataset((data, data))
         p = RbfParams(1.3)
         lam = 1e-3
-        mdr = fit_mdr(ms, [p, p], lam)
+        mdr = _fit("mdr", ms, {"lam": lam, "sigmas": [p.sigma, p.sigma]})
         doubled = 2.0 * bag_gram(data, p).values
         yc = data.targets - data.targets.mean()
         want_alpha = np.linalg.solve(doubled + lam * np.eye(7), yc)
@@ -280,7 +278,7 @@ class TestMdr:
         rng = np.random.default_rng(18)
         ms = MultiSourceDataset((random_dataset(rng, 5),))
         with pytest.raises(ValueError, match="one RbfParams per source"):
-            fit_mdr(ms, [RbfParams(1.0), RbfParams(2.0)], 1e-3)
+            _fit("mdr", ms, {"lam": 1e-3, "sigmas": [1.0, 2.0]})
 
 
 class TestBaselines:
@@ -312,14 +310,14 @@ class TestBaselines:
 
     def test_kr_needs_params(self):
         rng = np.random.default_rng(21)
-        with pytest.raises(ValueError, match="RbfParams"):
-            fit_baseline(random_dataset(rng, 4), "kr", 1e-3)
+        with pytest.raises(ValueError, match="needs hyperparameter 'sigma'"):
+            _fit("kr", random_dataset(rng, 4), {"lam": 1e-3})
 
     def test_predict_dimension_mismatch(self):
         rng = np.random.default_rng(22)
-        model = fit_baseline(random_dataset(rng, 4, dim=3), "lr", 1e-3)
+        model = _fit("lr", random_dataset(rng, 4, dim=3), {"lam": 1e-3})
         with pytest.raises(ValueError, match="d=3.*d=2"):
-            predict_baseline(model, random_dataset(rng, 2, dim=2, prefix="t"))
+            _predict(model, random_dataset(rng, 2, dim=2, prefix="t"))
 
 
 class TestStacked:
@@ -564,5 +562,5 @@ class TestFitModelValidation:
 
     def test_stacked_needs_basis_dimension(self):
         ms = make_multisource_task(6, seed=36)
-        with pytest.raises(ValueError, match="stacked-rdr needs"):
-            fit_stacked(ms, "rdr", 1e-3)
+        with pytest.raises(ValueError, match="stacked-rdr' needs hyperparameter 'sigma'"):
+            _fit("stacked-rdr", ms, {"lam": 1e-3})
