@@ -206,6 +206,19 @@ def _load_sample(path: str) -> np.ndarray:
         raise DataFormatError(f"{path}: not a headerless numeric CSV ({exc})") from exc
     if sample.size == 0:
         raise DataFormatError(f"{path}: empty sample")
+    if not np.all(np.isfinite(sample)):
+        # loadtxt skips comments and blank lines: find the value in the text
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                for value in line.split("#")[0].split(","):
+                    try:
+                        finite = np.isfinite(float(value))
+                    except ValueError:
+                        continue
+                    if not finite:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: non-finite value {value.strip()!r}"
+                        )
     return sample
 
 

@@ -22,15 +22,14 @@ from .models import (
     HYPER_AXES,
     IllConditionedError,
     MODEL_KINDS,
+    _group_key,
     _normalize,
-    _represent,
-    _Representation,
+    _spec,
     _transform,
     default_sigmas,
     fit_model,
     predict_model,
 )
-from .rff import bag_feature_sweep, sample_basis
 
 __all__ = [
     "CvCell",
@@ -140,57 +139,6 @@ def _sigma_tiebreak(point: dict) -> float:
     return 0.0
 
 
-def _group_key(point: dict):
-    items = []
-    for key in sorted(point):
-        if key == "lam":
-            continue
-        value = point[key]
-        items.append((key, tuple(value) if isinstance(value, (list, tuple)) else value))
-    return tuple(items)
-
-
-def _sigma_chains(points: list[dict]) -> list[list[int]]:
-    """Split rdr group points into chains whose sigmas halve exactly.
-
-    Among points agreeing on everything but sigma (and lambda), taken by
-    descending sigma, a point extends the chain that ends at exactly twice
-    its sigma. Every other point, including one without a positive finite
-    sigma, starts a chain of its own.
-    """
-    by_rest: dict[tuple, list[int]] = {}
-    chains = []
-    for j, point in enumerate(points):
-        sigma = point.get("sigma")
-        if isinstance(sigma, (int, float)) and np.isfinite(sigma) and sigma > 0:
-            rest = tuple(item for item in _group_key(point) if item[0] != "sigma")
-            by_rest.setdefault(rest, []).append(j)
-        else:
-            chains.append([j])
-    for members in by_rest.values():
-        tails: dict[float, list[int]] = {}
-        for j in sorted(members, key=lambda j: -points[j]["sigma"]):
-            sigma = points[j]["sigma"]
-            chain = tails.pop(2 * sigma, None)
-            if chain is None:
-                chain = []
-                chains.append(chain)
-            chain.append(j)
-            tails[sigma] = chain
-    return chains
-
-
-def _rdr_sweep(tr: BagDataset, va: BagDataset, chain: list[dict]):
-    """Both splits' features at every sigma of a chain, from one trig pass
-    per bag with the basis drawn at the chain's largest sigma."""
-    top = chain[0]
-    basis = sample_basis(
-        tr.dim, int(top["n_features"]), float(top["sigma"]), int(top.get("rff_seed", 0))
-    )
-    n_halvings = len(chain) - 1
-    return bag_feature_sweep(tr, basis, n_halvings), bag_feature_sweep(va, basis, n_halvings)
-
-
 def grid_search_cv(
     data: BagDataset | MultiSourceDataset,
     kind: str,
@@ -205,6 +153,12 @@ def grid_search_cv(
     logged and recorded in its table cell); it is an error only if every point
     fails. Ties in mean RMSE prefer larger lambda, then larger sigma, then
     fewer random features.
+
+    For ``kdr``, ``mdr`` and ``stacked-kdr``, each fold computes the squared
+    distances of every tile once and the kernel of every sigma of the grid
+    from them, so a fold holds one Gram per sigma at once (S B^2 floats for
+    S sigmas and B bags per source: under 1 MB at the acceptance sizes). The
+    Grams are bitwise those of ``fit_model``.
 
     For ``rdr``/``stacked-rdr``, the sigmas of each feature count and seed
     split into chains in which each sigma is exactly half the one before;
@@ -232,8 +186,6 @@ def grid_search_cv(
         groups.setdefault(_group_key(point), []).append(i)
     members = list(groups.values())
     points = [grid[indices[0]] for indices in members]
-    sweep = "n_features" in HYPER_AXES[kind]
-    chains = _sigma_chains(points) if sweep else [[j] for j in range(len(points))]
 
     def fail(indices, fi, exc):
         for i in indices:
@@ -248,24 +200,14 @@ def grid_search_cv(
         va, _ = _normalize(data.subset(val_idx), norms)
         tr, va = _transform(kind, tr), _transform(kind, va)
         y_val = va[0].targets
-        for chain in chains:
+        for batch, build in _spec(kind).sweep(kind, tr, va, points):
             try:
-                features = _rdr_sweep(tr[0], va[0], [points[j] for j in chain]) if sweep else None
+                built = build()
             except _CV_ERRORS as exc:
-                for j in chain:
+                for j in batch:
                     fail(members[j], fi, exc)
                 continue
-            for level, j in enumerate(chain):
-                try:
-                    if features is None:
-                        rep = _represent(kind, tr, points[j])[1]
-                        m_va = rep.embed(va)
-                    else:
-                        z_tr, m_va = features[0][level], features[1][level]
-                        rep = _Representation(None, None, z_tr, tr, explicit=True)
-                except _CV_ERRORS as exc:
-                    fail(members[j], fi, exc)
-                    continue
+            for j, (rep, m_va) in zip(batch, built):
                 for i in members[j]:
                     if i in errors:
                         continue

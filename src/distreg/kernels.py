@@ -12,9 +12,14 @@ embeddings never needs the feature maps explicitly, because
 
 Gram assembly is blocked: no kernel block larger than TILE x TILE is ever
 materialized, so bags with thousands of instances stay within a fixed memory
-budget. Entry sums rely on numpy's pairwise summation, which keeps the
-double-sum accurate enough for 1e-12 comparisons against naive loops.
-All functions are pure and deterministic.
+budget. Each tile's squared distances are computed once and serve every
+sigma asked for in the same call (the private ``_bag_grams`` and
+``_cross_bag_grams``, which cross-validation uses to get all sigmas of a fold
+in one pass); only the scaling, ``exp`` and per-bag sums run per sigma.
+``bag_gram`` and ``cross_bag_gram`` are their one-sigma case. Entry sums rely
+on numpy's pairwise summation, which keeps the double-sum accurate enough for
+1e-12 comparisons against naive loops. All functions are pure and
+deterministic; a non-finite value in an input matrix or bag raises.
 """
 
 from __future__ import annotations
@@ -88,6 +93,10 @@ def _check_matrix(x: np.ndarray, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
         raise ValueError(f"{name} must be a non-empty 2-D matrix, got shape {x.shape}")
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{name} holds a non-finite value {float(x[i, j])!r} at row {i}, column {j}")
     return x
 
 
@@ -108,14 +117,29 @@ def rbf_kernel(x: np.ndarray, x_prime: np.ndarray, params: RbfParams) -> float:
     return float(np.exp(-params.gamma * np.dot(diff, diff)))
 
 
-def _kernel_tile(
-    a: np.ndarray, b: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray, gamma: float
-) -> np.ndarray:
-    """Kernel block for two row sets, via the expanded squared-distance form."""
-    d2 = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
+def _sq_distances(
+    a: np.ndarray, b: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances between two row sets, via the expanded form, plus a
+    scratch buffer of the same shape (the product term, no longer needed)."""
+    d2 = np.add.outer(a_sq, b_sq)
+    ab = a @ b.T
+    ab *= 2.0
+    d2 -= ab
     np.maximum(d2, 0.0, out=d2)  # guard tiny negatives from cancellation
-    d2 *= -gamma
-    return np.exp(d2, out=d2)
+    return d2, ab
+
+
+def _kernel_tiles(
+    a: np.ndarray, b: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray, gammas: Sequence[float]
+):
+    """Kernel block for two row sets at each gamma in turn, from one distance
+    pass. Every block is yielded in the same buffer, which the next one
+    overwrites."""
+    d2, buf = _sq_distances(a, b, a_sq, b_sq)
+    for gamma in gammas:
+        np.multiply(d2, -gamma, out=buf)
+        yield np.exp(buf, out=buf)
 
 
 def cross_gram(a: np.ndarray, b: np.ndarray, params: RbfParams) -> np.ndarray:
@@ -131,8 +155,8 @@ def cross_gram(a: np.ndarray, b: np.ndarray, params: RbfParams) -> np.ndarray:
         i1 = min(i0 + TILE, a.shape[0])
         for j0 in range(0, b.shape[0], TILE):
             j1 = min(j0 + TILE, b.shape[0])
-            out[i0:i1, j0:j1] = _kernel_tile(
-                a[i0:i1], b[j0:j1], a_sq[i0:i1], b_sq[j0:j1], gamma
+            (out[i0:i1, j0:j1],) = _kernel_tiles(
+                a[i0:i1], b[j0:j1], a_sq[i0:i1], b_sq[j0:j1], (gamma,)
             )
     return out
 
@@ -146,7 +170,7 @@ def _pair_sum(a: np.ndarray, b: np.ndarray, gamma: float) -> float:
         i1 = min(i0 + TILE, a.shape[0])
         for j0 in range(0, b.shape[0], TILE):
             j1 = min(j0 + TILE, b.shape[0])
-            tile = _kernel_tile(a[i0:i1], b[j0:j1], a_sq[i0:i1], b_sq[j0:j1], gamma)
+            (tile,) = _kernel_tiles(a[i0:i1], b[j0:j1], a_sq[i0:i1], b_sq[j0:j1], (gamma,))
             parts.append(tile.sum())
     return float(np.sum(parts))
 
@@ -203,40 +227,75 @@ def _chunk_block_sums(
     arrays_b: Sequence[np.ndarray],
     ca: tuple[int, int, bool],
     cb: tuple[int, int, bool],
-    gamma: float,
-) -> np.ndarray:
-    """Matrix of per-bag-pair kernel sums for one chunk pair."""
+    gammas: Sequence[float],
+) -> list[np.ndarray]:
+    """Matrices of per-bag-pair kernel sums for one chunk pair, one per gamma.
+
+    The pooled rows of both chunks go through one squared-distance pass that
+    every gamma reuses; an oversized bag is streamed pair by pair, per gamma.
+    """
     a0, a1, big_a = ca
     b0, b1, big_b = cb
     if big_a or big_b:
-        out = np.empty((a1 - a0, b1 - b0))
-        for i in range(a0, a1):
-            for j in range(b0, b1):
-                out[i - a0, j - b0] = _pair_sum(arrays_a[i], arrays_b[j], gamma)
-        return out
+        out = np.empty((len(gammas), a1 - a0, b1 - b0))
+        for s, gamma in enumerate(gammas):
+            for i in range(a0, a1):
+                for j in range(b0, b1):
+                    out[s, i - a0, j - b0] = _pair_sum(arrays_a[i], arrays_b[j], gamma)
+        return list(out)
     xa = np.concatenate(arrays_a[a0:a1], axis=0)
     xb = np.concatenate(arrays_b[b0:b1], axis=0)
     starts_a = np.cumsum([0] + [arr.shape[0] for arr in arrays_a[a0 : a1 - 1]])
     starts_b = np.cumsum([0] + [arr.shape[0] for arr in arrays_b[b0 : b1 - 1]])
     a_sq = np.einsum("ij,ij->i", xa, xa)
     b_sq = np.einsum("ij,ij->i", xb, xb)
-    tile = _kernel_tile(xa, xb, a_sq, b_sq, gamma)
-    red = np.add.reduceat(tile, starts_a, axis=0)
-    return np.add.reduceat(red, starts_b, axis=1)
+    return [
+        np.add.reduceat(np.add.reduceat(tile, starts_a, axis=0), starts_b, axis=1)
+        for tile in _kernel_tiles(xa, xb, a_sq, b_sq, gammas)
+    ]
 
 
-def _pair_sum_matrix(
-    arrays_a: Sequence[np.ndarray], arrays_b: Sequence[np.ndarray], params: RbfParams
-) -> np.ndarray:
-    """All per-bag-pair kernel sums between two bag sequences."""
-    gamma = params.gamma
-    out = np.empty((len(arrays_a), len(arrays_b)))
+def _bag_grams(data: BagDataset, gammas: Sequence[float]) -> list[np.ndarray]:
+    """Bag Gram values of ``data`` at each gamma, from one distance pass per
+    chunk pair."""
+    arrays = _sorted_instances(data)
+    counts = np.array([arr.shape[0] for arr in arrays], dtype=float)
+    sums = np.empty((len(gammas), len(arrays), len(arrays)))
+    chunks = _chunk_arrays(arrays)
+    for ia, ca in enumerate(chunks):
+        for cb in chunks[ia:]:
+            blocks = _chunk_block_sums(arrays, arrays, ca, cb, gammas)
+            for total, block in zip(sums, blocks):
+                if ca is cb:
+                    # canonicalize on the upper triangle for exact symmetry
+                    block = np.triu(block) + np.triu(block, 1).T
+                    total[ca[0] : ca[1], ca[0] : ca[1]] = block
+                else:
+                    total[ca[0] : ca[1], cb[0] : cb[1]] = block
+                    total[cb[0] : cb[1], ca[0] : ca[1]] = block.T
+    scale = np.outer(counts, counts)
+    return [total / scale for total in sums]
+
+
+def _cross_bag_grams(
+    test: BagDataset, train: BagDataset, gammas: Sequence[float]
+) -> list[np.ndarray]:
+    """Cross bag Gram values of ``test`` against ``train`` at each gamma, from
+    one distance pass per chunk pair."""
+    if test.dim != train.dim:
+        raise ValueError(
+            f"feature dimension mismatch: test d={test.dim}, train d={train.dim}"
+        )
+    arrays_a, arrays_b = _sorted_instances(test), _sorted_instances(train)
+    sums = np.empty((len(gammas), len(arrays_a), len(arrays_b)))
     for ca in _chunk_arrays(arrays_a):
         for cb in _chunk_arrays(arrays_b):
-            out[ca[0] : ca[1], cb[0] : cb[1]] = _chunk_block_sums(
-                arrays_a, arrays_b, ca, cb, gamma
-            )
-    return out
+            blocks = _chunk_block_sums(arrays_a, arrays_b, ca, cb, gammas)
+            sums[:, ca[0] : ca[1], cb[0] : cb[1]] = blocks
+    m = np.array([b.n_instances for b in test.bags], dtype=float)
+    n = np.array([b.n_instances for b in train.bags], dtype=float)
+    scale = np.outer(m, n)
+    return [total / scale for total in sums]
 
 
 def bag_gram(data: BagDataset, params: RbfParams) -> BagGram:
@@ -246,23 +305,7 @@ def bag_gram(data: BagDataset, params: RbfParams) -> BagGram:
     mirrored), with entries in (0, 1] and positive semidefinite up to
     round-off.
     """
-    arrays = _sorted_instances(data)
-    gamma = params.gamma
-    counts = np.array([arr.shape[0] for arr in arrays], dtype=float)
-    sums = np.empty((len(arrays), len(arrays)))
-    chunks = _chunk_arrays(arrays)
-    for ia, ca in enumerate(chunks):
-        for cb in chunks[ia:]:
-            block = _chunk_block_sums(arrays, arrays, ca, cb, gamma)
-            if ca is cb:
-                # canonicalize on the upper triangle for exact symmetry
-                block = np.triu(block) + np.triu(block, 1).T
-                sums[ca[0] : ca[1], ca[0] : ca[1]] = block
-            else:
-                sums[ca[0] : ca[1], cb[0] : cb[1]] = block
-                sums[cb[0] : cb[1], ca[0] : ca[1]] = block.T
-    values = sums / np.outer(counts, counts)
-    return BagGram(values)
+    return BagGram(_bag_grams(data, (params.gamma,))[0])
 
 
 def cross_bag_gram(
@@ -273,14 +316,7 @@ def cross_bag_gram(
     Entry (t, b) is (1 / (m_t n_b)) sum_l sum_i k(x_l^t, x_i^b); predictions of
     a dual model are this matrix times its coefficient vector.
     """
-    if test.dim != train.dim:
-        raise ValueError(
-            f"feature dimension mismatch: test d={test.dim}, train d={train.dim}"
-        )
-    sums = _pair_sum_matrix(_sorted_instances(test), _sorted_instances(train), params)
-    m = np.array([b.n_instances for b in test.bags], dtype=float)
-    n = np.array([b.n_instances for b in train.bags], dtype=float)
-    return sums / np.outer(m, n)
+    return _cross_bag_grams(test, train, (params.gamma,))[0]
 
 
 def multisource_bag_gram(

@@ -20,7 +20,10 @@ A representation (``_Representation``) holds the lambda-independent part of
 one fit: the training Gram K (dual ridge) or feature matrix Z (primal ridge on
 Z'Z, or the identical dual route on ZZ' when features outnumber bags), and
 the map from test bags to the matrix the coefficients multiply. ``fit_model``,
-``predict_model`` and ``evaluate.grid_search_cv`` all go through it.
+``predict_model`` and ``evaluate.grid_search_cv`` all go through it; CV gets
+the representations of one fold's grid points from the spec's sweep, which
+shares work between sigmas (one distance pass per tile for the Gram kinds,
+one cos/sin pass per ratio-2 sigma chain for ``rdr``).
 
 All fits center the targets and add the mean back at prediction time, so the
 dual/primal algebra is unchanged but predictions are unbiased under target
@@ -54,12 +57,14 @@ from .data import (
 from .kernels import (
     BagGram,
     RbfParams,
+    _bag_grams,
+    _cross_bag_grams,
     cross_bag_gram,
     cross_gram,
     median_heuristic_bags,
     multisource_bag_gram,
 )
-from .rff import FourierBasis, bag_feature_matrix, sample_basis
+from .rff import FourierBasis, bag_feature_matrix, bag_feature_sweep, sample_basis
 
 __all__ = [
     "FittedModel",
@@ -272,6 +277,125 @@ def _features(features, dim: int, train, lam_floor: float = 0.0) -> _Representat
     return _Representation(features, (dim,), z, train, explicit=True, lam_floor=lam_floor)
 
 
+def _group_key(point: dict):
+    """A grid point without its ``lam``, hashable: the points sharing one
+    representation."""
+    items = []
+    for key in sorted(point):
+        if key == "lam":
+            continue
+        value = point[key]
+        items.append((key, tuple(value) if isinstance(value, (list, tuple)) else value))
+    return tuple(items)
+
+
+# Sweeps: given the transformed training and validation sources of one CV fold
+# and grid points (one per ``_group_key``), a sweep returns batches
+# (point indices, build); build() returns each point's representation and
+# validation matrix, and a batch whose build raises fails all its points.
+
+
+def _alone(kind: str, train, val, points: list[dict], j: int):
+    """The batch of point ``j`` built on its own."""
+
+    def build():
+        rep = _represent(kind, train, points[j])[1]
+        return [(rep, rep.embed(val))]
+
+    return [j], build
+
+
+def _sweep_each(kind: str, train, val, points: list[dict]):
+    """The default sweep: one batch per point."""
+    return [_alone(kind, train, val, points, j) for j in range(len(points))]
+
+
+def _sweep_grams(kind: str, train, val, points: list[dict]):
+    """Sweep of the Gram kinds: one batch holds every point with one valid
+    sigma per source, and builds each source's bag Grams and cross Grams for
+    all of their sigmas from one squared-distance pass per tile. The
+    per-source sums run in the order of ``_gram``. A point with an invalid
+    sigma is built alone and fails with its own error."""
+    params = {}
+    for j, point in enumerate(points):
+        try:
+            kernel_params = _state(kind, train, point).kernel_params
+        except ValueError:
+            continue
+        if len(kernel_params) == len(train):
+            params[j] = kernel_params
+    gammas = [list(dict.fromkeys(p[f].gamma for p in params.values())) for f in range(len(train))]
+
+    def build():
+        grams = [_bag_grams(tr, g) for tr, g in zip(train, gammas)]
+        crosses = [_cross_bag_grams(va, tr, g) for va, tr, g in zip(val, train, gammas)]
+        out = []
+        for kernel_params in params.values():
+            at = [g.index(p.gamma) for g, p in zip(gammas, kernel_params)]
+            gram = grams[0][at[0]].copy()
+            cross = np.zeros((val[0].n_bags, train[0].n_bags))
+            for f, a in enumerate(at):
+                if f:
+                    gram += grams[f][a]
+                cross += crosses[f][a]
+            out.append((_Representation(None, None, gram, train), cross))
+        return out
+
+    alone = [_alone(kind, train, val, points, j) for j in range(len(points)) if j not in params]
+    return alone + ([(list(params), build)] if params else [])
+
+
+def _sigma_chains(points: list[dict]) -> list[list[int]]:
+    """Split rdr group points into chains whose sigmas halve exactly.
+
+    Among points agreeing on everything but sigma (and lambda), taken by
+    descending sigma, a point extends the chain that ends at exactly twice
+    its sigma. Every other point, including one without a positive finite
+    sigma, starts a chain of its own.
+    """
+    by_rest: dict[tuple, list[int]] = {}
+    chains = []
+    for j, point in enumerate(points):
+        sigma = point.get("sigma")
+        if isinstance(sigma, (int, float)) and np.isfinite(sigma) and sigma > 0:
+            rest = tuple(item for item in _group_key(point) if item[0] != "sigma")
+            by_rest.setdefault(rest, []).append(j)
+        else:
+            chains.append([j])
+    for members in by_rest.values():
+        tails: dict[float, list[int]] = {}
+        for j in sorted(members, key=lambda j: -points[j]["sigma"]):
+            sigma = points[j]["sigma"]
+            chain = tails.pop(2 * sigma, None)
+            if chain is None:
+                chain = []
+                chains.append(chain)
+            chain.append(j)
+            tails[sigma] = chain
+    return chains
+
+
+def _sweep_features(kind: str, train, val, points: list[dict]):
+    """Sweep of ``rdr``: one batch per ``_sigma_chains`` chain, which draws
+    its basis once, at its largest sigma, and gets the features at every
+    sigma of the chain from one cos/sin pass per bag (``bag_feature_sweep``)."""
+
+    def batch(chain):
+        def build():
+            top = points[chain[0]]
+            basis = sample_basis(
+                train[0].dim, int(top["n_features"]), float(top["sigma"]), int(top.get("rff_seed", 0))
+            )
+            n_halvings = len(chain) - 1
+            z_tr = bag_feature_sweep(train[0], basis, n_halvings)
+            z_va = bag_feature_sweep(val[0], basis, n_halvings)
+            return [(_Representation(None, None, z, train, explicit=True), v) for z, v in zip(z_tr, z_va)]
+
+        return chain, build
+
+    return [batch(chain) for chain in _sigma_chains(points)]
+
+
 @dataclass(frozen=True)
 class _Spec:
     """One base kind: its hyperparameters, saved fields and representation."""
@@ -282,6 +406,8 @@ class _Spec:
     state: Callable[[tuple, dict], dict]  # (transformed training sources, point) -> field values
     # (model, transformed training sources or None) -> representation
     represent: Callable[..., _Representation]
+    # (kind, fold training sources, validation sources, points) -> batches
+    sweep: Callable[..., list] = _sweep_each
 
 
 _SPECS = {
@@ -311,6 +437,7 @@ _SPECS = {
         n_coef=lambda m: m.train_bag_data.n_bags,
         state=lambda train, p: {"train_bag_data": train[0], "kernel_params": (RbfParams(p["sigma"]),)},
         represent=lambda m, train=None: _gram((m.train_bag_data,), m.kernel_params, train),
+        sweep=_sweep_grams,
     ),
     "rdr": _Spec(
         axes=("sigma", "n_features", "rff_seed"),
@@ -324,6 +451,7 @@ _SPECS = {
         represent=lambda m, train=None: _features(
             lambda t: bag_feature_matrix(t[0], m.basis), m.basis.dim, train
         ),
+        sweep=_sweep_features,
     ),
     "mdr": _Spec(
         axes=("sigmas",),
@@ -334,6 +462,7 @@ _SPECS = {
             "kernel_params": tuple(RbfParams(s) for s in p["sigmas"]),
         },
         represent=lambda m, train=None: _gram(m.train_multisource.sources, m.kernel_params, train),
+        sweep=_sweep_grams,
     ),
 }
 
@@ -432,16 +561,22 @@ def _transform(kind: str, data) -> tuple[BagDataset, ...]:
     return sources
 
 
-def _represent(kind: str, train: tuple[BagDataset, ...], hyper: dict):
-    """Representation of ``kind`` on transformed training sources at the
-    point ``hyper``, with the model fields it fixes (solution still None)."""
+def _state(kind: str, train: tuple[BagDataset, ...], hyper: dict) -> FittedModel:
+    """The model fields ``kind`` fixes on transformed training sources at the
+    point ``hyper`` (solution still None)."""
     spec = _spec(kind)
     point = {**_AXIS_DEFAULTS, **hyper}
     for axis in ("lam",) + spec.axes:
         if axis not in point:
             raise ValueError(f"model kind {kind!r} needs hyperparameter {axis!r}")
-    state = FittedModel(kind, None, **spec.state(train, point))
-    return state, spec.represent(state, train)
+    return FittedModel(kind, None, **spec.state(train, point))
+
+
+def _represent(kind: str, train: tuple[BagDataset, ...], hyper: dict):
+    """Representation of ``kind`` on transformed training sources at the
+    point ``hyper``, with the model fields it fixes (solution still None)."""
+    state = _state(kind, train, hyper)
+    return state, _spec(kind).represent(state, train)
 
 
 def default_sigmas(kind: str, data) -> dict:

@@ -203,6 +203,18 @@ class TestMmd:
         assert run_cli("mmd", a, b) != 0
         assert "dimension mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_named(self, tmp_path, capsys, bad):
+        # a nan once gave exit 0 with mmd2 nan and the smallest p-value
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        np.savetxt(a, np.zeros((5, 2)), delimiter=",")
+        b.write_text(f"0.5,1.0\n# comment\n\n1.5,{bad}\n2.0,0.0\n", encoding="utf-8")
+        assert run_cli("mmd", a, b) == 1
+        captured = capsys.readouterr()
+        assert f"error: {b}:4: non-finite value '{bad}'" in captured.err
+        assert "Traceback" not in captured.err
+        assert "p_value" not in captured.out
+
 
 class TestFitPredict:
     def test_round_trip_matches_in_process(self, tmp_path, variance_files):

@@ -256,6 +256,71 @@ class TestGridSearch:
         assert result.best == grid[int(np.argmin(manual.mean(axis=1)))]
 
 
+    @staticmethod
+    def two_source(rng, n_bags):
+        from distreg import Bag, BagDataset, MultiSourceDataset
+
+        first = random_dataset(rng, n_bags)
+        second = BagDataset(
+            tuple(
+                Bag(b.id, rng.standard_normal((int(rng.integers(1, 5)), 2)))
+                for b in first.bags
+            ),
+            first.targets,
+        )
+        return MultiSourceDataset((first, second))
+
+    @pytest.mark.parametrize("kind", ["kdr", "mdr", "stacked-kdr"])
+    def test_gram_sweep_matches_manual_loop_exactly(self, kind):
+        # every sigma of a fold comes from one distance pass per tile, and the
+        # table is still bitwise that of fit_model/predict_model
+        rng = np.random.default_rng(12)
+        data = random_dataset(rng, 14) if kind == "kdr" else self.two_source(rng, 14)
+        grid = default_grid(kind, data, seed=2)
+        result = grid_search_cv(data, kind, grid, k=3, seed=7)
+        manual = self.manual_fold_rmse(data, kind, grid, k=3, seed=7)
+        got = np.array([cell.fold_rmse for cell in result.table])
+        assert np.array_equal(got, manual)
+
+    def test_invalid_mdr_sigma_fails_alone(self):
+        rng = np.random.default_rng(13)
+        data = self.two_source(rng, 12)
+        grid = default_grid("mdr", data, lams=[1e-3, 1e-1])
+        bad = {"lam": 1e-2, "sigmas": [-1.0, 0.5]}
+        result = grid_search_cv(data, "mdr", grid[:6] + [bad] + grid[6:], k=3, seed=1)
+        clean = grid_search_cv(data, "mdr", grid, k=3, seed=1)
+        cells = list(result.table)
+        failed = cells.pop(6)
+        assert failed.error == "fold 0: sigma must be positive and finite, got -1.0"
+        assert failed.fold_rmse is None
+        assert [c.fold_rmse for c in cells] == [c.fold_rmse for c in clean.table]
+        assert result.best == clean.best
+
+    @pytest.mark.parametrize("kind", ["kdr", "mdr"])
+    def test_one_distance_pass_per_chunk_pair_per_fold(self, monkeypatch, kind):
+        import distreg.kernels as kernels
+
+        calls = []
+        original = kernels._sq_distances
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "_sq_distances", spy)
+        rng = np.random.default_rng(14)
+        data = random_dataset(rng, 12) if kind == "kdr" else self.two_source(rng, 12)
+        counts = []
+        for scales in ([1.0], list(2.0 ** np.arange(-3, 4))):
+            grid = default_grid(kind, data, lams=[1e-2, 1.0], sigma_scales=scales)
+            calls.clear()
+            grid_search_cv(data, kind, grid, k=3, seed=2)
+            counts.append(len(calls))
+        # per fold and source, one chunk pair for the Gram and one for the cross Gram
+        n_sources = 1 if kind == "kdr" else 2
+        assert counts == [3 * n_sources * 2] * 2
+
+
 class TestDefaultGrid:
     def test_kdr_grid_shape(self):
         data = make_variance_task(20, 10, 3, seed=10)

@@ -206,6 +206,71 @@ class TestBagGram:
         assert np.max(np.abs(full - want)) <= 1e-12
 
 
+class TestSigmaSweep:
+    """Every gamma of one call shares each tile's squared distances, and each
+    swept Gram equals the one-sigma call bit for bit."""
+
+    @staticmethod
+    def ragged(rng, sizes, prefix="b"):
+        bags = tuple(
+            Bag(f"{prefix}{i}", rng.standard_normal((n, 2))) for i, n in enumerate(sizes)
+        )
+        return BagDataset(bags, np.zeros(len(sizes)))
+
+    @pytest.mark.parametrize("tile", [4, 1024])
+    def test_swept_grams_equal_per_sigma_calls(self, monkeypatch, tile):
+        # with TILE 4, bags of 5, 7 and 9 rows are oversized and the rest
+        # pack into several chunks
+        import distreg.kernels as kernels
+
+        monkeypatch.setattr(kernels, "TILE", tile)
+        rng = np.random.default_rng(41)
+        train = self.ragged(rng, [5, 1, 9, 3, 2, 4, 1, 7])
+        test = self.ragged(rng, [2, 6, 1, 3, 4], prefix="t")
+        sigmas = [0.3, 0.75, 1.0, 2.4, 7.0]
+        grams = kernels._bag_grams(train, [RbfParams(s).gamma for s in sigmas])
+        crosses = kernels._cross_bag_grams(test, train, [RbfParams(s).gamma for s in sigmas])
+        for sigma, gram, cross in zip(sigmas, grams, crosses):
+            assert np.array_equal(gram, kernels.bag_gram(train, RbfParams(sigma)).values)
+            assert np.array_equal(cross, kernels.cross_bag_gram(test, train, RbfParams(sigma)))
+
+    def test_tile_matches_direct_formula(self):
+        # the two-buffer tile is bitwise the one-expression form
+        import distreg.kernels as kernels
+
+        rng = np.random.default_rng(42)
+        a, b = rng.standard_normal((37, 3)), rng.standard_normal((29, 3))
+        a_sq, b_sq = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
+        gammas = [0.1, 0.9, 4.0]
+        for gamma, tile in zip(gammas, kernels._kernel_tiles(a, b, a_sq, b_sq, gammas)):
+            d2 = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
+            np.maximum(d2, 0.0, out=d2)
+            d2 *= -gamma
+            assert np.array_equal(tile, np.exp(d2))
+
+    @pytest.mark.parametrize("tile", [4, 1024])
+    def test_one_distance_pass_per_chunk_pair(self, monkeypatch, tile):
+        import distreg.kernels as kernels
+
+        monkeypatch.setattr(kernels, "TILE", tile)
+        calls = []
+        original = kernels._sq_distances
+
+        def spy(*args):
+            calls.append(args[0].shape[0])
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "_sq_distances", spy)
+        train = self.ragged(np.random.default_rng(43), [3, 1, 2, 4, 2])
+        counts = []
+        for n_sigmas in (1, 7):
+            calls.clear()
+            kernels._bag_grams(train, np.linspace(0.1, 2.0, n_sigmas))
+            counts.append(len(calls))
+        n_chunks = len(kernels._chunk_arrays(kernels._sorted_instances(train)))
+        assert counts == [n_chunks * (n_chunks + 1) // 2] * 2
+
+
 class TestCrossBagGram:
     def test_consistency_with_bag_gram(self):
         rng = np.random.default_rng(16)
@@ -341,3 +406,20 @@ class TestMedianHeuristic:
     def test_degenerate_fallback(self):
         assert median_heuristic(np.zeros((10, 2))) == 1.0
         assert median_heuristic(np.zeros((1, 2))) == 1.0
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_library_functions_raise(self, bad):
+        x = np.random.default_rng(6).standard_normal((8, 2))
+        y = np.random.default_rng(7).standard_normal((6, 2))
+        x[3, 1] = bad
+        p = RbfParams(1.0)
+        with pytest.raises(ValueError, match=r"instances holds a non-finite value .* row 3, column 1"):
+            median_heuristic(x)
+        with pytest.raises(ValueError, match="sample_x holds a non-finite value"):
+            mmd_squared(x, y, p)
+        with pytest.raises(ValueError, match="sample_y holds a non-finite value"):
+            mmd_squared(y, x, p)
+        with pytest.raises(ValueError, match="sample_x holds a non-finite value"):
+            mmd_permutation_test(x, y, p, n_permutations=5)
