@@ -1,0 +1,106 @@
+"""Write the golden CLI outputs of distreg and print their SHA-256 sums.
+
+    PYTHONPATH=src python scripts/golden.py OUT
+
+writes 62 files under OUT and prints one ``sha256  path`` line per file,
+with paths relative to OUT, sorted. A refactor that must not change any
+output shows the same lines before and after:
+
+    PYTHONPATH=<parent checkout>/src python scripts/golden.py /tmp/a > a.txt
+    PYTHONPATH=src python scripts/golden.py /tmp/b > b.txt
+    diff a.txt b.txt
+
+The set:
+- ``distreg run`` (report_*.json, table.csv, table.txt) on a 30-bag
+  variance task for lr, kr, rdr, kdr and on a 24-bag multisource task for
+  mdr and the stacked kinds, each with the default grid and with a small
+  grid override;
+- ``distreg fit`` -> ``distreg predict`` (model file and predictions) for
+  all nine kinds, with default and with explicit hyperparameters.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from distreg.cli import main
+from distreg.models import MULTISOURCE_KINDS, SINGLE_SOURCE_KINDS
+
+GRID = {"lams": [1e-4, 1e-2], "sigma_scales": [1.0], "n_features": [32]}
+EXPLICIT = [
+    "--lam", "1e-2", "--sigma", "1.2", "--sigmas", "1.2,0.9", "--n-features", "64", "--seed", "1",
+]
+
+
+def _cli(*argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main([str(a) for a in argv])
+    if rc != 0:
+        raise SystemExit(f"distreg {' '.join(map(str, argv))} exited with {rc}")
+
+
+def write_golden(out: Path) -> list[Path]:
+    """Write the golden set under ``out``; returns the paths of its files."""
+    variance, multi = out / "data" / "variance", out / "data" / "multisource"
+    _cli("synth", "--kind", "variance-task", "--out", variance,
+         "--bags", 30, "--bag-size", 8, "--dim", 2, "--seed", 5)
+    _cli("synth", "--kind", "multisource-task", "--out", multi, "--bags", 24)
+    tasks = {
+        "variance": ([variance / "instances.csv"], variance / "targets.csv", SINGLE_SOURCE_KINDS),
+        "multisource": (
+            [multi / "source1_instances.csv", multi / "source2_instances.csv"],
+            multi / "targets.csv",
+            MULTISOURCE_KINDS,
+        ),
+    }
+    files = []
+    for task, (instances, targets, kinds) in tasks.items():
+        for name, grid in (("default", None), ("grid", GRID)):
+            run_dir = out / "run" / f"{task}-{name}"
+            config = {
+                "instances": [str(p) for p in instances],
+                "targets": str(targets),
+                "models": list(kinds),
+                "test_fraction": 0.25,
+                "trials": 2,
+                "folds": 3,
+                "seed": 3,
+                "out": str(run_dir),
+                **({"grid": grid} if grid else {}),
+            }
+            config_path = out / "config" / f"{task}-{name}.json"
+            config_path.parent.mkdir(parents=True, exist_ok=True)
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            _cli("run", "--config", config_path)
+            files += [run_dir / f"report_{kind}.json" for kind in kinds]
+            files += [run_dir / "table.csv", run_dir / "table.txt"]
+        sources = [arg for path in instances for arg in ("--instances", path)]
+        for kind in kinds:
+            for name, extra in (("default", []), ("explicit", EXPLICIT)):
+                model = out / "fit" / f"{kind}-{name}.model.json"
+                preds = out / "fit" / f"{kind}-{name}.predictions.csv"
+                model.parent.mkdir(parents=True, exist_ok=True)
+                _cli("fit", "--model", kind, *sources, "--targets", targets, "--out", model, *extra)
+                _cli("predict", "--model-file", model, *sources, "--out", preds)
+                files += [model, preds]
+    return files
+
+
+def main_golden(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python scripts/golden.py OUT", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    for path in sorted(write_golden(out)):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_golden(sys.argv[1:]))

@@ -44,6 +44,27 @@ logger = logging.getLogger("distreg.cli")
 SYNTH_KINDS = ("variance-task", "mean-task", "multisource-task", "two-sample-gallery")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_INTEGER = ("an integer", lambda v: _is_number(v) and isinstance(v, int))
+_STRING = ("a string", lambda v: isinstance(v, str))
+_STRINGS = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
+# What each config key must hold: (description, check). A JSON boolean is no number.
+_CONFIG_TYPES = {
+    "instances": _STRINGS,
+    "targets": _STRING,
+    "models": _STRINGS,
+    "test_fraction": ("a number", _is_number),
+    "trials": _INTEGER,
+    "folds": _INTEGER,
+    "seed": _INTEGER,
+    "out": _STRING,
+    "grid": ("an object", lambda v: v is None or isinstance(v, dict)),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one `run` invocation.
@@ -77,8 +98,13 @@ class ExperimentConfig:
         for key in ("instances", "targets", "models"):
             if key not in raw:
                 raise ValueError(f"config {path}: missing required key {key!r}")
-        if isinstance(raw["instances"], str):
-            raw["instances"] = [raw["instances"]]
+        for key in ("instances", "models"):
+            if isinstance(raw[key], str):
+                raw[key] = [raw[key]]
+        for key, value in raw.items():
+            what, check = _CONFIG_TYPES[key]
+            if not check(value):
+                raise ValueError(f"config {path}: key {key!r} must be {what}, got {json.dumps(value)}")
         return cls(**raw)
 
 
@@ -111,13 +137,20 @@ def _check_kind(kind: str, n_files: int) -> None:
     _check_source_count(f"model kind {kind!r}", n_files, None if kind in MULTISOURCE_KINDS else 1)
 
 
-def _grid_options(config_grid: dict | None) -> dict | None:
+def _grid_options(config_grid: dict | None, path) -> dict | None:
     if not config_grid:
         return None
     allowed = {"lams", "sigma_scales", "n_features"}
     unknown = set(config_grid) - allowed
     if unknown:
-        raise ValueError(f"grid override: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
+        raise ValueError(
+            f"config {path}: grid override: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})"
+        )
+    for key, value in config_grid.items():
+        if not (isinstance(value, list) and all(_is_number(v) for v in value)):
+            raise ValueError(
+                f"config {path}: grid key {key!r} must be a list of numbers, got {json.dumps(value)}"
+            )
     return dict(config_grid)
 
 
@@ -136,12 +169,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.model:
         config.models = list(args.model)
 
+    grid_options = _grid_options(config.grid, args.config)
     for kind in config.models:
         _check_kind(kind, len(config.instances))
     data = _load_dataset(config.instances, config.targets, len(config.instances) > 1)
 
     out_dir = Path(config.out)
-    grid_options = _grid_options(config.grid)
     reports = []
     for kind in config.models:
         logger.info("running protocol for %s", kind)

@@ -22,9 +22,9 @@ from .models import (
     HYPER_AXES,
     IllConditionedError,
     MODEL_KINDS,
-    _group_key,
     _normalize,
     _spec,
+    _state,
     _transform,
     default_sigmas,
     fit_model,
@@ -139,6 +139,18 @@ def _sigma_tiebreak(point: dict) -> float:
     return 0.0
 
 
+def _group_key(point: dict):
+    """A grid point without its ``lam``, hashable: the points sharing one
+    representation."""
+    items = []
+    for key in sorted(point):
+        if key == "lam":
+            continue
+        value = point[key]
+        items.append((key, tuple(value) if isinstance(value, (list, tuple)) else value))
+    return tuple(items)
+
+
 def grid_search_cv(
     data: BagDataset | MultiSourceDataset,
     kind: str,
@@ -148,26 +160,24 @@ def grid_search_cv(
 ) -> GridSearchResult:
     """Mean validation RMSE per grid point over k bag-level folds.
 
-    Points sharing everything but ``lam`` reuse one Gram/feature computation
-    per fold. A point that fails on any fold is excluded (with the reason
-    logged and recorded in its table cell); it is an error only if every point
-    fails. Ties in mean RMSE prefer larger lambda, then larger sigma, then
-    fewer random features.
+    Points sharing everything but ``lam`` form a group with one model state
+    per fold. A point that fails on any fold (its state, matrices or solve)
+    is excluded, with the reason logged and recorded in its table cell; it
+    is an error only if every point fails. Ties in mean RMSE prefer larger
+    lambda, then larger sigma, then fewer random features.
 
-    For ``kdr``, ``mdr`` and ``stacked-kdr``, each fold computes the squared
-    distances of every tile once and the kernel of every sigma of the grid
-    from them, so a fold holds one Gram per sigma at once (S B^2 floats for
-    S sigmas and B bags per source: under 1 MB at the acceptance sizes). The
-    Grams are bitwise those of ``fit_model``.
-
-    For ``rdr``/``stacked-rdr``, the sigmas of each feature count and seed
-    split into chains in which each sigma is exactly half the one before;
-    each chain draws its basis once, at its largest sigma, and one cos/sin
-    pass per bag gives every sigma of the chain by double-angle steps
-    (``bag_feature_sweep``). Table RMSEs can differ from direct evaluation by
-    about 1e-9 relative at ill-conditioned cells; sigmas without a ratio-2
-    neighbour use direct trig. ``fit_model``/``predict_model`` (the refit,
-    predictions and saved models) always evaluate trig directly and are exact.
+    Each fold passes the states of all groups to the kind's ``matrices``
+    hook in one call, the hook that ``fit_model`` and ``predict_model`` call
+    with one state. For ``kdr``, ``mdr`` and ``stacked-kdr`` the Grams of
+    every sigma come from one squared-distance pass per tile, so a fold holds
+    one Gram per sigma (S B^2 floats for S sigmas and B bags per source:
+    under 1 MB at the acceptance sizes), bitwise those of ``fit_model``. For
+    ``rdr``/``stacked-rdr`` the sigmas of each feature count and seed split
+    into chains that halve exactly, and one cos/sin pass per bag at a
+    chain's largest sigma gives all of its sigmas by double-angle steps
+    (``bag_feature_sweep``). Those table RMSEs can differ from direct
+    evaluation by about 1e-9 relative at ill-conditioned cells; a sigma
+    without a ratio-2 neighbour uses direct trig, as the refit does.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
@@ -185,7 +195,6 @@ def grid_search_cv(
     for i, point in enumerate(grid):
         groups.setdefault(_group_key(point), []).append(i)
     members = list(groups.values())
-    points = [grid[indices[0]] for indices in members]
 
     def fail(indices, fi, exc):
         for i in indices:
@@ -200,23 +209,31 @@ def grid_search_cv(
         va, _ = _normalize(data.subset(val_idx), norms)
         tr, va = _transform(kind, tr), _transform(kind, va)
         y_val = va[0].targets
-        for batch, build in _spec(kind).sweep(kind, tr, va, points):
+        fitted, states = [], []
+        for indices in members:
             try:
-                built = build()
+                states.append(_state(kind, tr, grid[indices[0]]))
+                fitted.append(indices)
             except _CV_ERRORS as exc:
-                for j in batch:
-                    fail(members[j], fi, exc)
-                continue
-            for j, (rep, m_va) in zip(batch, built):
-                for i in members[j]:
-                    if i in errors:
-                        continue
-                    try:
-                        pred = rep.solve(float(grid[i]["lam"])).predict(m_va)
-                    except _CV_ERRORS as exc:
-                        fail([i], fi, exc)
-                        continue
-                    rmse[i, fi] = float(np.sqrt(np.mean((pred - y_val) ** 2)))
+                fail(indices, fi, exc)
+        if not states:
+            continue
+        try:
+            built = _spec(kind).matrices(states, tr, va)
+        except _CV_ERRORS as exc:
+            for indices in fitted:
+                fail(indices, fi, exc)
+            continue
+        for indices, (rep, m_va) in zip(fitted, built):
+            for i in indices:
+                if i in errors:
+                    continue
+                try:
+                    pred = rep.solve(float(grid[i]["lam"])).predict(m_va)
+                except _CV_ERRORS as exc:
+                    fail([i], fi, exc)
+                    continue
+                rmse[i, fi] = float(np.sqrt(np.mean((pred - y_val) ** 2)))
 
     cells = []
     candidates = []

@@ -18,12 +18,15 @@ stacked-*      multisource baseline: ``stack_multisource`` concatenates the
 
 A representation (``_Representation``) holds the lambda-independent part of
 one fit: the training Gram K (dual ridge) or feature matrix Z (primal ridge on
-Z'Z, or the identical dual route on ZZ' when features outnumber bags), and
-the map from test bags to the matrix the coefficients multiply. ``fit_model``,
-``predict_model`` and ``evaluate.grid_search_cv`` all go through it; CV gets
-the representations of one fold's grid points from the spec's sweep, which
-shares work between sigmas (one distance pass per tile for the Gram kinds,
-one cos/sin pass per ratio-2 sigma chain for ``rdr``).
+Z'Z, or the identical dual route on ZZ' when features outnumber bags). Each
+spec's ``matrices`` hook takes a batch of model states fitted on the same
+training sources and builds, for each state, its representation and the test
+matrix its coefficients multiply (the cross Gram against the training bags,
+or the test bags' features). ``fit_model`` calls it with one state,
+``predict_model`` with one saved model and ``evaluate.grid_search_cv`` once
+per fold with every grid point, so the batch shares work between sigmas: one
+distance pass per tile for the Gram kinds, one cos/sin pass per ratio-2 sigma
+chain for ``rdr``.
 
 All fits center the targets and add the mean back at prediction time, so the
 dual/primal algebra is unchanged but predictions are unbiased under target
@@ -59,12 +62,10 @@ from .kernels import (
     RbfParams,
     _bag_grams,
     _cross_bag_grams,
-    cross_bag_gram,
     cross_gram,
     median_heuristic_bags,
-    multisource_bag_gram,
 )
-from .rff import FourierBasis, bag_feature_matrix, bag_feature_sweep, sample_basis
+from .rff import FourierBasis, bag_feature_sweep, sample_basis
 
 __all__ = [
     "FittedModel",
@@ -201,30 +202,16 @@ class FittedModel:
     @property
     def n_sources(self) -> int:
         """How many sources the model predicts from."""
-        if self.source_dims is not None:
-            return len(self.source_dims)
-        if self.train_multisource is not None:
-            return self.train_multisource.n_sources
-        return 1
+        return len(self.source_dims or _spec(self.kind).dims(self))
 
 
 class _Representation:
-    """The lambda-independent part of a ridge fit on one training set at one
-    hyperparameter point (everything but ``lam``).
+    """The lambda-independent part of a ridge fit on the training sources
+    ``train`` at one hyperparameter point (everything but ``lam``), built
+    from their training matrix: the bag Gram K or, when ``explicit``, the
+    features Z."""
 
-    ``embed`` maps test sources, transformed like the training ones, to the
-    matrix the coefficients multiply: the cross Gram against the training
-    bags, or the test bags' features. ``matrix`` is the matching training
-    matrix of the sources ``train``: the bag Gram K or, when ``explicit``,
-    the features Z. Both are None for a representation rebuilt from a saved
-    model, which only predicts. ``dims`` are the feature dimensions of the
-    sources it reads.
-    """
-
-    def __init__(self, embed, dims, matrix=None, train=None, *, explicit=False, lam_floor=0.0):
-        self.embed, self.dims = embed, dims
-        if matrix is None:
-            return
+    def __init__(self, matrix, train, *, explicit=False, lam_floor=0.0):
         self.lam_floor = lam_floor
         y = train[0].targets
         self.ybar = float(y.mean())
@@ -246,126 +233,73 @@ class _Representation:
         return RidgeSolution(coef, self.ybar, lam)
 
 
-def _gram(sources: tuple[BagDataset, ...], params, train) -> _Representation:
-    """Dual ridge on the sum over sources of the bag mean-embedding Grams."""
-
-    def embed(test):
-        cross = np.zeros((test[0].n_bags, sources[0].n_bags))
-        for te, tr, p in zip(test, sources, params):
-            cross += cross_bag_gram(te, tr, p)
-        return cross
-
-    gram = None if train is None else multisource_bag_gram(MultiSourceDataset(sources), params).values
-    return _Representation(embed, tuple(s.dim for s in sources), gram, train)
+# ``matrices`` hooks: given model states fitted on the same transformed
+# training sources, those sources (or None) and transformed test sources (or
+# None), a hook returns (representation, test matrix) per state, with None
+# for the side it was not asked for.
 
 
-def _row_gram(rows: np.ndarray, params, train) -> _Representation:
-    """Dual ridge on the RBF kernel between single-row bags, which is their
-    bag Gram; ``cross_gram`` of one array with itself is exactly symmetric
-    and matches the bag Gram only up to the last bit."""
+def _each(train_matrix, test_matrix, **how):
+    """The hook of a kind that shares nothing across states: a plain loop
+    over ``train_matrix(state, train)`` and ``test_matrix(state, test)``."""
 
-    def embed(test):
-        return cross_gram(pooled_instances(test[0]), rows, params[0])
+    def matrices(states, train, test):
+        return [
+            (
+                None if train is None else _Representation(train_matrix(m, train), train, **how),
+                None if test is None else test_matrix(m, test),
+            )
+            for m in states
+        ]
 
-    gram = None if train is None else cross_gram(rows, rows, params[0])
-    return _Representation(embed, (rows.shape[1],), gram, train)
-
-
-def _features(features, dim: int, train, lam_floor: float = 0.0) -> _Representation:
-    """Ridge on explicit per-bag feature rows ``features(sources)``."""
-    z = None if train is None else features(train)
-    return _Representation(features, (dim,), z, train, explicit=True, lam_floor=lam_floor)
+    return matrices
 
 
-def _group_key(point: dict):
-    """A grid point without its ``lam``, hashable: the points sharing one
-    representation."""
-    items = []
-    for key in sorted(point):
-        if key == "lam":
-            continue
-        value = point[key]
-        items.append((key, tuple(value) if isinstance(value, (list, tuple)) else value))
-    return tuple(items)
+def _centred_means(m: FittedModel, sources) -> np.ndarray:
+    return pooled_instances(sources[0]) - m.feature_means
 
 
-# Sweeps: given the transformed training and validation sources of one CV fold
-# and grid points (one per ``_group_key``), a sweep returns batches
-# (point indices, build); build() returns each point's representation and
-# validation matrix, and a batch whose build raises fails all its points.
+def _summed_grams(sources: Callable[[FittedModel], tuple[BagDataset, ...]]):
+    """The hook of dual ridge on the sum over sources of the bag
+    mean-embedding Grams against the training sources ``sources(state)``.
+    Each source's Grams and cross Grams at every sigma of the batch come
+    from one squared-distance pass per tile; the per-source matrices are
+    summed in source order."""
 
-
-def _alone(kind: str, train, val, points: list[dict], j: int):
-    """The batch of point ``j`` built on its own."""
-
-    def build():
-        rep = _represent(kind, train, points[j])[1]
-        return [(rep, rep.embed(val))]
-
-    return [j], build
-
-
-def _sweep_each(kind: str, train, val, points: list[dict]):
-    """The default sweep: one batch per point."""
-    return [_alone(kind, train, val, points, j) for j in range(len(points))]
-
-
-def _sweep_grams(kind: str, train, val, points: list[dict]):
-    """Sweep of the Gram kinds: one batch holds every point with one valid
-    sigma per source, and builds each source's bag Grams and cross Grams for
-    all of their sigmas from one squared-distance pass per tile. The
-    per-source sums run in the order of ``_gram``. A point with an invalid
-    sigma is built alone and fails with its own error."""
-    params = {}
-    for j, point in enumerate(points):
-        try:
-            kernel_params = _state(kind, train, point).kernel_params
-        except ValueError:
-            continue
-        if len(kernel_params) == len(train):
-            params[j] = kernel_params
-    gammas = [list(dict.fromkeys(p[f].gamma for p in params.values())) for f in range(len(train))]
-
-    def build():
-        grams = [_bag_grams(tr, g) for tr, g in zip(train, gammas)]
-        crosses = [_cross_bag_grams(va, tr, g) for va, tr, g in zip(val, train, gammas)]
+    def matrices(states, train, test):
+        fitted_on = sources(states[0])
+        gammas = [list(dict.fromkeys(m.kernel_params[f].gamma for m in states)) for f in range(len(fitted_on))]
+        grams = None if train is None else [_bag_grams(s, g) for s, g in zip(fitted_on, gammas)]
+        crosses = None if test is None else [
+            _cross_bag_grams(t, s, g) for t, s, g in zip(test, fitted_on, gammas)
+        ]
         out = []
-        for kernel_params in params.values():
-            at = [g.index(p.gamma) for g, p in zip(gammas, kernel_params)]
-            gram = grams[0][at[0]].copy()
-            cross = np.zeros((val[0].n_bags, train[0].n_bags))
-            for f, a in enumerate(at):
-                if f:
-                    gram += grams[f][a]
-                cross += crosses[f][a]
-            out.append((_Representation(None, None, gram, train), cross))
+        for m in states:
+            at = [g.index(p.gamma) for g, p in zip(gammas, m.kernel_params)]
+            out.append((
+                None if grams is None else _Representation(sum(g[a] for g, a in zip(grams, at)), train),
+                None if crosses is None else sum(c[a] for c, a in zip(crosses, at)),
+            ))
         return out
 
-    alone = [_alone(kind, train, val, points, j) for j in range(len(points)) if j not in params]
-    return alone + ([(list(params), build)] if params else [])
+    return matrices
 
 
-def _sigma_chains(points: list[dict]) -> list[list[int]]:
-    """Split rdr group points into chains whose sigmas halve exactly.
+def _sigma_chains(states: list[FittedModel]) -> list[list[int]]:
+    """Split rdr states into chains whose sigmas halve exactly.
 
-    Among points agreeing on everything but sigma (and lambda), taken by
-    descending sigma, a point extends the chain that ends at exactly twice
-    its sigma. Every other point, including one without a positive finite
-    sigma, starts a chain of its own.
+    Among states whose bases agree on the component count and seed, taken by
+    descending sigma, a state extends the chain that ends at exactly twice
+    its sigma; every other state starts a chain of its own.
     """
     by_rest: dict[tuple, list[int]] = {}
+    for j, m in enumerate(states):
+        by_rest.setdefault((m.basis.n_components, m.basis.seed), []).append(j)
     chains = []
-    for j, point in enumerate(points):
-        sigma = point.get("sigma")
-        if isinstance(sigma, (int, float)) and np.isfinite(sigma) and sigma > 0:
-            rest = tuple(item for item in _group_key(point) if item[0] != "sigma")
-            by_rest.setdefault(rest, []).append(j)
-        else:
-            chains.append([j])
     for members in by_rest.values():
         tails: dict[float, list[int]] = {}
-        for j in sorted(members, key=lambda j: -points[j]["sigma"]):
-            sigma = points[j]["sigma"]
+        for j in sorted(members, key=lambda j: -states[j].basis.sigma):
+            sigma = states[j].basis.sigma
             chain = tails.pop(2 * sigma, None)
             if chain is None:
                 chain = []
@@ -375,39 +309,43 @@ def _sigma_chains(points: list[dict]) -> list[list[int]]:
     return chains
 
 
-def _sweep_features(kind: str, train, val, points: list[dict]):
-    """Sweep of ``rdr``: one batch per ``_sigma_chains`` chain, which draws
-    its basis once, at its largest sigma, and gets the features at every
-    sigma of the chain from one cos/sin pass per bag (``bag_feature_sweep``)."""
-
-    def batch(chain):
-        def build():
-            top = points[chain[0]]
-            basis = sample_basis(
-                train[0].dim, int(top["n_features"]), float(top["sigma"]), int(top.get("rff_seed", 0))
+def _fourier_features(states, train, test):
+    """The hook of ``rdr``: ridge on explicit per-bag mean random Fourier
+    features. Each ``_sigma_chains`` chain uses the basis of its largest
+    sigma and gets the features at every sigma of the chain from one cos/sin
+    pass per bag (``bag_feature_sweep``)."""
+    out = [None] * len(states)
+    for chain in _sigma_chains(states):
+        basis, n_halvings = states[chain[0]].basis, len(chain) - 1
+        z_train = None if train is None else bag_feature_sweep(train[0], basis, n_halvings)
+        z_test = None if test is None else bag_feature_sweep(test[0], basis, n_halvings)
+        for level, j in enumerate(chain):
+            out[j] = (
+                None if train is None else _Representation(z_train[level], train, explicit=True),
+                None if test is None else z_test[level],
             )
-            n_halvings = len(chain) - 1
-            z_tr = bag_feature_sweep(train[0], basis, n_halvings)
-            z_va = bag_feature_sweep(val[0], basis, n_halvings)
-            return [(_Representation(None, None, z, train, explicit=True), v) for z, v in zip(z_tr, z_va)]
+    return out
 
-        return chain, build
 
-    return [batch(chain) for chain in _sigma_chains(points)]
+def _mdr_state(train: tuple[BagDataset, ...], point: dict) -> dict:
+    params = tuple(RbfParams(s) for s in point["sigmas"])
+    if len(params) != len(train):
+        raise ValueError(
+            f"need one RbfParams per source: got {len(params)} for {len(train)} sources"
+        )
+    return {"train_multisource": MultiSourceDataset(train), "kernel_params": params}
 
 
 @dataclass(frozen=True)
 class _Spec:
-    """One base kind: its hyperparameters, saved fields and representation."""
+    """One base kind: its hyperparameters, saved fields and matrices."""
 
     axes: tuple[str, ...]  # hyperparameters besides lam
     fields: tuple[str, ...]  # FittedModel fields it predicts with; the first indexes the coefficients
     n_coef: Callable[[FittedModel], int]  # coefficient count the first field implies
     state: Callable[[tuple, dict], dict]  # (transformed training sources, point) -> field values
-    # (model, transformed training sources or None) -> representation
-    represent: Callable[..., _Representation]
-    # (kind, fold training sources, validation sources, points) -> batches
-    sweep: Callable[..., list] = _sweep_each
+    dims: Callable[[FittedModel], tuple[int, ...]]  # feature dimensions of the sources it reads
+    matrices: Callable[..., list]  # (states, train or None, test or None) -> (rep, test matrix) each
 
 
 _SPECS = {
@@ -416,10 +354,8 @@ _SPECS = {
         fields=("feature_means",),
         n_coef=lambda m: m.feature_means.shape[0],
         state=lambda train, p: {"feature_means": pooled_instances(train[0]).mean(axis=0)},
-        represent=lambda m, train=None: _features(
-            lambda t: pooled_instances(t[0]) - m.feature_means,
-            m.feature_means.shape[0], train, _LR_LAMBDA_FLOOR,
-        ),
+        dims=lambda m: (m.feature_means.shape[0],),
+        matrices=_each(_centred_means, _centred_means, explicit=True, lam_floor=_LR_LAMBDA_FLOOR),
     ),
     "kr": _Spec(
         axes=("sigma",),
@@ -429,15 +365,22 @@ _SPECS = {
             "train_means": pooled_instances(train[0]),
             "kernel_params": (RbfParams(p["sigma"]),),
         },
-        represent=lambda m, train=None: _row_gram(m.train_means, m.kernel_params, train),
+        dims=lambda m: (m.train_means.shape[1],),
+        # the RBF kernel between single-row bags is their bag Gram; ``cross_gram``
+        # of one array with itself is exactly symmetric and matches the bag Gram
+        # only up to the last bit
+        matrices=_each(
+            lambda m, train: cross_gram(m.train_means, m.train_means, m.kernel_params[0]),
+            lambda m, test: cross_gram(pooled_instances(test[0]), m.train_means, m.kernel_params[0]),
+        ),
     ),
     "kdr": _Spec(
         axes=("sigma",),
         fields=("train_bag_data", "kernel_params"),
         n_coef=lambda m: m.train_bag_data.n_bags,
         state=lambda train, p: {"train_bag_data": train[0], "kernel_params": (RbfParams(p["sigma"]),)},
-        represent=lambda m, train=None: _gram((m.train_bag_data,), m.kernel_params, train),
-        sweep=_sweep_grams,
+        dims=lambda m: (m.train_bag_data.dim,),
+        matrices=_summed_grams(lambda m: (m.train_bag_data,)),
     ),
     "rdr": _Spec(
         axes=("sigma", "n_features", "rff_seed"),
@@ -448,21 +391,16 @@ _SPECS = {
                 train[0].dim, int(p["n_features"]), float(p["sigma"]), int(p["rff_seed"])
             )
         },
-        represent=lambda m, train=None: _features(
-            lambda t: bag_feature_matrix(t[0], m.basis), m.basis.dim, train
-        ),
-        sweep=_sweep_features,
+        dims=lambda m: (m.basis.dim,),
+        matrices=_fourier_features,
     ),
     "mdr": _Spec(
         axes=("sigmas",),
         fields=("train_multisource", "kernel_params"),
         n_coef=lambda m: m.train_multisource.n_bags,
-        state=lambda train, p: {
-            "train_multisource": MultiSourceDataset(train),
-            "kernel_params": tuple(RbfParams(s) for s in p["sigmas"]),
-        },
-        represent=lambda m, train=None: _gram(m.train_multisource.sources, m.kernel_params, train),
-        sweep=_sweep_grams,
+        state=_mdr_state,
+        dims=lambda m: m.train_multisource.dims,
+        matrices=_summed_grams(lambda m: m.train_multisource.sources),
     ),
 }
 
@@ -572,13 +510,6 @@ def _state(kind: str, train: tuple[BagDataset, ...], hyper: dict) -> FittedModel
     return FittedModel(kind, None, **spec.state(train, point))
 
 
-def _represent(kind: str, train: tuple[BagDataset, ...], hyper: dict):
-    """Representation of ``kind`` on transformed training sources at the
-    point ``hyper``, with the model fields it fixes (solution still None)."""
-    state = _state(kind, train, hyper)
-    return state, _spec(kind).represent(state, train)
-
-
 def default_sigmas(kind: str, data) -> dict:
     """Median-heuristic value of each sigma axis of ``kind`` on raw ``data``:
     ``{"sigma": m}``, ``{"sigmas": [m_1, ..., m_F]}`` (one per source) or
@@ -598,7 +529,9 @@ def default_sigmas(kind: str, data) -> dict:
 def _fit(kind: str, data, hyper: dict) -> FittedModel:
     """Fit ``kind`` on already-normalized data; ``fit_model`` calls this
     after normalizing."""
-    state, rep = _represent(kind, _transform(kind, data), hyper)
+    train = _transform(kind, data)
+    state = _state(kind, train, hyper)
+    [(rep, _)] = _spec(kind).matrices([state], train, None)
     stacked = _base(kind) != kind
     return replace(
         state,
@@ -610,15 +543,16 @@ def _fit(kind: str, data, hyper: dict) -> FittedModel:
 def _predict(model: FittedModel, data) -> np.ndarray:
     """Predict on already-normalized data; ``predict_model`` calls this
     after normalizing."""
-    rep = _spec(model.kind).represent(model)
+    spec = _spec(model.kind)
     dims = tuple(data.dims) if isinstance(data, MultiSourceDataset) else (data.dim,)
-    expected = model.source_dims or rep.dims
+    expected = model.source_dims or spec.dims(model)
     if dims != expected:
         raise ValueError(
             f"feature dimension mismatch: model expects d={','.join(map(str, expected))}, "
             f"got d={','.join(map(str, dims))}"
         )
-    return model.solution.predict(rep.embed(_transform(model.kind, data)))
+    [(_, matrix)] = spec.matrices([model], None, _transform(model.kind, data))
+    return model.solution.predict(matrix)
 
 
 def fit_model(kind: str, data: BagDataset | MultiSourceDataset, hyper: dict) -> FittedModel:

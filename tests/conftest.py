@@ -32,6 +32,20 @@ def random_dataset(
     return BagDataset(tuple(bags), rng.standard_normal(n_bags))
 
 
+# One hyperparameter point per model kind, for tests of model behaviour.
+HYPERS = {
+    "lr": {"lam": 1e-4},
+    "kr": {"lam": 1e-3, "sigma": 1.2},
+    "kdr": {"lam": 1e-3, "sigma": 1.2},
+    "rdr": {"lam": 1e-3, "sigma": 1.2, "n_features": 16, "rff_seed": 0},
+    "mdr": {"lam": 1e-3, "sigmas": [1.2, 0.9]},
+    "stacked-lr": {"lam": 1e-4},
+    "stacked-kr": {"lam": 1e-3, "sigma": 1.2},
+    "stacked-kdr": {"lam": 1e-3, "sigma": 1.2},
+    "stacked-rdr": {"lam": 1e-3, "sigma": 1.2, "n_features": 16, "rff_seed": 0},
+}
+
+
 # ---------------------------------------------------------------------------
 # Pure-Python nested-loop oracles
 

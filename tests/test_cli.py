@@ -157,6 +157,44 @@ class TestRun:
         assert run_cli("run", "--config", config) != 0
         assert "typo_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("trials", "2"),
+            ("folds", True),
+            ("seed", 1.5),
+            ("test_fraction", "0.3"),
+            ("targets", 5),
+            ("out", ["results"]),
+            ("instances", [1]),
+            ("models", {"kind": "kdr"}),
+            ("grid", {"lams": 5}),
+            ("grid", {"sigma_scales": ["1.0"]}),
+            ("grid", {"n_features": [32, False]}),
+        ],
+        ids=["trials", "folds", "seed", "test_fraction", "targets", "out", "instances", "models",
+             "grid-lams", "grid-sigma_scales", "grid-n_features"],
+    )
+    def test_wrong_config_type_named(self, run_config, capsys, key, value):
+        config, _ = run_config
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw[key] = value
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert run_cli("run", "--config", config) == 1
+        err = capsys.readouterr().err
+        named = next(iter(value)) if key == "grid" else key
+        assert err.startswith("error: ")
+        assert str(config) in err and repr(named) in err
+        assert "Traceback" not in err
+
+    def test_lone_model_string_accepted(self, run_config):
+        config, out_dir = run_config
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["models"] = "lr"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert run_cli("run", "--config", config) == 0
+        assert [p.name for p in out_dir.glob("report_*.json")] == ["report_lr.json"]
+
 
 class TestMmd:
     def test_identical_samples(self, tmp_path, capsys):

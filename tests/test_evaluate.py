@@ -147,13 +147,25 @@ class TestGridSearch:
         if result.table[0].mean_rmse == result.table[1].mean_rmse:
             assert result.best["lam"] == 1e-2
 
-    def test_failing_point_excluded_with_reason(self):
+    @pytest.mark.parametrize(
+        "kind,good,bad,error",
+        [
+            ("kdr", {"lam": 1e-3, "sigma": 1.0}, {"lam": 1e-3, "sigma": -1.0},
+             "fold 0: sigma must be positive and finite, got -1.0"),
+            ("rdr", {"lam": 1e-3, "sigma": 1.0, "n_features": 16}, {"lam": 1e-3, "sigma": 1.0},
+             "fold 0: model kind 'rdr' needs hyperparameter 'n_features'"),
+            ("rdr", {"lam": 1e-3, "sigma": 1.0, "n_features": 16}, {"lam": 1e-3, "n_features": 16},
+             "fold 0: model kind 'rdr' needs hyperparameter 'sigma'"),
+        ],
+        ids=["kdr-invalid-sigma", "rdr-no-n_features", "rdr-no-sigma"],
+    )
+    def test_failing_point_excluded_with_reason(self, kind, good, bad, error):
         rng = np.random.default_rng(6)
         data = random_dataset(rng, 10)
-        grid = [{"lam": 1e-3, "sigma": 1.0}, {"lam": 1e-3, "sigma": -1.0}]
-        result = grid_search_cv(data, "kdr", grid, k=2, seed=0)
-        assert result.best["sigma"] == 1.0
-        assert result.table[1].error is not None
+        result = grid_search_cv(data, kind, [good, bad], k=2, seed=0)
+        assert result.best == good
+        assert result.table[0].fold_rmse is not None
+        assert result.table[1].error == error
         assert result.table[1].fold_rmse is None
 
     def test_all_points_failing_raises(self):
@@ -270,12 +282,17 @@ class TestGridSearch:
         )
         return MultiSourceDataset((first, second))
 
-    @pytest.mark.parametrize("kind", ["kdr", "mdr", "stacked-kdr"])
+    @pytest.mark.parametrize(
+        "kind", ["kdr", "mdr", "stacked-kdr", "lr", "kr", "stacked-lr", "stacked-kr"]
+    )
     def test_gram_sweep_matches_manual_loop_exactly(self, kind):
-        # every sigma of a fold comes from one distance pass per tile, and the
-        # table is still bitwise that of fit_model/predict_model
+        # every sigma of a fold comes from one distance pass per tile (Gram
+        # kinds) or one plain loop (lr, kr), and the table is still bitwise
+        # that of fit_model/predict_model
+        from distreg import SINGLE_SOURCE_KINDS
+
         rng = np.random.default_rng(12)
-        data = random_dataset(rng, 14) if kind == "kdr" else self.two_source(rng, 14)
+        data = random_dataset(rng, 14) if kind in SINGLE_SOURCE_KINDS else self.two_source(rng, 14)
         grid = default_grid(kind, data, seed=2)
         result = grid_search_cv(data, kind, grid, k=3, seed=7)
         manual = self.manual_fold_rmse(data, kind, grid, k=3, seed=7)

@@ -28,7 +28,7 @@ from distreg import (
 )
 from distreg.evaluate import compute_metrics, split_train_test
 from distreg.models import _fit, _predict, _solve_spd
-from conftest import oracle_krr, random_dataset
+from conftest import HYPERS, oracle_krr, random_dataset
 
 
 def random_psd(rng, n):
@@ -405,19 +405,6 @@ def _shift_targets(data, c):
     if isinstance(data, MultiSourceDataset):
         return MultiSourceDataset(tuple(_shift_targets(s, c) for s in data.sources))
     return BagDataset(data.bags, data.targets + c)
-
-
-HYPERS = {
-    "lr": {"lam": 1e-4},
-    "kr": {"lam": 1e-3, "sigma": 1.2},
-    "kdr": {"lam": 1e-3, "sigma": 1.2},
-    "rdr": {"lam": 1e-3, "sigma": 1.2, "n_features": 16, "rff_seed": 0},
-    "mdr": {"lam": 1e-3, "sigmas": [1.2, 0.9]},
-    "stacked-lr": {"lam": 1e-4},
-    "stacked-kr": {"lam": 1e-3, "sigma": 1.2},
-    "stacked-kdr": {"lam": 1e-3, "sigma": 1.2},
-    "stacked-rdr": {"lam": 1e-3, "sigma": 1.2, "n_features": 16, "rff_seed": 0},
-}
 
 
 def make_task(kind, rng, n_bags=6, prefix="b"):
