@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python scripts/golden.py OUT
 
-writes 62 files under OUT and prints one ``sha256  path`` line per file,
+writes 70 files under OUT and prints one ``sha256  path`` line per file,
 with paths relative to OUT, sorted. A refactor that must not change any
 output shows the same lines before and after:
 
@@ -16,7 +16,9 @@ The set:
   mdr and the stacked kinds, each with the default grid and with a small
   grid override;
 - ``distreg fit`` -> ``distreg predict`` (model file and predictions) for
-  all nine kinds, with default and with explicit hyperparameters.
+  all nine kinds, with default and with explicit hyperparameters;
+- ``distreg mmd`` stdout for the four two-sample gallery scenarios (300
+  samples each side), with the median-heuristic sigma and with ``--sigma``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from pathlib import Path
 
 from distreg.cli import main
 from distreg.models import MULTISOURCE_KINDS, SINGLE_SOURCE_KINDS
+from distreg.synth import GALLERY_SCENARIOS
 
 GRID = {"lams": [1e-4, 1e-2], "sigma_scales": [1.0], "n_features": [32]}
 EXPLICIT = [
@@ -37,11 +40,14 @@ EXPLICIT = [
 ]
 
 
-def _cli(*argv) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def _cli(*argv) -> str:
+    """Run ``distreg`` with ``argv``; returns its stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         rc = main([str(a) for a in argv])
     if rc != 0:
         raise SystemExit(f"distreg {' '.join(map(str, argv))} exited with {rc}")
+    return stdout.getvalue()
 
 
 def write_golden(out: Path) -> list[Path]:
@@ -88,6 +94,18 @@ def write_golden(out: Path) -> list[Path]:
                 _cli("fit", "--model", kind, *sources, "--targets", targets, "--out", model, *extra)
                 _cli("predict", "--model-file", model, *sources, "--out", preds)
                 files += [model, preds]
+    gallery = out / "data" / "gallery"
+    _cli("synth", "--kind", "two-sample-gallery", "--out", gallery, "--samples", 300, "--seed", 7)
+    (out / "mmd").mkdir(parents=True, exist_ok=True)
+    for scenario in GALLERY_SCENARIOS:
+        for name, extra in (("median", []), ("sigma", ["--sigma", "0.8"])):
+            path = out / "mmd" / f"{scenario}-{name}.txt"
+            sample_x, sample_y = (gallery / f"gallery_{scenario}_{side}.csv" for side in "xy")
+            path.write_text(
+                _cli("mmd", sample_x, sample_y, "--permutations", 100, "--seed", 2, *extra),
+                encoding="utf-8",
+            )
+            files.append(path)
     return files
 
 

@@ -21,10 +21,15 @@ from .data import DataFormatError, align_sources, load_bags, save_bags
 from .evaluate import render_table, report_to_dict, reports_to_csv, run_protocol
 from .kernels import RbfParams, median_heuristic, mmd_permutation_test
 from .models import (
+    _AXES,
+    _DOMAINS,
     HYPER_AXES,
     IllConditionedError,
     MODEL_KINDS,
     MULTISOURCE_KINDS,
+    _grid_values,
+    _integer,
+    _spec,
     default_sigmas,
     fit_model,
     load_model,
@@ -95,12 +100,10 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
-        for key in ("instances", "targets", "models"):
-            if key not in raw:
-                raise ValueError(f"config {path}: missing required key {key!r}")
-        for key in ("instances", "models"):
-            if isinstance(raw[key], str):
-                raw[key] = [raw[key]]
+        missing = [key for key in ("instances", "targets", "models") if key not in raw]
+        if missing:
+            raise ValueError(f"config {path}: missing required key {missing[0]!r}")
+        raw.update({key: [raw[key]] for key in ("instances", "models") if isinstance(raw[key], str)})
         for key, value in raw.items():
             what, check = _CONFIG_TYPES[key]
             if not check(value):
@@ -124,50 +127,32 @@ def _check_source_count(owner: str, n_files: int, n_sources: int | None) -> None
     multisource kind before fitting)."""
     if n_files == n_sources or (n_sources is None and n_files > 1):
         return
-    if n_sources is None:
-        need = "at least 2 sources"
-    else:
-        need = "exactly one source" if n_sources == 1 else f"exactly {n_sources} sources"
+    need = {None: "at least 2 sources", 1: "exactly one source"}.get(n_sources, f"exactly {n_sources} sources")
     raise ValueError(f"{owner} needs {need}, got {n_files} instance file(s)")
 
 
 def _check_kind(kind: str, n_files: int) -> None:
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    _spec(kind)  # rejects unknown kinds
     _check_source_count(f"model kind {kind!r}", n_files, None if kind in MULTISOURCE_KINDS else 1)
 
 
 def _grid_options(config_grid: dict | None, path) -> dict | None:
-    if not config_grid:
-        return None
-    allowed = {"lams", "sigma_scales", "n_features"}
-    unknown = set(config_grid) - allowed
-    if unknown:
-        raise ValueError(
-            f"config {path}: grid override: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})"
-        )
-    for key, value in config_grid.items():
-        if not (isinstance(value, list) and all(_is_number(v) for v in value)):
-            raise ValueError(
-                f"config {path}: grid key {key!r} must be a list of numbers, got {json.dumps(value)}"
-            )
-    return dict(config_grid)
+    """The config's grid overrides, each checked against its axis."""
+    try:
+        return {key: _grid_values(key, value) for key, value in config_grid.items()} if config_grid else None
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.test_fraction is not None:
-        config.test_fraction = args.test_fraction
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.folds is not None:
-        config.folds = args.folds
-    if args.out is not None:
-        config.out = args.out
+    for key in ("seed", "test_fraction", "trials", "folds", "out"):
+        if getattr(args, key) is not None:
+            setattr(config, key, getattr(args, key))
     if args.model:
         config.models = list(args.model)
+    if not config.models:
+        raise ValueError(f"config {args.config}: key 'models' names no model kind")
 
     grid_options = _grid_options(config.grid, args.config)
     for kind in config.models:
@@ -178,15 +163,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     reports = []
     for kind in config.models:
         logger.info("running protocol for %s", kind)
-        report = run_protocol(
-            data,
-            kind,
-            test_fraction=config.test_fraction,
-            trials=config.trials,
-            k=config.folds,
-            seed=config.seed,
-            grid_options=grid_options,
-        )
+        report = run_protocol(data, kind, test_fraction=config.test_fraction, trials=config.trials,
+                              k=config.folds, seed=config.seed, grid_options=grid_options)
         reports.append(report)
         _write_text(
             out_dir / f"report_{kind}.json",
@@ -200,6 +178,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    for name in ("bags", "bag_size", "dim", "samples"):
+        _integer(getattr(args, name), 1, "--" + name.replace("_", "-"))
+    _integer(args.seed, 0, "--seed")
+    if not 0 <= args.noise <= sys.float_info.max:
+        raise ValueError(f"--noise must be a finite real ≥ 0, got {args.noise!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "variance-task":
@@ -222,10 +205,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         for scenario in GALLERY_SCENARIOS:
             x, y = make_two_sample_pair(scenario, args.samples, args.seed)
             for name, sample in (("x", x), ("y", y)):
-                path = out_dir / f"gallery_{scenario}_{name}.csv"
-                _write_text(
-                    path, "\n".join(",".join(repr(float(v)) for v in row) for row in sample) + "\n"
-                )
+                text = "\n".join(",".join(repr(float(v)) for v in row) for row in sample) + "\n"
+                _write_text(out_dir / f"gallery_{scenario}_{name}.csv", text)
         print(f"wrote gallery_[{'|'.join(GALLERY_SCENARIOS)}]_[x|y].csv under {out_dir}")
     return 0
 
@@ -233,8 +214,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _load_sample(path: str) -> np.ndarray:
     try:
         sample = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError:
-        raise
     except ValueError as exc:
         raise DataFormatError(f"{path}: not a headerless numeric CSV ({exc})") from exc
     if sample.size == 0:
@@ -256,6 +235,7 @@ def _load_sample(path: str) -> np.ndarray:
 
 
 def cmd_mmd(args: argparse.Namespace) -> int:
+    _integer(args.seed, 0, "--seed")
     x = _load_sample(args.sample_x)
     y = _load_sample(args.sample_y)
     if x.shape[1] != y.shape[1]:
@@ -276,24 +256,41 @@ def cmd_mmd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _hyper_from_args(args: argparse.Namespace, data, kind: str) -> dict:
-    given = {
-        "sigma": args.sigma,
-        "sigmas": [float(s) for s in args.sigmas.split(",")] if args.sigmas else None,
-        "n_features": args.n_features,
-        "rff_seed": args.seed,
-    }
-    hyper = {"lam": args.lam, **{axis: given[axis] for axis in HYPER_AXES[kind]}}
-    if None in hyper.values():
-        hyper.update(default_sigmas(kind, data))
+def _hyper_from_args(args: argparse.Namespace, kind: str) -> dict:
+    """The hyperparameters of ``kind`` from their ``fit`` flags, checked
+    against their axes (errors name the flag), else the flags' defaults; one
+    whose default is the median heuristic is left out. A flag of an axis
+    ``kind`` does not have is ignored with a warning."""
+    keys = ("lam",) + HYPER_AXES[kind]
+    hyper = {}
+    for key, axis in _AXES.items():
+        text = getattr(args, key)
+        if text is None:
+            if key in keys and axis.default is not None:
+                hyper[key] = axis.default
+        elif key not in keys:
+            logger.warning("%s is not a hyperparameter of model kind %r; ignored", axis.flag, kind)
+        else:
+            parse = float if axis.domain in ("real", "reals") else int
+            try:
+                value = [parse(part) for part in text.split(",")] if axis.domain == "reals" else parse(text)
+            except ValueError:
+                value = text  # rejected by the check, which names the domain
+            try:
+                hyper[key] = axis.check(key, value, len(args.instances))
+            except ValueError as exc:
+                raise ValueError(f"{axis.flag}: {exc}") from None
     return hyper
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     kind = args.model
     _check_kind(kind, len(args.instances))
+    hyper = _hyper_from_args(args, kind)
     data = _load_dataset(args.instances, args.targets, kind in MULTISOURCE_KINDS)
-    model = fit_model(kind, data, _hyper_from_args(args, data, kind))
+    if any(key not in hyper for key in HYPER_AXES[kind]):
+        hyper = {**default_sigmas(kind, data), **hyper}
+    model = fit_model(kind, data, hyper)
     save_model(model, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -324,11 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the evaluation protocol from a config file")
     p_run.add_argument("--config", required=True, help="JSON experiment config")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--test-fraction", type=float, default=None)
-    p_run.add_argument("--trials", type=int, default=None)
-    p_run.add_argument("--folds", type=int, default=None)
-    p_run.add_argument("--out", default=None, help="output directory")
+    for flag, type_ in (("--seed", int), ("--test-fraction", float), ("--trials", int), ("--folds", int)):
+        p_run.add_argument(flag, type=type_)
+    p_run.add_argument("--out", help="output directory")
     p_run.add_argument(
         "--model",
         action="append",
@@ -362,11 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--instances", action="append", required=True, help="instances CSV (repeat per source)")
     p_fit.add_argument("--targets", required=True)
     p_fit.add_argument("--out", required=True, help="model file to write")
-    p_fit.add_argument("--lam", type=float, default=1e-3)
-    p_fit.add_argument("--sigma", type=float, default=None, help="default: median heuristic")
-    p_fit.add_argument("--sigmas", default=None, help="comma-separated per-source sigmas (mdr)")
-    p_fit.add_argument("--n-features", type=int, default=512)
-    p_fit.add_argument("--seed", type=int, default=0)
+    for key, axis in _AXES.items():
+        what = _DOMAINS[axis.domain] + (", comma-separated" if axis.domain == "reals" else "")
+        default = "median heuristic" if axis.default is None else axis.default
+        p_fit.add_argument(axis.flag, dest=key, help=f"{key}: {what} (default: {default})")
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="predict with a saved model")

@@ -10,6 +10,7 @@ seeds are derived as ``seed + trial``.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -19,9 +20,12 @@ import numpy as np
 
 from .data import BagDataset, MultiSourceDataset
 from .models import (
-    HYPER_AXES,
+    _AXES,
     IllConditionedError,
-    MODEL_KINDS,
+    _axes,
+    _check_point,
+    _grid_values,
+    _integer,
     _normalize,
     _spec,
     _state,
@@ -50,10 +54,6 @@ __all__ = [
 
 logger = logging.getLogger("distreg.evaluate")
 
-_DEFAULT_LAMBDAS = tuple(float(v) for v in np.logspace(-6, 2, 9))
-_DEFAULT_SIGMA_SCALES = tuple(float(v) for v in 2.0 ** np.arange(-3, 4))
-_DEFAULT_N_FEATURES = (128, 512, 2048)
-
 # Failures that exclude a grid point from the search instead of aborting it.
 _CV_ERRORS = (IllConditionedError, ValueError, ArithmeticError, np.linalg.LinAlgError)
 
@@ -76,19 +76,15 @@ def compute_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
     y_true = np.asarray(y_true, dtype=float).ravel()
     y_pred = np.asarray(y_pred, dtype=float).ravel()
     if y_true.shape != y_pred.shape:
-        raise ValueError(
-            f"length mismatch: {y_true.shape[0]} targets vs {y_pred.shape[0]} predictions"
-        )
+        raise ValueError(f"length mismatch: {y_true.shape[0]} targets vs {y_pred.shape[0]} predictions")
     if y_true.shape[0] == 0:
         raise ValueError("metrics need at least one sample")
     err = y_pred - y_true
-    me = float(err.mean())
-    rmse = float(np.sqrt(np.mean(err**2)))
     ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
     if ss_tot == 0.0:
         raise ValueError("R^2 is undefined: y_true is constant")
     r2 = 1.0 - float(np.sum(err**2)) / ss_tot
-    return Metrics(me=me, rmse=rmse, r2=r2)
+    return Metrics(me=float(err.mean()), rmse=float(np.sqrt(np.mean(err**2))), r2=r2)
 
 
 def kfold_split(n_bags: int, k: int, seed: int) -> list[np.ndarray]:
@@ -101,9 +97,7 @@ def kfold_split(n_bags: int, k: int, seed: int) -> list[np.ndarray]:
     return [np.sort(fold) for fold in np.array_split(perm, k)]
 
 
-def split_train_test(
-    n_bags: int, test_fraction: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def split_train_test(n_bags: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Random bag-level train/test split; both index arrays come back sorted."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -131,24 +125,11 @@ class GridSearchResult:
     table: tuple[CvCell, ...]
 
 
-def _sigma_tiebreak(point: dict) -> float:
-    if "sigma" in point:
-        return float(point["sigma"])
-    if "sigmas" in point:
-        return float(sum(point["sigmas"]))
-    return 0.0
-
-
-def _group_key(point: dict):
-    """A grid point without its ``lam``, hashable: the points sharing one
-    representation."""
-    items = []
-    for key in sorted(point):
-        if key == "lam":
-            continue
-        value = point[key]
-        items.append((key, tuple(value) if isinstance(value, (list, tuple)) else value))
-    return tuple(items)
+def _tiebreak(point: dict) -> tuple:
+    """Sort key of a checked point among points of equal CV RMSE: each
+    axis' preferred direction (larger lambda, larger sigma or sum of sigmas,
+    fewer random features) sorts first."""
+    return tuple(-_AXES[a].prefer * (sum(v) if isinstance(v, tuple) else v) for a, v in point.items())
 
 
 def grid_search_cv(
@@ -160,27 +141,22 @@ def grid_search_cv(
 ) -> GridSearchResult:
     """Mean validation RMSE per grid point over k bag-level folds.
 
-    Points sharing everything but ``lam`` form a group with one model state
-    per fold. A point that fails on any fold (its state, matrices or solve)
-    is excluded, with the reason logged and recorded in its table cell; it
-    is an error only if every point fails. Ties in mean RMSE prefer larger
-    lambda, then larger sigma, then fewer random features.
+    Every point is checked against the hyperparameter axis table once, up
+    front; ``best`` and the table hold the points as given. Points sharing
+    everything but ``lam`` form a group with one model state per fold. A
+    point that fails its check, or fails on any fold (its matrices or
+    solve), is excluded, with the reason logged and recorded in its table
+    cell (a failed check as on fold 0); it is an error only if every point
+    fails. Ties in mean RMSE prefer larger lambda, then larger sigma (or sum
+    of sigmas), then fewer random features.
 
     Each fold passes the states of all groups to the kind's ``matrices``
-    hook in one call, the hook that ``fit_model`` and ``predict_model`` call
-    with one state. For ``kdr``, ``mdr`` and ``stacked-kdr`` the Grams of
-    every sigma come from one squared-distance pass per tile, so a fold holds
-    one Gram per sigma (S B^2 floats for S sigmas and B bags per source:
-    under 1 MB at the acceptance sizes), bitwise those of ``fit_model``. For
-    ``rdr``/``stacked-rdr`` the sigmas of each feature count and seed split
-    into chains that halve exactly, and one cos/sin pass per bag at a
-    chain's largest sigma gives all of its sigmas by double-angle steps
-    (``bag_feature_sweep``). Those table RMSEs can differ from direct
-    evaluation by about 1e-9 relative at ill-conditioned cells; a sigma
-    without a ratio-2 neighbour uses direct trig, as the refit does.
+    hook in one call, which shares work between sigmas (see ``models``): the
+    Gram kinds' tables are bitwise those of ``fit_model``; ``rdr`` tables
+    built by double-angle steps can differ from direct evaluation by about
+    1e-9 relative at ill-conditioned cells.
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    _spec(kind)  # rejects unknown kinds
     grid = [dict(p) for p in grid]
     if not grid:
         raise ValueError("grid must contain at least one point")
@@ -191,74 +167,60 @@ def grid_search_cv(
     rmse = np.full((len(grid), len(folds)), np.nan)
     errors: dict[int, str] = {}
 
-    groups: dict[tuple, list[int]] = {}
-    for i, point in enumerate(grid):
-        groups.setdefault(_group_key(point), []).append(i)
-    members = list(groups.values())
-
     def fail(indices, fi, exc):
         for i in indices:
             if i not in errors:
                 errors[i] = f"fold {fi}: {exc}"
                 logger.warning("grid point %r failed on fold %d: %s", grid[i], fi, exc)
 
-    for fi, val_idx in enumerate(folds):
+    points = {}
+    for i, point in enumerate(grid):
+        try:
+            points[i] = _check_point(kind, point, data)
+        except ValueError as exc:
+            fail([i], 0, exc)
+    groups: dict[tuple, list[int]] = {}
+    for i, point in points.items():
+        groups.setdefault(tuple((a, v) for a, v in point.items() if a != "lam"), []).append(i)
+    members = list(groups.values())
+
+    for fi, val_idx in enumerate(folds if members else ()):
         train_idx = np.setdiff1d(all_idx, val_idx)
         # normalizer statistics come from the fold's training bags only
         tr, norms = _normalize(data.subset(train_idx))
         va, _ = _normalize(data.subset(val_idx), norms)
         tr, va = _transform(kind, tr), _transform(kind, va)
         y_val = va[0].targets
-        fitted, states = [], []
-        for indices in members:
-            try:
-                states.append(_state(kind, tr, grid[indices[0]]))
-                fitted.append(indices)
-            except _CV_ERRORS as exc:
-                fail(indices, fi, exc)
-        if not states:
-            continue
+        states = [_state(kind, tr, points[indices[0]]) for indices in members]
         try:
             built = _spec(kind).matrices(states, tr, va)
         except _CV_ERRORS as exc:
-            for indices in fitted:
+            for indices in members:
                 fail(indices, fi, exc)
             continue
-        for indices, (rep, m_va) in zip(fitted, built):
+        for indices, (rep, m_va) in zip(members, built):
             for i in indices:
                 if i in errors:
                     continue
                 try:
-                    pred = rep.solve(float(grid[i]["lam"])).predict(m_va)
+                    pred = rep.solve(points[i]["lam"]).predict(m_va)
                 except _CV_ERRORS as exc:
                     fail([i], fi, exc)
                     continue
                 rmse[i, fi] = float(np.sqrt(np.mean((pred - y_val) ** 2)))
 
-    cells = []
-    candidates = []
-    for i, point in enumerate(grid):
-        if i in errors:
-            cells.append(CvCell(point, float("nan"), None, errors[i]))
-            continue
-        mean_rmse = float(rmse[i].mean())
-        cells.append(CvCell(point, mean_rmse, tuple(float(v) for v in rmse[i]), None))
-        candidates.append((i, mean_rmse))
-    if not candidates:
+    cells = tuple(
+        CvCell(point, float("nan"), None, errors[i]) if i in errors
+        else CvCell(point, float(rmse[i].mean()), tuple(float(v) for v in rmse[i]), None)
+        for i, point in enumerate(grid)
+    )
+    scored = [i for i in range(len(grid)) if i not in errors]
+    if not scored:
         raise RuntimeError(
-            f"all {len(grid)} grid points failed cross-validation; "
-            f"first failure: {errors[min(errors)]}"
+            f"all {len(grid)} grid points failed cross-validation; first failure: {errors[min(errors)]}"
         )
-    best_i = min(
-        candidates,
-        key=lambda item: (
-            item[1],
-            -float(grid[item[0]].get("lam", 0.0)),
-            -_sigma_tiebreak(grid[item[0]]),
-            int(grid[item[0]].get("n_features", 0)),
-        ),
-    )[0]
-    return GridSearchResult(best=grid[best_i], table=tuple(cells))
+    best_i = min(scored, key=lambda i: (cells[i].mean_rmse, *_tiebreak(points[i])))
+    return GridSearchResult(best=grid[best_i], table=cells)
 
 
 def default_grid(
@@ -271,31 +233,27 @@ def default_grid(
 ) -> list[dict]:
     """Hyperparameter grid centered on the median heuristic of the given data.
 
-    Lambdas default to 9 log-spaced values in [1e-6, 1e2]; sigmas to the
-    median pairwise distance of the normalized instances (``default_sigmas``)
-    times 2^-3 ... 2^3; feature counts for the randomized kinds to
-    (128, 512, 2048). Multisource sigmas apply one shared scale to each
-    source's own median.
+    Each axis of ``kind`` takes the axis table's default values unless its
+    grid key is given (values checked against the axis): 9 log-spaced lambdas
+    in [1e-6, 1e2]; the median heuristic (``default_sigmas``) times 2^-3 ...
+    2^3, one shared scale for every source's median; 128, 512 and 2048 random
+    features; ``rff_seed`` is ``seed``. Lambda varies fastest.
     """
-    lams = [float(v) for v in (lams if lams is not None else _DEFAULT_LAMBDAS)]
-    scales = [float(v) for v in (sigma_scales if sigma_scales is not None else _DEFAULT_SIGMA_SCALES)]
-    feature_counts = [int(v) for v in (n_features if n_features is not None else _DEFAULT_N_FEATURES)]
+    given = {"lams": lams, "sigma_scales": sigma_scales, "n_features": n_features}
     center = default_sigmas(kind, data)
-    extras = (
-        [{"n_features": d, "rff_seed": int(seed)} for d in feature_counts]
-        if "n_features" in HYPER_AXES[kind]
-        else [{}]
-    )
-    return [
-        {
-            "lam": lam,
-            **{a: [m * s for m in med] if isinstance(med, list) else med * s for a, med in center.items()},
-            **extra,
-        }
-        for extra in extras
-        for s in (scales if center else [1.0])
-        for lam in lams
-    ]
+    keys = _axes(kind)
+    columns = []
+    for key in keys:
+        axis = _AXES[key]
+        if axis.grid_key is None:
+            columns.append([axis.check(key, seed)])
+            continue
+        values = axis.grid if given[axis.grid_key] is None else _grid_values(axis.grid_key, given[axis.grid_key])
+        if key in center:
+            med = center[key]
+            values = [[m * s for m in med] if isinstance(med, list) else med * s for s in values]
+        columns.append(values)
+    return [dict(zip(keys, combo[::-1])) for combo in itertools.product(*columns[::-1])]
 
 
 def _protocol_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
@@ -308,11 +266,7 @@ def _protocol_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
     y_true = np.asarray(y_true, dtype=float).ravel()
     if np.all(y_true == y_true[0]):
         err = np.asarray(y_pred, dtype=float).ravel() - y_true
-        return Metrics(
-            me=float(err.mean()),
-            rmse=float(np.sqrt(np.mean(err**2))),
-            r2=float("nan"),
-        )
+        return Metrics(me=float(err.mean()), rmse=float(np.sqrt(np.mean(err**2))), r2=float("nan"))
     return compute_metrics(y_true, y_pred)
 
 
@@ -367,7 +321,8 @@ def run_protocol(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n_train = data.n_bags - max(1, int(round(data.n_bags * test_fraction)))
+    _integer(seed, 0, "seed")
+    n_train = len(split_train_test(data.n_bags, test_fraction, seed)[0])  # checks test_fraction
     if n_train < k:
         raise ValueError(
             f"insufficient bags: {data.n_bags} bags with test_fraction={test_fraction} "
@@ -378,11 +333,8 @@ def run_protocol(
         trial_seed = seed + t
         train_idx, test_idx = split_train_test(data.n_bags, test_fraction, trial_seed)
         train, test = data.subset(train_idx), data.subset(test_idx)
-        trial_grid = (
-            grid
-            if grid is not None
-            else default_grid(kind, train, seed=trial_seed, **(grid_options or {}))
-        )
+        options = grid_options or {}
+        trial_grid = grid if grid is not None else default_grid(kind, train, seed=trial_seed, **options)
         t0 = time.perf_counter()
         search = grid_search_cv(train, kind, trial_grid, k=k, seed=trial_seed)
         t1 = time.perf_counter()
@@ -390,27 +342,15 @@ def run_protocol(
         t2 = time.perf_counter()
         predictions = predict_model(model, test)
         t3 = time.perf_counter()
-        results.append(
-            TrialResult(
-                index=t,
-                seed=trial_seed,
-                metrics=_protocol_metrics(test.targets, predictions),
-                chosen=search.best,
-                timings={"grid_search": t1 - t0, "fit": t2 - t1, "predict": t3 - t2},
-            )
-        )
+        timings = {"grid_search": t1 - t0, "fit": t2 - t1, "predict": t3 - t2}
+        metrics = _protocol_metrics(test.targets, predictions)
+        results.append(TrialResult(t, trial_seed, metrics, search.best, timings))
         logger.info(
             "%s trial %d: rmse=%.6g r2=%.6g chosen=%r grid_search=%.3fs fit=%.3fs predict=%.3fs",
             kind, t, results[-1].metrics.rmse, results[-1].metrics.r2, search.best,
             t1 - t0, t2 - t1, t3 - t2,
         )
-    return EvalReport(
-        kind=kind,
-        test_fraction=float(test_fraction),
-        n_folds=int(k),
-        base_seed=int(seed),
-        trials=tuple(results),
-    )
+    return EvalReport(kind, float(test_fraction), int(k), int(seed), tuple(results))
 
 
 def _json_float(value: float):
@@ -428,25 +368,24 @@ def report_to_dict(report: EvalReport) -> dict:
         "n_folds": report.n_folds,
         "seed": report.base_seed,
         "trials": [
-            {
-                "trial": t.index,
-                "seed": t.seed,
-                "me": _json_float(t.metrics.me),
-                "rmse": _json_float(t.metrics.rmse),
-                "r2": _json_float(t.metrics.r2),
-                "chosen": t.chosen,
-            }
+            {"trial": t.index, "seed": t.seed, "chosen": t.chosen,
+             **{name: _json_float(getattr(t.metrics, name)) for name in _COLUMNS}}
             for t in report.trials
         ],
         "aggregate": {
-            "me_mean": _json_float(agg["me"][0]),
-            "me_std": _json_float(agg["me"][1]),
-            "rmse_mean": _json_float(agg["rmse"][0]),
-            "rmse_std": _json_float(agg["rmse"][1]),
-            "r2_mean": _json_float(agg["r2"][0]),
-            "r2_std": _json_float(agg["r2"][1]),
+            f"{name}_{stat}": _json_float(value)
+            for name, pair in agg.items() for stat, value in zip(("mean", "std"), pair)
         },
     }
+
+
+# Each metric's scale in the comparison tables, as their headers say.
+_COLUMNS = {"me": 1000, "rmse": 100, "r2": 1}
+
+
+def _scaled(report: EvalReport) -> list[tuple[float, float]]:
+    """Mean and standard deviation of each metric, scaled for the tables."""
+    return [(mean * _COLUMNS[n], std * _COLUMNS[n]) for n, (mean, std) in report.aggregates().items()]
 
 
 def _fmt(value: float) -> str:
@@ -459,17 +398,7 @@ def render_table(reports: Sequence[EvalReport]) -> str:
     ME is scaled by 1000 and RMSE by 100, as the column headers say.
     """
     header = ["Model", "ME x1000", "RMSE x100", "R2"]
-    rows = [header]
-    for report in reports:
-        agg = report.aggregates()
-        rows.append(
-            [
-                report.kind,
-                f"{_fmt(agg['me'][0] * 1000)} ± {_fmt(agg['me'][1] * 1000)}",
-                f"{_fmt(agg['rmse'][0] * 100)} ± {_fmt(agg['rmse'][1] * 100)}",
-                f"{_fmt(agg['r2'][0])} ± {_fmt(agg['r2'][1])}",
-            ]
-        )
+    rows = [header] + [[r.kind] + [f"{_fmt(m)} ± {_fmt(s)}" for m, s in _scaled(r)] for r in reports]
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     lines = []
     for i, row in enumerate(rows):
@@ -482,22 +411,5 @@ def render_table(reports: Sequence[EvalReport]) -> str:
 def reports_to_csv(reports: Sequence[EvalReport]) -> str:
     """Machine-readable comparison table; values carry full float precision."""
     lines = ["model,me_x1000_mean,me_x1000_std,rmse_x100_mean,rmse_x100_std,r2_mean,r2_std"]
-    for report in reports:
-        agg = report.aggregates()
-        lines.append(
-            ",".join(
-                [report.kind]
-                + [
-                    repr(v)
-                    for v in (
-                        agg["me"][0] * 1000,
-                        agg["me"][1] * 1000,
-                        agg["rmse"][0] * 100,
-                        agg["rmse"][1] * 100,
-                        agg["r2"][0],
-                        agg["r2"][1],
-                    )
-                ]
-            )
-        )
+    lines += [",".join([r.kind] + [repr(v) for pair in _scaled(r) for v in pair]) for r in reports]
     return "\n".join(lines) + "\n"

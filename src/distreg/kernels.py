@@ -61,6 +61,8 @@ class RbfParams:
         sigma = float(self.sigma)
         if not (np.isfinite(sigma) and sigma > 0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if not 2.0 * sigma * sigma > 1.0 / np.finfo(float).max:
+            raise ValueError(f"sigma {sigma!r} is too small: 1 / (2 sigma^2) overflows")
         object.__setattr__(self, "sigma", sigma)
 
     @property

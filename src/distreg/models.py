@@ -1,8 +1,8 @@
 """Ridge regressors over bags and their persistence.
 
 Every model kind is a bag transform (``_transform``), a representation and a
-ridge solve; the spec table ``_SPECS`` declares each base kind's
-hyperparameters, saved fields and representation once:
+ridge solve; the spec table ``_SPECS`` declares each base kind's saved fields
+and representation once, and the axis table ``_AXES`` each hyperparameter:
 
 lr / kr        singleton bags holding each bag's instance mean; ``lr`` is
                ridge on the centred means (explicit features), ``kr`` RBF
@@ -19,14 +19,12 @@ stacked-*      multisource baseline: ``stack_multisource`` concatenates the
 A representation (``_Representation``) holds the lambda-independent part of
 one fit: the training Gram K (dual ridge) or feature matrix Z (primal ridge on
 Z'Z, or the identical dual route on ZZ' when features outnumber bags). Each
-spec's ``matrices`` hook takes a batch of model states fitted on the same
-training sources and builds, for each state, its representation and the test
-matrix its coefficients multiply (the cross Gram against the training bags,
-or the test bags' features). ``fit_model`` calls it with one state,
-``predict_model`` with one saved model and ``evaluate.grid_search_cv`` once
-per fold with every grid point, so the batch shares work between sigmas: one
-distance pass per tile for the Gram kinds, one cos/sin pass per ratio-2 sigma
-chain for ``rdr``.
+spec's ``matrices`` hook builds, for a batch of model states fitted on the
+same training sources, each state's representation and the test matrix its
+coefficients multiply. ``fit_model`` and ``predict_model`` call it with one
+state, ``evaluate.grid_search_cv`` once per fold with every grid point, so
+the batch shares work between sigmas: one distance pass per tile for the
+Gram kinds, one cos/sin pass per ratio-2 sigma chain for ``rdr``.
 
 All fits center the targets and add the mean back at prediction time, so the
 dual/primal algebra is unchanged but predictions are unbiased under target
@@ -40,6 +38,8 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -103,13 +103,6 @@ class IllConditionedError(RuntimeError):
     """A ridge system stayed non-factorizable after the maximum diagonal jitter."""
 
 
-def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be positive and finite, got {lam!r}")
-    return lam
-
-
 def _solve_spd(matrix: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     """Solve (matrix + lam*I) x = rhs by Cholesky, with escalating jitter.
 
@@ -165,7 +158,7 @@ def solve_ridge_dual(gram: BagGram | np.ndarray, y: np.ndarray, lam: float) -> R
     No centering happens here; callers that want an intercept center ``y``
     themselves and record the offset.
     """
-    lam = _check_lambda(lam)
+    lam = _AXES["lam"].check("lam", lam)
     k = gram.values if isinstance(gram, BagGram) else np.asarray(gram, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -226,7 +219,6 @@ class _Representation:
             self.normal, self.rhs = matrix, yc
 
     def solve(self, lam: float) -> RidgeSolution:
-        lam = _check_lambda(lam)
         coef = _solve_spd(self.normal, self.rhs, max(lam, self.lam_floor))
         if self.back is not None:
             coef = self.back @ coef
@@ -327,20 +319,10 @@ def _fourier_features(states, train, test):
     return out
 
 
-def _mdr_state(train: tuple[BagDataset, ...], point: dict) -> dict:
-    params = tuple(RbfParams(s) for s in point["sigmas"])
-    if len(params) != len(train):
-        raise ValueError(
-            f"need one RbfParams per source: got {len(params)} for {len(train)} sources"
-        )
-    return {"train_multisource": MultiSourceDataset(train), "kernel_params": params}
-
-
 @dataclass(frozen=True)
 class _Spec:
-    """One base kind: its hyperparameters, saved fields and matrices."""
+    """One base kind: its saved fields and matrices."""
 
-    axes: tuple[str, ...]  # hyperparameters besides lam
     fields: tuple[str, ...]  # FittedModel fields it predicts with; the first indexes the coefficients
     n_coef: Callable[[FittedModel], int]  # coefficient count the first field implies
     state: Callable[[tuple, dict], dict]  # (transformed training sources, point) -> field values
@@ -350,7 +332,6 @@ class _Spec:
 
 _SPECS = {
     "lr": _Spec(
-        axes=(),
         fields=("feature_means",),
         n_coef=lambda m: m.feature_means.shape[0],
         state=lambda train, p: {"feature_means": pooled_instances(train[0]).mean(axis=0)},
@@ -358,7 +339,6 @@ _SPECS = {
         matrices=_each(_centred_means, _centred_means, explicit=True, lam_floor=_LR_LAMBDA_FLOOR),
     ),
     "kr": _Spec(
-        axes=("sigma",),
         fields=("train_means", "kernel_params"),
         n_coef=lambda m: m.train_means.shape[0],
         state=lambda train, p: {
@@ -375,7 +355,6 @@ _SPECS = {
         ),
     ),
     "kdr": _Spec(
-        axes=("sigma",),
         fields=("train_bag_data", "kernel_params"),
         n_coef=lambda m: m.train_bag_data.n_bags,
         state=lambda train, p: {"train_bag_data": train[0], "kernel_params": (RbfParams(p["sigma"]),)},
@@ -383,29 +362,25 @@ _SPECS = {
         matrices=_summed_grams(lambda m: (m.train_bag_data,)),
     ),
     "rdr": _Spec(
-        axes=("sigma", "n_features", "rff_seed"),
         fields=("basis",),
         n_coef=lambda m: m.basis.feature_dim,
         state=lambda train, p: {
-            "basis": sample_basis(
-                train[0].dim, int(p["n_features"]), float(p["sigma"]), int(p["rff_seed"])
-            )
+            "basis": sample_basis(train[0].dim, p["n_features"], p["sigma"], p["rff_seed"])
         },
         dims=lambda m: (m.basis.dim,),
         matrices=_fourier_features,
     ),
     "mdr": _Spec(
-        axes=("sigmas",),
         fields=("train_multisource", "kernel_params"),
         n_coef=lambda m: m.train_multisource.n_bags,
-        state=_mdr_state,
+        state=lambda train, p: {
+            "train_multisource": MultiSourceDataset(train),
+            "kernel_params": tuple(RbfParams(s) for s in p["sigmas"]),
+        },
         dims=lambda m: m.train_multisource.dims,
         matrices=_summed_grams(lambda m: m.train_multisource.sources),
     ),
 }
-
-# Defaults of optional hyperparameters.
-_AXIS_DEFAULTS = {"rff_seed": 0}
 
 
 def _base(kind: str) -> str:
@@ -418,8 +393,128 @@ def _spec(kind: str) -> _Spec:
     return _SPECS[_base(kind)]
 
 
-# Hyperparameters of each kind besides lam.
-HYPER_AXES = {kind: _spec(kind).axes for kind in MODEL_KINDS}
+# ---------------------------------------------------------------------------
+# Hyperparameters: ``_AXES`` declares each once. Fit and CV check every point
+# against it (``_check_point``); ``default_sigmas``, ``evaluate.default_grid``
+# and the CLI read their defaults, grid keys and ``distreg fit`` flags from it.
+
+
+def _integer(value, low: int, name: str) -> int:
+    """``value`` as an int if it is an integer (numpy ones too, bools not) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer ≥ {low}, got {value!r}")
+    return int(value)
+
+
+def _positive(value, name: str, noun: str) -> float:
+    """``value`` as a float if it is a finite real > 0 (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a finite real > 0, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not 0 < number < math.inf:
+        raise ValueError(f"{noun} must be positive and finite, got {value!r}")
+    return number
+
+
+_LISTS = (list, tuple, np.ndarray)
+_DOMAINS = {
+    "real": "a finite real > 0",
+    "reals": "a list of finite reals > 0, one per source",
+    "count": "an integer ≥ 1",
+    "index": "an integer ≥ 0",
+}
+
+
+@dataclass(frozen=True)
+class _Axis:
+    """One hyperparameter (see ``_AXES``)."""
+
+    kinds: tuple[str, ...]  # base kinds that have it
+    domain: str  # a key of _DOMAINS
+    flag: str  # its ``distreg fit`` flag
+    default: float | int | None  # the flag's default; None: the median heuristic on the data
+    grid_key: str | None  # its ``default_grid`` and config grid key; None: the grid holds the seed
+    grid: tuple = ()  # default grid values; scales of the median when ``default`` is None
+    prefer: int = 0  # on equal CV RMSE, +1 prefers the larger value (or sum), -1 the smaller
+    optional: bool = False  # a point may omit it and then holds ``default``
+    noun: str = ""  # what the error calls a real outside (0, inf)
+
+    def check(self, key: str, value, n_sources: int = 1):
+        """``value`` as a float, a tuple of ``n_sources`` floats or an int;
+        ValueError naming ``key`` if it is outside the domain."""
+        name = f"hyperparameter {key!r}"
+        if self.domain == "real":
+            return self._real(value, name)
+        if self.domain != "reals":
+            return _integer(value, 1 if self.domain == "count" else 0, name)
+        if not isinstance(value, _LISTS):
+            raise ValueError(f"{name} must be {_DOMAINS['reals']}, got {value!r}")
+        values = tuple(self._real(v, f"each value of {name}") for v in value)
+        if len(values) != n_sources:
+            raise ValueError(f"{name} needs one RbfParams per source: got {len(values)} for {n_sources} sources")
+        return values
+
+    def _real(self, value, name: str) -> float:
+        number = _positive(value, name, self.noun)
+        # a sigma must also pass ``RbfParams``, which rejects one too small to square
+        return RbfParams(number).sigma if self.noun == "sigma" else number
+
+
+_SCALES = tuple(float(v) for v in 2.0 ** np.arange(-3, 4))
+# lam: every kind; sigma(s): RBF length-scale(s), one per source for mdr;
+# n_features and rff_seed: the random Fourier basis of rdr
+_AXES = {
+    "lam": _Axis(tuple(_SPECS), "real", "--lam", 1e-3, "lams", tuple(float(v) for v in np.logspace(-6, 2, 9)),
+                 prefer=1, noun="lambda"),
+    "sigma": _Axis(("kr", "kdr", "rdr"), "real", "--sigma", None, "sigma_scales", _SCALES, prefer=1, noun="sigma"),
+    "sigmas": _Axis(("mdr",), "reals", "--sigmas", None, "sigma_scales", _SCALES, prefer=1, noun="sigma"),
+    "n_features": _Axis(("rdr",), "count", "--n-features", 512, "n_features", (128, 512, 2048), prefer=-1),
+    "rff_seed": _Axis(("rdr",), "index", "--seed", 0, None, optional=True),
+}
+
+
+def _axes(kind: str) -> tuple[str, ...]:
+    """The hyperparameters of ``kind`` in table order, ``lam`` first."""
+    _spec(kind)  # rejects unknown kinds
+    return tuple(key for key, axis in _AXES.items() if _base(kind) in axis.kinds)
+
+
+# Hyperparameters of each kind besides lam (the first axis of every kind).
+HYPER_AXES = {kind: _axes(kind)[1:] for kind in MODEL_KINDS}
+
+
+def _grid_values(key: str, values) -> list:
+    """The values of the grid key ``key``, each checked against the first
+    axis with that key and converted."""
+    axes = [(k, a) for k, a in _AXES.items() if a.grid_key == key]
+    if not axes:
+        allowed = sorted({a.grid_key for a in _AXES.values() if a.grid_key})
+        raise ValueError(f"unknown grid key {key!r} (allowed: {allowed})")
+    (name, axis), *_ = axes
+    if not isinstance(values, _LISTS) or len(values) == 0:
+        raise ValueError(f"grid key {key!r} must be a non-empty list, got {values!r}")
+    try:
+        return [axis.check(name, v) for v in values]
+    except ValueError as exc:
+        raise ValueError(f"grid key {key!r}: {exc}") from None
+
+
+def _check_point(kind: str, hyper: dict, data) -> dict:
+    """The hyperparameters of ``kind`` at the point ``hyper`` on ``data``,
+    checked and converted, an omitted optional one at its default; ``hyper``
+    is left as given. ValueError names a missing, unknown or invalid key."""
+    keys = _axes(kind)
+    for key in keys:
+        if key not in hyper and not _AXES[key].optional:
+            raise ValueError(f"model kind {kind!r} needs hyperparameter {key!r}")
+    for key in hyper:
+        if key not in keys:
+            raise ValueError(f"model kind {kind!r} has no hyperparameter {key!r}")
+    n_sources = data.n_sources if isinstance(data, MultiSourceDataset) else 1
+    return {k: _AXES[k].check(k, hyper[k], n_sources) if k in hyper else _AXES[k].default for k in keys}
 
 
 def _bag_means(data: BagDataset) -> np.ndarray:
@@ -499,15 +594,10 @@ def _transform(kind: str, data) -> tuple[BagDataset, ...]:
     return sources
 
 
-def _state(kind: str, train: tuple[BagDataset, ...], hyper: dict) -> FittedModel:
-    """The model fields ``kind`` fixes on transformed training sources at the
-    point ``hyper`` (solution still None)."""
-    spec = _spec(kind)
-    point = {**_AXIS_DEFAULTS, **hyper}
-    for axis in ("lam",) + spec.axes:
-        if axis not in point:
-            raise ValueError(f"model kind {kind!r} needs hyperparameter {axis!r}")
-    return FittedModel(kind, None, **spec.state(train, point))
+def _state(kind: str, train: tuple[BagDataset, ...], point: dict) -> FittedModel:
+    """The model fields ``kind`` fixes on transformed training sources at a
+    point checked by ``_check_point`` (solution still None)."""
+    return FittedModel(kind, None, **_spec(kind).state(train, point))
 
 
 def default_sigmas(kind: str, data) -> dict:
@@ -519,23 +609,24 @@ def default_sigmas(kind: str, data) -> dict:
     transform receives, which are stacked for ``stacked-*``: ``kr`` uses the
     instances themselves, ``stacked-kr`` the stacked bag means.
     """
-    axes = [a for a in _spec(kind).axes if a.startswith("sigma")]
+    axes = [a for a in _axes(kind) if _AXES[a].default is None]
     if not axes:
         return {}
     meds = [median_heuristic_bags(src) for src in _stack(kind, _normalize(data)[0])]
-    return {a: meds if a == "sigmas" else meds[0] for a in axes}
+    return {a: meds if _AXES[a].domain == "reals" else meds[0] for a in axes}
 
 
 def _fit(kind: str, data, hyper: dict) -> FittedModel:
     """Fit ``kind`` on already-normalized data; ``fit_model`` calls this
     after normalizing."""
     train = _transform(kind, data)
-    state = _state(kind, train, hyper)
+    point = _check_point(kind, hyper, data)
+    state = _state(kind, train, point)
     [(rep, _)] = _spec(kind).matrices([state], train, None)
     stacked = _base(kind) != kind
     return replace(
         state,
-        solution=rep.solve(hyper["lam"]),
+        solution=rep.solve(point["lam"]),
         source_dims=tuple(data.dims) if stacked else None,
     )
 
@@ -563,6 +654,8 @@ def fit_model(kind: str, data: BagDataset | MultiSourceDataset, hyper: dict) -> 
     transform to new bags. Hyperparameters (``HYPER_AXES``): ``lam`` always;
     ``sigma`` for kr/kdr/rdr and the stacked variants; ``sigmas`` (one per
     source) for mdr; ``n_features`` and optional ``rff_seed`` for rdr variants.
+    ``hyper`` is checked against the axis table once, before any work: a
+    missing, unknown or out-of-domain key raises ValueError naming it.
     """
     normalized, norms = _normalize(data)
     return replace(_fit(kind, normalized, hyper), normalizers=norms)
@@ -627,10 +720,7 @@ _CODECS = {
         lambda v: [{"mean": _enc_array(n.mean), "scale": _enc_array(n.scale)} for n in v],
         lambda v: tuple(Normalizer(_dec_array(n["mean"]), _dec_array(n["scale"])) for n in v),
     ),
-    "kernel_params": (
-        lambda v: [p.sigma for p in v],
-        lambda v: tuple(RbfParams(s) for s in v),
-    ),
+    "kernel_params": (lambda v: [p.sigma for p in v], lambda v: tuple(RbfParams(s) for s in v)),
     "basis": (
         lambda b: {"dim": b.dim, "n_components": b.n_components, "sigma": b.sigma, "seed": b.seed},
         lambda v: sample_basis(int(v["dim"]), int(v["n_components"]), float(v["sigma"]), int(v["seed"])),

@@ -73,6 +73,23 @@ class TestSynth:
                 sample = np.loadtxt(out / f"gallery_{scenario}_{side}.csv", delimiter=",", ndmin=2)
                 assert sample.shape == (40, 1)
 
+    @pytest.mark.parametrize(
+        "kind,flags,message",
+        [
+            ("variance-task", ["--bags", "0"], "--bags must be an integer ≥ 1, got 0"),
+            ("variance-task", ["--bag-size", "0"], "--bag-size must be an integer ≥ 1, got 0"),
+            ("variance-task", ["--dim", "-1"], "--dim must be an integer ≥ 1, got -1"),
+            ("two-sample-gallery", ["--samples", "0"], "--samples must be an integer ≥ 1, got 0"),
+            ("mean-task", ["--noise", "-1"], "--noise must be a finite real ≥ 0, got -1.0"),
+            ("mean-task", ["--seed", "-2"], "--seed must be an integer ≥ 0, got -2"),
+        ],
+        ids=["bags", "bag-size", "dim", "samples", "noise", "seed"],
+    )
+    def test_invalid_count_named(self, tmp_path, capsys, kind, flags, message):
+        assert run_cli("synth", "--kind", kind, "--out", tmp_path / "out", *flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("out/*"))
+
 
 class TestRun:
     def test_four_model_comparison(self, run_config, capsys):
@@ -171,9 +188,14 @@ class TestRun:
             ("grid", {"lams": 5}),
             ("grid", {"sigma_scales": ["1.0"]}),
             ("grid", {"n_features": [32, False]}),
+            ("grid", {"n_features": [1.5]}),
+            ("grid", {"lams": [1e-3, -1.0]}),
+            ("grid", {"sigma_scales": []}),
+            ("models", []),
         ],
         ids=["trials", "folds", "seed", "test_fraction", "targets", "out", "instances", "models",
-             "grid-lams", "grid-sigma_scales", "grid-n_features"],
+             "grid-lams", "grid-sigma_scales", "grid-n_features", "grid-n_features-fraction",
+             "grid-lams-negative", "grid-sigma_scales-empty", "models-empty"],
     )
     def test_wrong_config_type_named(self, run_config, capsys, key, value):
         config, _ = run_config
@@ -187,6 +209,20 @@ class TestRun:
         assert str(config) in err and repr(named) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--test-fraction", "1e308"], "error: test_fraction must be in (0, 1), got 1e+308"),
+            (["--test-fraction", "nan"], "error: test_fraction must be in (0, 1), got nan"),
+            (["--seed", "-1"], "error: seed must be an integer ≥ 0, got -1"),
+        ],
+        ids=["huge-test-fraction", "nan-test-fraction", "negative-seed"],
+    )
+    def test_out_of_domain_option_named(self, run_config, capsys, flags, message):
+        config, _ = run_config
+        assert run_cli("run", "--config", config, *flags) == 1
+        assert capsys.readouterr().err == message + "\n"
+
     def test_lone_model_string_accepted(self, run_config):
         config, out_dir = run_config
         raw = json.loads(config.read_text(encoding="utf-8"))
@@ -197,6 +233,12 @@ class TestRun:
 
 
 class TestMmd:
+    def test_negative_seed_named(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        np.savetxt(path, np.zeros((5, 1)), delimiter=",")
+        assert run_cli("mmd", path, path, "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: --seed must be an integer ≥ 0, got -1\n"
+
     def test_identical_samples(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         sample = rng.standard_normal((60, 2))
@@ -273,6 +315,57 @@ class TestFitPredict:
         ids = [r.split(",")[0] for r in rows[1:]]
         assert tuple(ids) == data.bag_ids
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kind,flags,message",
+        [
+            ("mdr", ["--sigmas=1,"], "--sigmas: hyperparameter 'sigmas' must be a list of finite "
+             "reals > 0, one per source, got '1,'"),
+            ("mdr", ["--sigmas=1,,2"], "--sigmas: hyperparameter 'sigmas' must be a list of finite "
+             "reals > 0, one per source, got '1,,2'"),
+            ("mdr", ["--sigmas=a"], "--sigmas: hyperparameter 'sigmas' must be a list of finite "
+             "reals > 0, one per source, got 'a'"),
+            ("mdr", ["--sigmas=1"],
+             "--sigmas: hyperparameter 'sigmas' needs one RbfParams per source: got 1 for 2 sources"),
+            ("mdr", ["--sigmas=1,-2"], "--sigmas: sigma must be positive and finite, got -2.0"),
+            ("kdr", ["--sigma=1e-200"], "--sigma: sigma 1e-200 is too small: 1 / (2 sigma^2) overflows"),
+            ("kdr", ["--lam=0"], "--lam: lambda must be positive and finite, got 0.0"),
+            ("kdr", ["--lam=x"], "--lam: hyperparameter 'lam' must be a finite real > 0, got 'x'"),
+            ("rdr", ["--n-features=1.5"],
+             "--n-features: hyperparameter 'n_features' must be an integer ≥ 1, got '1.5'"),
+            ("rdr", ["--seed=-1"], "--seed: hyperparameter 'rff_seed' must be an integer ≥ 0, got -1"),
+        ],
+        ids=["sigmas-trailing-comma", "sigmas-empty-field", "sigmas-word", "sigmas-count",
+             "sigmas-negative", "sigma-underflowing", "lam-zero", "lam-word",
+             "n-features-fraction", "seed-negative"],
+    )
+    def test_invalid_hyperparameter_flag_named(self, tmp_path, capsys, kind, flags, message):
+        out = tmp_path / "ms"
+        run_cli("synth", "--kind", "multisource-task", "--out", out, "--bags", "8")
+        sources = [out / "source1_instances.csv", out / "source2_instances.csv"]
+        sources = sources if kind == "mdr" else sources[:1]
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--model", kind, *[a for src in sources for a in ("--instances", src)],
+                       "--targets", out / "targets.csv", "--out", model_path, *flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize(
+        "kind,flag", [("mdr", "--sigma"), ("kdr", "--sigmas"), ("lr", "--n-features"), ("kdr", "--seed")]
+    )
+    def test_flag_of_other_kind_warns(self, tmp_path, caplog, kind, flag):
+        out = tmp_path / "ms"
+        run_cli("synth", "--kind", "multisource-task", "--out", out, "--bags", "8")
+        sources = [out / "source1_instances.csv", out / "source2_instances.csv"]
+        sources = sources if kind == "mdr" else sources[:1]
+        value = {"--sigma": "0.5", "--sigmas": "0.5,0.7", "--n-features": "8", "--seed": "3"}[flag]
+        fit = ["fit", "--model", kind, *[a for src in sources for a in ("--instances", src)],
+               "--targets", out / "targets.csv"]
+        assert run_cli(*fit, "--out", tmp_path / "with.json", flag, value) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"{flag} is not a hyperparameter of model kind {kind!r}; ignored"]
+        assert run_cli(*fit, "--out", tmp_path / "without.json") == 0
+        assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
 
     def test_predict_twice_identical_bytes(self, tmp_path, variance_files):
         inst, tgt = variance_files

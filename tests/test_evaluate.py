@@ -9,6 +9,7 @@ import pytest
 
 import distreg.evaluate as evaluate
 from distreg import (
+    MultiSourceDataset,
     apply_normalizer,
     compute_metrics,
     default_grid,
@@ -156,17 +157,67 @@ class TestGridSearch:
              "fold 0: model kind 'rdr' needs hyperparameter 'n_features'"),
             ("rdr", {"lam": 1e-3, "sigma": 1.0, "n_features": 16}, {"lam": 1e-3, "n_features": 16},
              "fold 0: model kind 'rdr' needs hyperparameter 'sigma'"),
+            # the point shares its group with a good one
+            ("kdr", {"lam": 1e-3, "sigma": 1.0}, {"sigma": 1.0},
+             "fold 0: model kind 'kdr' needs hyperparameter 'lam'"),
+            ("mdr", {"lam": 1e-3, "sigmas": [1.0, 1.0]}, {"lam": 1e-3, "sigmas": 1.0},
+             "fold 0: hyperparameter 'sigmas' must be a list of finite reals > 0, one per source, "
+             "got 1.0"),
+            ("mdr", {"lam": 1e-3, "sigmas": [1.0, 1.0]}, {"lam": 1e-3, "sigmas": [1.0]},
+             "fold 0: hyperparameter 'sigmas' needs one RbfParams per source: got 1 for 2 sources"),
+            ("kdr", {"lam": 1e-3, "sigma": 1.0}, {"lam": 1e-3, "sigma": [1.0]},
+             "fold 0: hyperparameter 'sigma' must be a finite real > 0, got [1.0]"),
+            ("rdr", {"lam": 1e-3, "sigma": 1.0, "n_features": 16},
+             {"lam": 1e-3, "sigma": 1.0, "n_features": 1.5},
+             "fold 0: hyperparameter 'n_features' must be an integer ≥ 1, got 1.5"),
+            ("rdr", {"lam": 1e-3, "sigma": 1.0, "n_features": 16},
+             {"lam": 1e-3, "sigma": 1.0, "n_features": 16, "rff_seed": -1},
+             "fold 0: hyperparameter 'rff_seed' must be an integer ≥ 0, got -1"),
+            ("kdr", {"lam": 1e-3, "sigma": 1.0}, {"lam": "1e-3", "sigma": 1.0},
+             "fold 0: hyperparameter 'lam' must be a finite real > 0, got '1e-3'"),
+            ("kdr", {"lam": 1e-3, "sigma": 1.0}, {"lam": True, "sigma": 1.0},
+             "fold 0: hyperparameter 'lam' must be a finite real > 0, got True"),
+            ("kdr", {"lam": 1e-3, "sigma": 1.0}, {"lam": 1e-3, "sigma": 1.0, "n_features": 16},
+             "fold 0: model kind 'kdr' has no hyperparameter 'n_features'"),
+            ("kdr", {"lam": 1e-3, "sigma": 1.0}, {"lam": 1e-3, "sigma": 1e-200},
+             "fold 0: sigma 1e-200 is too small: 1 / (2 sigma^2) overflows"),
         ],
-        ids=["kdr-invalid-sigma", "rdr-no-n_features", "rdr-no-sigma"],
+        ids=["kdr-invalid-sigma", "rdr-no-n_features", "rdr-no-sigma", "kdr-no-lam-in-group",
+             "mdr-scalar-sigmas", "mdr-sigmas-count", "kdr-list-sigma", "rdr-fractional-n_features",
+             "rdr-negative-rff_seed", "kdr-string-lam", "kdr-bool-lam", "kdr-unknown-key",
+             "kdr-underflowing-sigma"],
     )
     def test_failing_point_excluded_with_reason(self, kind, good, bad, error):
         rng = np.random.default_rng(6)
         data = random_dataset(rng, 10)
+        if kind == "mdr":
+            data = MultiSourceDataset((data, data))
         result = grid_search_cv(data, kind, [good, bad], k=2, seed=0)
         assert result.best == good
         assert result.table[0].fold_rmse is not None
         assert result.table[1].error == error
         assert result.table[1].fold_rmse is None
+
+    def test_every_point_checked_once_and_kept_as_given(self, monkeypatch):
+        calls = []
+        original = evaluate._check_point
+
+        def spy(kind, point, data):
+            calls.append(point)
+            return original(kind, point, data)
+
+        monkeypatch.setattr(evaluate, "_check_point", spy)
+        rng = np.random.default_rng(16)
+        data = random_dataset(rng, 12)
+        grid = [{"lam": 1, "sigma": 2}, {"lam": np.float64(1e-2), "sigma": 1.0}, {"lam": -1.0, "sigma": 1.0}]
+        given = [dict(p) for p in grid]
+        result = grid_search_cv(data, "kdr", grid, k=4, seed=0)
+        assert calls == given
+        assert grid == given
+        assert [cell.params for cell in result.table] == given
+        assert type(result.table[0].params["lam"]) is int
+        assert result.table[2].error == "fold 0: lambda must be positive and finite, got -1.0"
+        assert all(cell.fold_rmse is not None for cell in result.table[:2])
 
     def test_all_points_failing_raises(self):
         rng = np.random.default_rng(7)
@@ -381,6 +432,23 @@ class TestDefaultGrid:
         grid = default_grid("kdr", data, lams=[1e-3], sigma_scales=[1.0])
         assert len(grid) == 1
 
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ({"n_features": [1.5]},
+             "grid key 'n_features': hyperparameter 'n_features' must be an integer ≥ 1, got 1.5"),
+            ({"lams": [1e-3, 0.0]}, "grid key 'lams': lambda must be positive and finite, got 0.0"),
+            ({"sigma_scales": []}, "grid key 'sigma_scales' must be a non-empty list, got []"),
+            ({"seed": -1}, "hyperparameter 'rff_seed' must be an integer ≥ 0, got -1"),
+        ],
+        ids=["n_features-fraction", "lams-zero", "sigma_scales-empty", "negative-seed"],
+    )
+    def test_invalid_override_named(self, override, message):
+        data = make_variance_task(10, 5, 2, seed=14)
+        with pytest.raises(ValueError) as info:
+            default_grid("rdr", data, **override)
+        assert str(info.value) == message
+
 
 class TestRunProtocol:
     def test_single_trial_has_zero_std(self):
@@ -431,6 +499,21 @@ class TestRunProtocol:
             data, "lr", grid=[{"lam": 1e-3}], test_fraction=0.2, trials=3, k=2, seed=40
         )
         assert [t.seed for t in report.trials] == [40, 41, 42]
+
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            ({"test_fraction": 1e308}, "test_fraction must be in (0, 1), got 1e+308"),
+            ({"test_fraction": float("nan")}, "test_fraction must be in (0, 1), got nan"),
+            ({"seed": -1}, "seed must be an integer ≥ 0, got -1"),
+        ],
+        ids=["huge-test_fraction", "nan-test_fraction", "negative-seed"],
+    )
+    def test_invalid_option_named(self, option, message):
+        data = make_variance_task(12, 4, 2, seed=17)
+        with pytest.raises(ValueError) as info:
+            run_protocol(data, "lr", grid=[{"lam": 1e-3}], trials=1, k=2, **option)
+        assert str(info.value) == message
 
     def test_insufficient_bags(self):
         data = make_variance_task(6, 4, 2, seed=19)

@@ -547,6 +547,39 @@ class TestFitModelValidation:
         with pytest.raises(ValueError, match="needs hyperparameter 'sigma'"):
             fit_model("kdr", random_dataset(rng, 3), {"lam": 1e-3})
 
+    @pytest.mark.parametrize(
+        "kind,hyper,message",
+        [
+            ("kdr", {"lam": 1e-3, "sigma": 1.0, "n_features": 8},
+             "model kind 'kdr' has no hyperparameter 'n_features'"),
+            ("kdr", {"lam": 1e-3, "sigma": np.array([1.0])},
+             "hyperparameter 'sigma' must be a finite real > 0, got array([1.])"),
+            ("rdr", {"lam": 1e-3, "sigma": 1.0, "n_features": np.int64(0)},
+             "hyperparameter 'n_features' must be an integer ≥ 1, got np.int64(0)"),
+            ("rdr", {"lam": 1e-3, "sigma": 1.0, "n_features": 8, "rff_seed": 1.0},
+             "hyperparameter 'rff_seed' must be an integer ≥ 0, got 1.0"),
+        ],
+        ids=["unknown-key", "array-sigma", "zero-n_features", "float-rff_seed"],
+    )
+    def test_invalid_hyper_named(self, kind, hyper, message):
+        rng = np.random.default_rng(37)
+        given = dict(hyper)
+        with pytest.raises(ValueError) as info:
+            fit_model(kind, random_dataset(rng, 4), hyper)
+        assert str(info.value) == message
+        assert hyper.keys() == given.keys()
+
+    def test_numpy_hyperparameters_accepted(self):
+        rng = np.random.default_rng(38)
+        data = random_dataset(rng, 5)
+        want = fit_model("rdr", data, {"lam": 1e-3, "sigma": 1.0, "n_features": 8, "rff_seed": 2})
+        got = fit_model(
+            "rdr", data,
+            {"lam": np.float64(1e-3), "sigma": np.float32(1.0), "n_features": np.int64(8), "rff_seed": np.uint8(2)},
+        )
+        assert np.array_equal(got.solution.coefficients, want.solution.coefficients)
+        assert got.basis.seed == 2 and type(got.basis.seed) is int
+
     def test_stacked_needs_basis_dimension(self):
         ms = make_multisource_task(6, seed=36)
         with pytest.raises(ValueError, match="stacked-rdr' needs hyperparameter 'sigma'"):
