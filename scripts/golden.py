@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python scripts/golden.py OUT
 
-writes 70 files under OUT and prints one ``sha256  path`` line per file,
+writes 71 files under OUT and prints one ``sha256  path`` line per file,
 with paths relative to OUT, sorted. A refactor that must not change any
 output shows the same lines before and after:
 
@@ -18,7 +18,10 @@ The set:
 - ``distreg fit`` -> ``distreg predict`` (model file and predictions) for
   all nine kinds, with default and with explicit hyperparameters;
 - ``distreg mmd`` stdout for the four two-sample gallery scenarios (300
-  samples each side), with the median-heuristic sigma and with ``--sigma``.
+  samples each side), with the median-heuristic sigma and with ``--sigma``,
+  and for scenario ``c`` at 700 samples each side with 1100 permutations,
+  so that the pooled rows and the permutations both exceed one tile
+  (``distreg.kernels.TILE``).
 """
 
 from __future__ import annotations
@@ -106,6 +109,15 @@ def write_golden(out: Path) -> list[Path]:
                 encoding="utf-8",
             )
             files.append(path)
+    large = out / "data" / "gallery-large"
+    _cli("synth", "--kind", "two-sample-gallery", "--out", large, "--samples", 700, "--seed", 8)
+    path = out / "mmd" / "c-above-tile.txt"
+    path.write_text(
+        _cli("mmd", large / "gallery_c_x.csv", large / "gallery_c_y.csv",
+             "--permutations", 1100, "--seed", 2),
+        encoding="utf-8",
+    )
+    files.append(path)
     return files
 
 

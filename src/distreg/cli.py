@@ -236,6 +236,13 @@ def _load_sample(path: str) -> np.ndarray:
 
 def cmd_mmd(args: argparse.Namespace) -> int:
     _integer(args.seed, 0, "--seed")
+    _integer(args.permutations, 1, "--permutations")
+    params = None
+    if args.sigma is not None:
+        try:
+            params = RbfParams(args.sigma)
+        except ValueError as exc:
+            raise ValueError(f"--sigma: {exc}") from None
     x = _load_sample(args.sample_x)
     y = _load_sample(args.sample_y)
     if x.shape[1] != y.shape[1]:
@@ -243,11 +250,12 @@ def cmd_mmd(args: argparse.Namespace) -> int:
             f"feature dimension mismatch: {args.sample_x} has d={x.shape[1]}, "
             f"{args.sample_y} has d={y.shape[1]}"
         )
-    sigma = args.sigma if args.sigma is not None else median_heuristic(np.vstack([x, y]))
+    if params is None:
+        params = RbfParams(median_heuristic(np.vstack([x, y])))
     result = mmd_permutation_test(
-        x, y, RbfParams(sigma), n_permutations=args.permutations, seed=args.seed
+        x, y, params, n_permutations=args.permutations, seed=args.seed
     )
-    print(f"sigma: {sigma!r}")
+    print(f"sigma: {params.sigma!r}")
     print(f"mmd2: {result.statistic!r}")
     print(f"null_q95: {result.null_q95!r}")
     print(f"null_q99: {result.null_q99!r}")

@@ -16,7 +16,10 @@ budget. Each tile's squared distances are computed once and serve every
 sigma asked for in the same call (the private ``_bag_grams`` and
 ``_cross_bag_grams``, which cross-validation uses to get all sigmas of a fold
 in one pass); only the scaling, ``exp`` and per-bag sums run per sigma.
-``bag_gram`` and ``cross_bag_gram`` are their one-sigma case. Entry sums rely
+``bag_gram`` and ``cross_bag_gram`` are their one-sigma case. The MMD
+permutation test never holds the pooled (n+m) x (n+m) kernel matrix either:
+it builds it one block of TILE rows at a time, once per batch of up to TILE
+permutations, so its memory is O(TILE (n+m)). Entry sums rely
 on numpy's pairwise summation, which keeps the double-sum accurate enough for
 1e-12 comparisons against naive loops. All functions are pure and
 deterministic; a non-finite value in an input matrix or bag raises.
@@ -379,9 +382,12 @@ def mmd_permutation_test(
 ) -> MmdTestResult:
     """Two-sample test: compare the observed MMD^2 against a permutation null.
 
-    The pooled (n+m) x (n+m) kernel matrix is materialized once and each
-    permutation is evaluated with a single matrix-vector product, so memory is
-    O((n+m)^2) and time is O((n+m)^2 (d + P)). The p-value uses the standard
+    The pooled (n+m) x (n+m) kernel matrix is never held whole. The observed
+    split and the permutations are taken in batches of up to TILE; for each
+    batch, the pooled rows are swept in blocks of TILE rows, and each block of
+    the kernel matrix serves one matrix-vector product per split of the batch.
+    Memory is O(TILE (n+m)) whatever P is, and time is
+    O((n+m)^2 (d ceil((P+1) / TILE) + P)). The p-value uses the standard
     add-one convention (1 + #{null >= observed}) / (1 + P).
     """
     x = _check_matrix(sample_x, "sample_x")
@@ -391,30 +397,35 @@ def mmd_permutation_test(
         raise ValueError("need at least one permutation")
     n, m = x.shape[0], y.shape[0]
     pooled = np.concatenate([x, y], axis=0)
-    gram = cross_gram(pooled, pooled, params)
-    row_sums = gram.sum(axis=1)
-    total = float(row_sums.sum())
-
-    def statistic(mask_x: np.ndarray) -> float:
-        ax = mask_x.astype(float)
-        gx = gram @ ax
-        sxx = float(ax @ gx)
-        sxy = float(ax @ row_sums) - sxx
-        syy = total - sxx - 2.0 * sxy
-        value = sxx / (n * n) + syy / (m * m) - 2.0 * sxy / (n * m)
-        return 0.0 if -1e-12 <= value < 0.0 else value
-
-    observed_mask = np.zeros(n + m, dtype=bool)
-    observed_mask[:n] = True
-    observed = statistic(observed_mask)
-
     rng = np.random.default_rng(seed)
-    null = np.empty(n_permutations)
-    for i in range(n_permutations):
-        mask = np.zeros(n + m, dtype=bool)
-        mask[rng.permutation(n + m)[:n]] = True
-        null[i] = statistic(mask)
+    row_sums = np.empty(n + m)  # filled by the first batch's sweep
+    # split 0 is the observed one, split s > 0 the s-th permutation
+    stats = np.empty(n_permutations + 1)
+    for s0 in range(0, n_permutations + 1, TILE):
+        s1 = min(s0 + TILE, n_permutations + 1)
+        ax = np.zeros((s1 - s0, n + m))  # 0/1 membership in sample x, one row per split
+        for s in range(s0, s1):
+            ax[s - s0, rng.permutation(n + m)[:n] if s else slice(0, n)] = 1.0
+        gx = np.empty_like(ax)
+        for i0 in range(0, n + m, TILE):
+            i1 = min(i0 + TILE, n + m)
+            block = cross_gram(pooled[i0:i1], pooled, params)
+            if s0 == 0:
+                row_sums[i0:i1] = block.sum(axis=1)
+            # one product per split: a batched one rounds differently
+            for a, g in zip(ax, gx):
+                g[i0:i1] = block @ a
+            del block  # before the next block is allocated
+        total = float(row_sums.sum())
+        for s, (a, g) in enumerate(zip(ax, gx), start=s0):
+            sxx = float(a @ g)
+            sxy = float(a @ row_sums) - sxx
+            syy = total - sxx - 2.0 * sxy
+            value = sxx / (n * n) + syy / (m * m) - 2.0 * sxy / (n * m)
+            stats[s] = 0.0 if -1e-12 <= value < 0.0 else value
+        del ax, gx  # before the next batch is allocated
 
+    observed, null = float(stats[0]), stats[1:]
     p_value = (1.0 + float(np.sum(null >= observed))) / (1.0 + n_permutations)
     return MmdTestResult(
         statistic=observed,
@@ -432,18 +443,28 @@ def median_heuristic(
 
     The usual default length-scale for the RBF kernel. Falls back to 1.0 when
     the median is zero (all points identical) or undefined (a single point).
+    Memory is O(max_points^2): the k x k inner-product matrix of the k points
+    used, and the k (k-1) / 2 squared distances of its upper triangle, which
+    the median then partitions in place.
     """
     x = _check_matrix(instances, "instances")
     if x.shape[0] > max_points:
         idx = np.random.default_rng(seed).choice(x.shape[0], max_points, replace=False)
         x = x[np.sort(idx)]
-    if x.shape[0] < 2:
+    k = x.shape[0]
+    if k < 2:
         return 1.0
     sq = np.einsum("ij,ij->i", x, x)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    upper = d2[np.triu_indices(x.shape[0], k=1)]
-    med = float(np.sqrt(np.median(upper)))
+    gram = x @ x.T  # one symmetric product; row blocks of it would round differently
+    upper = np.empty(k * (k - 1) // 2)
+    start = 0
+    for i in range(k - 1):
+        stop = start + k - 1 - i
+        upper[start:stop] = sq[i] + sq[i + 1 :] - 2.0 * gram[i, i + 1 :]
+        start = stop
+    del gram
+    np.maximum(upper, 0.0, out=upper)
+    med = float(np.sqrt(np.median(upper, overwrite_input=True)))
     return med if med > 0 else 1.0
 
 

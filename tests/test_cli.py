@@ -239,6 +239,30 @@ class TestMmd:
         assert run_cli("mmd", path, path, "--seed", "-1") == 1
         assert capsys.readouterr().err == "error: --seed must be an integer ≥ 0, got -1\n"
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_permutations_named(self, tmp_path, capsys, value):
+        path = tmp_path / "x.csv"
+        np.savetxt(path, np.zeros((5, 1)), delimiter=",")
+        assert run_cli("mmd", path, path, "--permutations", value) == 1
+        assert capsys.readouterr().err == f"error: --permutations must be an integer ≥ 1, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("0", "sigma must be positive and finite, got 0.0"),
+            ("-1.5", "sigma must be positive and finite, got -1.5"),
+            ("inf", "sigma must be positive and finite, got inf"),
+            ("1e-200", "sigma 1e-200 is too small: 1 / (2 sigma^2) overflows"),
+        ],
+    )
+    def test_bad_sigma_named(self, tmp_path, capsys, value, message):
+        path = tmp_path / "x.csv"
+        np.savetxt(path, np.zeros((5, 1)), delimiter=",")
+        assert run_cli("mmd", path, path, "--sigma", value) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --sigma: {message}\n"
+        assert captured.out == ""
+
     def test_identical_samples(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         sample = rng.standard_normal((60, 2))

@@ -1,8 +1,11 @@
 """Kernel evaluation, bag Gram assembly, and MMD against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import distreg.kernels as kernels
 from distreg import (
     Bag,
     BagDataset,
@@ -390,6 +393,98 @@ class TestMmd:
         assert result.p_value < 0.01
 
 
+def unblocked_mmd_test(x, y, params, n_permutations, seed):
+    """(statistic, p-value, q95, q99) from the whole pooled Gram, one
+    matrix-vector product per split, each mask drawn just before its use."""
+    n, m = x.shape[0], y.shape[0]
+    gram = cross_gram(np.concatenate([x, y], axis=0), np.concatenate([x, y], axis=0), params)
+    row_sums = gram.sum(axis=1)
+    total = float(row_sums.sum())
+
+    def statistic(mask_x):
+        ax = mask_x.astype(float)
+        gx = gram @ ax
+        sxx = float(ax @ gx)
+        sxy = float(ax @ row_sums) - sxx
+        syy = total - sxx - 2.0 * sxy
+        value = sxx / (n * n) + syy / (m * m) - 2.0 * sxy / (n * m)
+        return 0.0 if -1e-12 <= value < 0.0 else value
+
+    observed_mask = np.zeros(n + m, dtype=bool)
+    observed_mask[:n] = True
+    observed = statistic(observed_mask)
+    rng = np.random.default_rng(seed)
+    null = np.empty(n_permutations)
+    for i in range(n_permutations):
+        mask = np.zeros(n + m, dtype=bool)
+        mask[rng.permutation(n + m)[:n]] = True
+        null[i] = statistic(mask)
+    p_value = (1.0 + float(np.sum(null >= observed))) / (1.0 + n_permutations)
+    return observed, p_value, float(np.percentile(null, 95)), float(np.percentile(null, 99))
+
+
+def triu_median_heuristic(instances, max_points=2000, seed=0):
+    """Median heuristic from the full squared-distance matrix and its
+    ``triu_indices``."""
+    x = np.asarray(instances, dtype=float)
+    if x.shape[0] > max_points:
+        idx = np.random.default_rng(seed).choice(x.shape[0], max_points, replace=False)
+        x = x[np.sort(idx)]
+    if x.shape[0] < 2:
+        return 1.0
+    sq = np.einsum("ij,ij->i", x, x)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(d2, 0.0, out=d2)
+    med = float(np.sqrt(np.median(d2[np.triu_indices(x.shape[0], k=1)])))
+    return med if med > 0 else 1.0
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes traced by tracemalloc while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedMmdTest:
+    """The permutation test sweeps the pooled Gram in TILE-row blocks and the
+    splits in batches of TILE; its results are bitwise those of the unblocked
+    algorithm."""
+
+    @pytest.mark.parametrize("tile", [64, 100])
+    @pytest.mark.parametrize(
+        "n,m,d,n_permutations",
+        # 303 pooled rows: several row blocks with a ragged last one; 150
+        # permutations plus the observed split: several batches, ragged too
+        [(173, 130, 5, 150), (120, 183, 1, 150), (40, 27, 12, 99), (1, 64, 3, 7)],
+    )
+    def test_bitwise_equal_to_unblocked(self, monkeypatch, tile, n, m, d, n_permutations):
+        monkeypatch.setattr(kernels, "TILE", tile)
+        rng = np.random.default_rng(n + m + d)
+        x = rng.standard_normal((n, d))
+        y = 1.2 * rng.standard_normal((m, d)) + 0.2
+        params = RbfParams(median_heuristic(np.vstack([x, y])))
+        got = mmd_permutation_test(x, y, params, n_permutations=n_permutations, seed=4)
+        want = unblocked_mmd_test(x, y, params, n_permutations, seed=4)
+        assert (got.statistic, got.p_value, got.null_q95, got.null_q99) == want
+        assert got.n_permutations == n_permutations
+
+    def test_memory_bounded_by_tile(self, monkeypatch):
+        tile, rows = 64, 3000
+        monkeypatch.setattr(kernels, "TILE", tile)
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((rows // 2, 2))
+        y = rng.standard_normal((rows // 2, 2))
+        # 71 splits: two batches
+        peak = traced_peak(mmd_permutation_test, x, y, RbfParams(1.0), n_permutations=70)
+        # one block, the split weights and their products: 3 TILE x (n+m)
+        # arrays; the whole pooled Gram would be 8 (n+m)^2 = 72 MB
+        assert peak < 4 * 8 * tile * rows
+
+
 class TestMedianHeuristic:
     def test_known_distances(self):
         x = np.array([[0.0], [1.0], [3.0]])
@@ -406,6 +501,22 @@ class TestMedianHeuristic:
     def test_degenerate_fallback(self):
         assert median_heuristic(np.zeros((10, 2))) == 1.0
         assert median_heuristic(np.zeros((1, 2))) == 1.0
+
+    @pytest.mark.parametrize(
+        "n,d,max_points",
+        [(2, 1, 2000), (3, 2, 2000), (57, 4, 2000), (300, 12, 2000), (600, 3, 250), (600, 7, 599)],
+    )
+    def test_bitwise_equal_to_triu_formula(self, n, d, max_points):
+        x = np.random.default_rng(n * d).standard_normal((n, d))
+        for seed in (0, 5):
+            got = median_heuristic(x, max_points=max_points, seed=seed)
+            assert got == triu_median_heuristic(x, max_points=max_points, seed=seed)
+
+    def test_memory(self):
+        x = np.random.default_rng(31).standard_normal((2000, 3))
+        # the inner products (30.5 MiB) and the upper triangle (15.3 MiB);
+        # the full distance matrix and its triu_indices took 76.3 MiB
+        assert traced_peak(median_heuristic, x) < 56 * 2**20
 
 
 class TestNonFiniteInput:
