@@ -10,19 +10,21 @@ embeddings never needs the feature maps explicitly, because
 
     <mu_b, mu_b'> = (1 / (n_b n_b')) sum_i sum_j k(x_i^b, x_j^b').
 
-Gram assembly is blocked: no kernel block larger than TILE x TILE is ever
-materialized, so bags with thousands of instances stay within a fixed memory
-budget. Each tile's squared distances are computed once and serve every
-sigma asked for in the same call (the private ``_bag_grams`` and
-``_cross_bag_grams``, which cross-validation uses to get all sigmas of a fold
-in one pass); only the scaling, ``exp`` and per-bag sums run per sigma.
-``bag_gram`` and ``cross_bag_gram`` are their one-sigma case. The MMD
+Every such sum goes through one tile engine, ``_bag_grams`` and
+``_cross_bag_grams``; ``bag_gram``, ``cross_bag_gram``,
+``bag_mean_kernel_entry``, ``multisource_bag_gram`` and ``mmd_squared`` are
+its one-sigma calls. Bags are taken in canonical row order, a bag of more
+than TILE rows is cut into TILE-row pieces, and the pieces are packed into
+chunks of at most TILE pooled rows. So no kernel block larger than TILE x TILE
+is ever materialized, and one squared-distance pass per chunk pair serves
+every sigma of a call (cross-validation gets all sigmas of a fold this way):
+only the scaling, ``exp`` and per-bag sums run per sigma. The MMD
 permutation test never holds the pooled (n+m) x (n+m) kernel matrix either:
 it builds it one block of TILE rows at a time, once per batch of up to TILE
-permutations, so its memory is O(TILE (n+m)). Entry sums rely
-on numpy's pairwise summation, which keeps the double-sum accurate enough for
-1e-12 comparisons against naive loops. All functions are pure and
-deterministic; a non-finite value in an input matrix or bag raises.
+permutations, so its memory is O(TILE (n+m)). Entry sums rely on numpy's
+pairwise summation, which keeps the double-sum accurate enough for 1e-12
+comparisons against naive loops. All functions are pure and deterministic; a
+non-finite value in an input matrix or bag raises.
 """
 
 from __future__ import annotations
@@ -166,120 +168,75 @@ def cross_gram(a: np.ndarray, b: np.ndarray, params: RbfParams) -> np.ndarray:
     return out
 
 
-def _pair_sum(a: np.ndarray, b: np.ndarray, gamma: float) -> float:
-    """Sum of k(a_i, b_j) over all row pairs, streamed one tile at a time."""
-    a_sq = np.einsum("ij,ij->i", a, a)
-    b_sq = np.einsum("ij,ij->i", b, b)
-    parts = []
-    for i0 in range(0, a.shape[0], TILE):
-        i1 = min(i0 + TILE, a.shape[0])
-        for j0 in range(0, b.shape[0], TILE):
-            j1 = min(j0 + TILE, b.shape[0])
-            (tile,) = _kernel_tiles(a[i0:i1], b[j0:j1], a_sq[i0:i1], b_sq[j0:j1], (gamma,))
-            parts.append(tile.sum())
-    return float(np.sum(parts))
+@dataclass(frozen=True)
+class _Chunk:
+    """Consecutive bag pieces whose pooled rows fit in one tile."""
+
+    bags: slice  # the bags the pieces belong to
+    starts: np.ndarray  # first row of each piece in ``rows``
+    rows: np.ndarray
+    sq: np.ndarray  # squared norm of each row
 
 
-def bag_mean_kernel_entry(bag_b: Bag, bag_bp: Bag, params: RbfParams) -> float:
-    """Mean-embedding dot product between two bags.
+def _chunks(data: BagDataset) -> list[_Chunk]:
+    """The bags of ``data`` packed into chunks of at most TILE pooled rows.
 
-    Returns (1 / (n_b n_b')) sum_i sum_j k(x_i, x_j').
+    Each bag is taken in canonical row order, which makes its sums exactly
+    invariant to instance order. A bag of more than TILE rows is cut into
+    consecutive TILE-row pieces; every other bag is one piece. Consecutive
+    pieces are packed greedily. Every piece but a bag's last fills a tile, so
+    no chunk holds two pieces of one bag and its per-piece sums are per-bag.
     """
-    if bag_b.dim != bag_bp.dim:
-        raise ValueError(
-            f"feature dimension mismatch: {bag_b.dim} vs {bag_bp.dim}"
-        )
-    total = _pair_sum(
-        canonical_rows(bag_b.instances), canonical_rows(bag_bp.instances), params.gamma
-    )
-    return total / (bag_b.n_instances * bag_bp.n_instances)
-
-
-def _sorted_instances(data: BagDataset) -> list[np.ndarray]:
-    # Canonical row order makes bag sums exactly permutation-invariant.
-    return [canonical_rows(b.instances) for b in data.bags]
-
-
-def _chunk_arrays(arrays: Sequence[np.ndarray]) -> list[tuple[int, int, bool]]:
-    """Group consecutive bags into chunks of pooled rows <= TILE.
-
-    Returns (first bag index, one-past-last bag index, oversized) triples.
-    A single bag larger than TILE forms its own oversized chunk and is later
-    handled by the streaming pair-sum path.
-    """
+    groups, n_rows = [[]], 0
+    for i, bag in enumerate(data.bags):
+        rows = canonical_rows(bag.instances)
+        for r in range(0, rows.shape[0], TILE):
+            piece = rows[r : r + TILE]
+            if n_rows + piece.shape[0] > TILE:
+                groups.append([])
+                n_rows = 0
+            groups[-1].append((i, piece))
+            n_rows += piece.shape[0]
     chunks = []
-    start = 0
-    rows = 0
-    for i, arr in enumerate(arrays):
-        n = arr.shape[0]
-        if n > TILE:
-            if rows > 0:
-                chunks.append((start, i, False))
-            chunks.append((i, i + 1, True))
-            start, rows = i + 1, 0
-        elif rows + n > TILE:
-            chunks.append((start, i, False))
-            start, rows = i, n
-        else:
-            rows += n
-    if rows > 0:
-        chunks.append((start, len(arrays), False))
+    for group in groups:
+        rows = np.concatenate([piece for _, piece in group], axis=0)
+        chunks.append(_Chunk(
+            bags=slice(group[0][0], group[-1][0] + 1),
+            starts=np.cumsum([0] + [piece.shape[0] for _, piece in group[:-1]]),
+            rows=rows,
+            sq=np.einsum("ij,ij->i", rows, rows),
+        ))
     return chunks
 
 
-def _chunk_block_sums(
-    arrays_a: Sequence[np.ndarray],
-    arrays_b: Sequence[np.ndarray],
-    ca: tuple[int, int, bool],
-    cb: tuple[int, int, bool],
-    gammas: Sequence[float],
-) -> list[np.ndarray]:
-    """Matrices of per-bag-pair kernel sums for one chunk pair, one per gamma.
+def _block_sums(ca: _Chunk, cb: _Chunk, gammas: Sequence[float]):
+    """Per-bag-pair kernel sums between two chunks, one matrix per gamma, from
+    one distance pass."""
+    # numpy sends a @ a.T on one array to syrk, which rounds differently from
+    # the gemm of every other chunk pair
+    b_rows = cb.rows.copy() if cb is ca else cb.rows
+    for tile in _kernel_tiles(ca.rows, b_rows, ca.sq, cb.sq, gammas):
+        yield np.add.reduceat(np.add.reduceat(tile, ca.starts, axis=0), cb.starts, axis=1)
 
-    The pooled rows of both chunks go through one squared-distance pass that
-    every gamma reuses; an oversized bag is streamed pair by pair, per gamma.
-    """
-    a0, a1, big_a = ca
-    b0, b1, big_b = cb
-    if big_a or big_b:
-        out = np.empty((len(gammas), a1 - a0, b1 - b0))
-        for s, gamma in enumerate(gammas):
-            for i in range(a0, a1):
-                for j in range(b0, b1):
-                    out[s, i - a0, j - b0] = _pair_sum(arrays_a[i], arrays_b[j], gamma)
-        return list(out)
-    xa = np.concatenate(arrays_a[a0:a1], axis=0)
-    xb = np.concatenate(arrays_b[b0:b1], axis=0)
-    starts_a = np.cumsum([0] + [arr.shape[0] for arr in arrays_a[a0 : a1 - 1]])
-    starts_b = np.cumsum([0] + [arr.shape[0] for arr in arrays_b[b0 : b1 - 1]])
-    a_sq = np.einsum("ij,ij->i", xa, xa)
-    b_sq = np.einsum("ij,ij->i", xb, xb)
-    return [
-        np.add.reduceat(np.add.reduceat(tile, starts_a, axis=0), starts_b, axis=1)
-        for tile in _kernel_tiles(xa, xb, a_sq, b_sq, gammas)
-    ]
+
+def _bag_sizes(data: BagDataset) -> np.ndarray:
+    return np.array([b.n_instances for b in data.bags], dtype=float)
 
 
 def _bag_grams(data: BagDataset, gammas: Sequence[float]) -> list[np.ndarray]:
     """Bag Gram values of ``data`` at each gamma, from one distance pass per
     chunk pair."""
-    arrays = _sorted_instances(data)
-    counts = np.array([arr.shape[0] for arr in arrays], dtype=float)
-    sums = np.empty((len(gammas), len(arrays), len(arrays)))
-    chunks = _chunk_arrays(arrays)
+    chunks = _chunks(data)
+    sums = np.zeros((len(gammas), len(data.bags), len(data.bags)))
     for ia, ca in enumerate(chunks):
         for cb in chunks[ia:]:
-            blocks = _chunk_block_sums(arrays, arrays, ca, cb, gammas)
-            for total, block in zip(sums, blocks):
-                if ca is cb:
-                    # canonicalize on the upper triangle for exact symmetry
-                    block = np.triu(block) + np.triu(block, 1).T
-                    total[ca[0] : ca[1], ca[0] : ca[1]] = block
-                else:
-                    total[ca[0] : ca[1], cb[0] : cb[1]] = block
-                    total[cb[0] : cb[1], ca[0] : ca[1]] = block.T
-    scale = np.outer(counts, counts)
-    return [total / scale for total in sums]
+            for total, block in zip(sums, _block_sums(ca, cb, gammas)):
+                total[ca.bags, cb.bags] += block
+                if cb is not ca:
+                    total[cb.bags, ca.bags] += block.T
+    scale = np.outer(_bag_sizes(data), _bag_sizes(data))
+    # canonicalize on the upper triangle for exact symmetry
+    return [(np.triu(total) + np.triu(total, 1).T) / scale for total in sums]
 
 
 def _cross_bag_grams(
@@ -291,16 +248,31 @@ def _cross_bag_grams(
         raise ValueError(
             f"feature dimension mismatch: test d={test.dim}, train d={train.dim}"
         )
-    arrays_a, arrays_b = _sorted_instances(test), _sorted_instances(train)
-    sums = np.empty((len(gammas), len(arrays_a), len(arrays_b)))
-    for ca in _chunk_arrays(arrays_a):
-        for cb in _chunk_arrays(arrays_b):
-            blocks = _chunk_block_sums(arrays_a, arrays_b, ca, cb, gammas)
-            sums[:, ca[0] : ca[1], cb[0] : cb[1]] = blocks
-    m = np.array([b.n_instances for b in test.bags], dtype=float)
-    n = np.array([b.n_instances for b in train.bags], dtype=float)
-    scale = np.outer(m, n)
+    chunks_b = _chunks(train)
+    sums = np.zeros((len(gammas), len(test.bags), len(train.bags)))
+    for ca in _chunks(test):
+        for cb in chunks_b:
+            for total, block in zip(sums, _block_sums(ca, cb, gammas)):
+                total[ca.bags, cb.bags] += block
+    scale = np.outer(_bag_sizes(test), _bag_sizes(train))
     return [total / scale for total in sums]
+
+
+def _one_bag(bag: Bag) -> BagDataset:
+    return BagDataset((bag,), [0.0])
+
+
+def bag_mean_kernel_entry(bag_b: Bag, bag_bp: Bag, params: RbfParams) -> float:
+    """Mean-embedding dot product between two bags.
+
+    Returns (1 / (n_b n_b')) sum_i sum_j k(x_i, x_j').
+    """
+    if bag_b.dim != bag_bp.dim:
+        raise ValueError(
+            f"feature dimension mismatch: {bag_b.dim} vs {bag_bp.dim}"
+        )
+    (entry,) = _cross_bag_grams(_one_bag(bag_b), _one_bag(bag_bp), (params.gamma,))
+    return float(entry[0, 0])
 
 
 def bag_gram(data: BagDataset, params: RbfParams) -> BagGram:
@@ -333,10 +305,7 @@ def multisource_bag_gram(
             f"need one RbfParams per source: got {len(params)} for "
             f"{data.n_sources} sources"
         )
-    total = bag_gram(data.sources[0], params[0]).values.copy()
-    for src, p in zip(data.sources[1:], params[1:]):
-        total += bag_gram(src, p).values
-    return BagGram(total)
+    return BagGram(sum(_bag_grams(src, (p.gamma,))[0] for src, p in zip(data.sources, params)))
 
 
 def mmd_squared(
@@ -347,19 +316,18 @@ def mmd_squared(
     Computes ||mu_x - mu_y||^2 in the kernel feature space as
     Kxx_mean + Kyy_mean - 2 Kxy_mean over all instance pairs, including
     diagonal terms. Tiny negative round-off (within -1e-12) is clamped to 0.
+    Rows are summed in canonical order, so the value is exactly invariant to
+    the row order of either sample, and ``mmd_squared(x, x)`` is exactly 0.
     """
     x = _check_matrix(sample_x, "sample_x")
     y = _check_matrix(sample_y, "sample_y")
     _check_same_dim(x, y)
-    gamma = params.gamma
-    n, m = x.shape[0], y.shape[0]
-    kxx = _pair_sum(x, x, gamma) / (n * n)
-    kyy = _pair_sum(y, y, gamma) / (m * m)
-    kxy = _pair_sum(x, y, gamma) / (n * m)
-    value = kxx + kyy - 2.0 * kxy
-    if -1e-12 <= value < 0.0:
-        return 0.0
-    return value
+    x, y = _one_bag(Bag("sample_x", x)), _one_bag(Bag("sample_y", y))
+    (kxx,), (kyy,), (kxy,) = (
+        _cross_bag_grams(a, b, (params.gamma,)) for a, b in ((x, x), (y, y), (x, y))
+    )
+    value = float(kxx[0, 0] + kyy[0, 0] - 2.0 * kxy[0, 0])
+    return 0.0 if -1e-12 <= value < 0.0 else value
 
 
 @dataclass(frozen=True)

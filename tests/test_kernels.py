@@ -191,7 +191,8 @@ class TestBagGram:
             BagGram(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
     def test_chunked_matches_per_pair(self, monkeypatch):
-        # Force tiny chunks so oversized and multi-chunk paths both run.
+        # Force tiny chunks: bags larger than TILE are cut into pieces and the
+        # rest pack into several chunks.
         import distreg.kernels as kernels
 
         rng = np.random.default_rng(15)
@@ -222,8 +223,8 @@ class TestSigmaSweep:
 
     @pytest.mark.parametrize("tile", [4, 1024])
     def test_swept_grams_equal_per_sigma_calls(self, monkeypatch, tile):
-        # with TILE 4, bags of 5, 7 and 9 rows are oversized and the rest
-        # pack into several chunks
+        # with TILE 4, bags of 5, 7 and 9 rows are cut into pieces and the
+        # rest pack into several chunks
         import distreg.kernels as kernels
 
         monkeypatch.setattr(kernels, "TILE", tile)
@@ -251,10 +252,13 @@ class TestSigmaSweep:
             d2 *= -gamma
             assert np.array_equal(tile, np.exp(d2))
 
-    @pytest.mark.parametrize("tile", [4, 1024])
-    def test_one_distance_pass_per_chunk_pair(self, monkeypatch, tile):
-        import distreg.kernels as kernels
-
+    @pytest.mark.parametrize(
+        "tile,sizes",
+        # the last set has bags of 5, 9 and 7 rows, cut into pieces at TILE 4
+        [(4, [3, 1, 2, 4, 2]), (1024, [3, 1, 2, 4, 2]), (4, [5, 1, 9, 3, 2, 4, 1, 7])],
+        ids=["4", "1024", "4-cut-bags"],
+    )
+    def test_one_distance_pass_per_chunk_pair(self, monkeypatch, tile, sizes):
         monkeypatch.setattr(kernels, "TILE", tile)
         calls = []
         original = kernels._sq_distances
@@ -264,23 +268,54 @@ class TestSigmaSweep:
             return original(*args)
 
         monkeypatch.setattr(kernels, "_sq_distances", spy)
-        train = self.ragged(np.random.default_rng(43), [3, 1, 2, 4, 2])
+        train = self.ragged(np.random.default_rng(43), sizes)
+        test = self.ragged(np.random.default_rng(44), sizes[::-1], prefix="t")
         counts = []
         for n_sigmas in (1, 7):
             calls.clear()
             kernels._bag_grams(train, np.linspace(0.1, 2.0, n_sigmas))
             counts.append(len(calls))
-        n_chunks = len(kernels._chunk_arrays(kernels._sorted_instances(train)))
-        assert counts == [n_chunks * (n_chunks + 1) // 2] * 2
+            calls.clear()
+            kernels._cross_bag_grams(test, train, np.linspace(0.1, 2.0, n_sigmas))
+            counts.append(len(calls))
+        n_train, n_test = len(kernels._chunks(train)), len(kernels._chunks(test))
+        assert counts == [n_train * (n_train + 1) // 2, n_test * n_train] * 2
+        assert max(calls) <= tile
+
+    def test_chunks_cut_large_bags_into_tile_pieces(self, monkeypatch):
+        monkeypatch.setattr(kernels, "TILE", 4)
+        data = self.ragged(np.random.default_rng(45), [3, 9, 1, 2, 4, 6])
+        chunks = kernels._chunks(data)
+        # pieces 3 | 4 | 4 | 1+1+2 | 4 | 4 | 2 rows
+        assert [(c.bags.start, c.bags.stop) for c in chunks] == [
+            (0, 1), (1, 2), (1, 2), (1, 4), (4, 5), (5, 6), (5, 6)
+        ]
+        pieces = [[] for _ in data.bags]
+        for c in chunks:
+            assert c.rows.shape[0] <= 4
+            for i, piece in zip(range(c.bags.start, c.bags.stop), np.split(c.rows, c.starts[1:])):
+                pieces[i].append(piece)
+        for bag, bag_pieces in zip(data.bags, pieces):
+            assert np.array_equal(np.concatenate(bag_pieces), kernels.canonical_rows(bag.instances))
 
 
 class TestCrossBagGram:
-    def test_consistency_with_bag_gram(self):
+    def test_consistency_with_bag_gram(self, monkeypatch):
+        # 1830 pooled rows in ragged bags of at most 60: several chunks at
+        # either tile, so diagonal and off-diagonal chunk pairs both count
         rng = np.random.default_rng(16)
-        data = random_dataset(rng, 8, max_instances=5)
+        sizes = rng.permutation(np.arange(1, 61))
+        data = BagDataset(
+            tuple(Bag(f"b{i}", rng.standard_normal((n, 3))) for i, n in enumerate(sizes)),
+            np.zeros(len(sizes)),
+        )
         p = RbfParams(1.3)
-        cross = cross_bag_gram(data, data, p)
-        assert np.max(np.abs(cross - bag_gram(data, p).values)) <= 1e-12
+        upper = np.triu_indices(len(sizes))
+        for tile in (64, 1024):
+            monkeypatch.setattr(kernels, "TILE", tile)
+            assert len(kernels._chunks(data)) > 1
+            cross = cross_bag_gram(data, data, p)
+            assert np.array_equal(cross[upper], bag_gram(data, p).values[upper])
 
     def test_singleton_row_of_kernels(self):
         rng = np.random.default_rng(17)
@@ -346,10 +381,24 @@ class TestMultisourceBagGram:
 
 
 class TestMmd:
-    def test_identical_samples_zero(self):
+    def test_identical_samples_zero(self, monkeypatch):
         rng = np.random.default_rng(24)
         x = rng.standard_normal((40, 3))
-        assert mmd_squared(x, x, RbfParams(1.0)) == 0.0
+        # at TILE 4 the sample is cut into pieces over several chunks
+        for tile in (4, 1024):
+            monkeypatch.setattr(kernels, "TILE", tile)
+            assert mmd_squared(x, x, RbfParams(1.0)) == 0.0
+
+    @pytest.mark.parametrize("tile", [4, 1024])
+    def test_invariant_to_row_order(self, monkeypatch, tile):
+        monkeypatch.setattr(kernels, "TILE", tile)
+        rng = np.random.default_rng(32)
+        x, y = rng.standard_normal((23, 2)), 0.5 + rng.standard_normal((17, 2))
+        p = RbfParams(0.8)
+        value = mmd_squared(x, y, p)
+        assert value > 0.0
+        for _ in range(3):
+            assert mmd_squared(rng.permutation(x), rng.permutation(y), p) == value
 
     def test_symmetry_and_nonnegativity(self):
         rng = np.random.default_rng(25)
