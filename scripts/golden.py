@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python scripts/golden.py OUT
 
-writes 79 files under OUT and prints one ``sha256  path`` line per file,
+writes 83 files under OUT and prints one ``sha256  path`` line per file,
 with paths relative to OUT, sorted. A refactor that must not change any
 output shows the same lines before and after:
 
@@ -19,7 +19,8 @@ The set:
   all nine kinds, with default and with explicit hyperparameters, and for
   ``kdr`` (150 bags of 8 rows) and ``mdr`` (60 two-source bags) on data
   whose pooled rows exceed one tile (``distreg.kernels.TILE``), so that
-  their Grams span several chunks;
+  their Grams span several chunks, and for ``kdr`` on 6 bags of 1500 rows,
+  each larger than one tile and so cut into tile-row pieces;
 - ``distreg mmd`` stdout for the four two-sample gallery scenarios (300
   samples each side), with the median-heuristic sigma and with ``--sigma``,
   and for scenario ``c`` at 700 samples each side with 1100 permutations,
@@ -101,20 +102,24 @@ def write_golden(out: Path) -> list[Path]:
                 _cli("predict", "--model-file", model, *sources, "--out", preds)
                 files += [model, preds]
     # pooled rows above one tile (distreg.kernels.TILE): the Grams span
-    # several chunks
+    # several chunks; bags above one tile: they are cut into pieces
     large_variance, large_multi = out / "data" / "variance-large", out / "data" / "multisource-large"
+    large_bags = out / "data" / "variance-large-bags"
     _cli("synth", "--kind", "variance-task", "--out", large_variance,
          "--bags", 150, "--bag-size", 8, "--dim", 2, "--seed", 6)
     _cli("synth", "--kind", "multisource-task", "--out", large_multi, "--bags", 60, "--seed", 6)
-    for kind, instances, targets in (
-        ("kdr", [large_variance / "instances.csv"], large_variance / "targets.csv"),
-        ("mdr", [large_multi / "source1_instances.csv", large_multi / "source2_instances.csv"],
+    _cli("synth", "--kind", "variance-task", "--out", large_bags,
+         "--bags", 6, "--bag-size", 1500, "--dim", 2, "--seed", 9)
+    for label, kind, instances, targets in (
+        ("kdr", "kdr", [large_variance / "instances.csv"], large_variance / "targets.csv"),
+        ("mdr", "mdr", [large_multi / "source1_instances.csv", large_multi / "source2_instances.csv"],
          large_multi / "targets.csv"),
+        ("kdr-large-bags", "kdr", [large_bags / "instances.csv"], large_bags / "targets.csv"),
     ):
         sources = [arg for path in instances for arg in ("--instances", path)]
         for name, extra in (("default", []), ("explicit", EXPLICIT)):
-            model = out / "fit-large" / f"{kind}-{name}.model.json"
-            preds = out / "fit-large" / f"{kind}-{name}.predictions.csv"
+            model = out / "fit-large" / f"{label}-{name}.model.json"
+            preds = out / "fit-large" / f"{label}-{name}.predictions.csv"
             model.parent.mkdir(parents=True, exist_ok=True)
             _cli("fit", "--model", kind, *sources, "--targets", targets, "--out", model, *extra)
             _cli("predict", "--model-file", model, *sources, "--out", preds)

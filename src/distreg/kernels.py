@@ -18,7 +18,11 @@ than TILE rows is cut into TILE-row pieces, and the pieces are packed into
 chunks of at most TILE pooled rows. So no kernel block larger than TILE x TILE
 is ever materialized, and one squared-distance pass per chunk pair serves
 every sigma of a call (cross-validation gets all sigmas of a fold this way):
-only the scaling, ``exp`` and per-bag sums run per sigma. The MMD
+only the scaling, ``exp`` and per-bag sums run per sigma, one bag row block
+at a time in a small reused buffer. A chunk paired with itself computes only
+the bag blocks on and above its diagonal, which are all that the symmetric
+Gram reads. These sums are bitwise those of whole-tile passes, because
+``np.add.reduceat`` sums each segment independently of the others. The MMD
 permutation test never holds the pooled (n+m) x (n+m) kernel matrix either:
 it builds it one block of TILE rows at a time, once per batch of up to TILE
 permutations, so its memory is O(TILE (n+m)). Entry sums rely on numpy's
@@ -128,25 +132,14 @@ def _sq_distances(
     a: np.ndarray, b: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Squared distances between two row sets, via the expanded form, plus a
-    scratch buffer of the same shape (the product term, no longer needed)."""
+    scratch buffer of the same shape: the product term, no longer needed, in
+    which callers scale and exponentiate the distances."""
     d2 = np.add.outer(a_sq, b_sq)
     ab = a @ b.T
     ab *= 2.0
     d2 -= ab
     np.maximum(d2, 0.0, out=d2)  # guard tiny negatives from cancellation
     return d2, ab
-
-
-def _kernel_tiles(
-    a: np.ndarray, b: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray, gammas: Sequence[float]
-):
-    """Kernel block for two row sets at each gamma in turn, from one distance
-    pass. Every block is yielded in the same buffer, which the next one
-    overwrites."""
-    d2, buf = _sq_distances(a, b, a_sq, b_sq)
-    for gamma in gammas:
-        np.multiply(d2, -gamma, out=buf)
-        yield np.exp(buf, out=buf)
 
 
 def cross_gram(a: np.ndarray, b: np.ndarray, params: RbfParams) -> np.ndarray:
@@ -162,9 +155,10 @@ def cross_gram(a: np.ndarray, b: np.ndarray, params: RbfParams) -> np.ndarray:
         i1 = min(i0 + TILE, a.shape[0])
         for j0 in range(0, b.shape[0], TILE):
             j1 = min(j0 + TILE, b.shape[0])
-            (out[i0:i1, j0:j1],) = _kernel_tiles(
-                a[i0:i1], b[j0:j1], a_sq[i0:i1], b_sq[j0:j1], (gamma,)
-            )
+            d2, buf = _sq_distances(a[i0:i1], b[j0:j1], a_sq[i0:i1], b_sq[j0:j1])
+            np.multiply(d2, -gamma, out=buf)
+            out[i0:i1, j0:j1] = np.exp(buf, out=buf)
+            del d2, buf  # before the next tile is allocated
     return out
 
 
@@ -211,12 +205,30 @@ def _chunks(data: BagDataset) -> list[_Chunk]:
 
 def _block_sums(ca: _Chunk, cb: _Chunk, gammas: Sequence[float]):
     """Per-bag-pair kernel sums between two chunks, one matrix per gamma, from
-    one distance pass."""
+    one distance pass.
+
+    Scaling, ``exp`` and the row sum run one bag row block at a time in a
+    small reused buffer. On a diagonal chunk pair only the bag blocks on and
+    above the diagonal are computed; the rest of each matrix stays zero.
+    """
     # numpy sends a @ a.T on one array to syrk, which rounds differently from
     # the gemm of every other chunk pair
     b_rows = cb.rows.copy() if cb is ca else cb.rows
-    for tile in _kernel_tiles(ca.rows, b_rows, ca.sq, cb.sq, gammas):
-        yield np.add.reduceat(np.add.reduceat(tile, ca.starts, axis=0), cb.starts, axis=1)
+    d2, buf = _sq_distances(ca.rows, b_rows, ca.sq, cb.sq)
+    ends = np.append(ca.starts[1:], ca.rows.shape[0])
+    col_sums = np.zeros((len(gammas), len(ca.starts), cb.rows.shape[0]))
+    for i, (r0, r1) in enumerate(zip(ca.starts, ends)):
+        c0 = cb.starts[i] if cb is ca else 0
+        block = d2[r0:r1, c0:]
+        scratch = buf.reshape(-1)[: block.size].reshape(block.shape)
+        for g, gamma in enumerate(gammas):
+            np.multiply(block, -gamma, out=scratch)
+            np.exp(scratch, out=scratch)
+            # a one-segment reduceat rounds as the whole-tile one does;
+            # sum(axis=0) does not
+            col_sums[g, i, c0:] = np.add.reduceat(scratch, [0], axis=0)
+    for sums in col_sums:
+        yield np.add.reduceat(sums, cb.starts, axis=1)
 
 
 def _bag_sizes(data: BagDataset) -> np.ndarray:
@@ -235,7 +247,8 @@ def _bag_grams(data: BagDataset, gammas: Sequence[float]) -> list[np.ndarray]:
                 if cb is not ca:
                     total[cb.bags, ca.bags] += block.T
     scale = np.outer(_bag_sizes(data), _bag_sizes(data))
-    # canonicalize on the upper triangle for exact symmetry
+    # the upper triangle holds every sum (a diagonal chunk pair leaves its
+    # lower bag blocks zero); mirror it for exact symmetry
     return [(np.triu(total) + np.triu(total, 1).T) / scale for total in sums]
 
 

@@ -102,6 +102,18 @@ class TestCrossGram:
         tiled = kernels.cross_gram(a, b, p)
         assert np.max(np.abs(full - tiled)) <= 1e-15
 
+    def test_one_tile_alive_at_a_time(self, monkeypatch):
+        # a tile's distance and scratch buffers are freed before the next
+        # tile's are allocated: besides the output, about 3.3 tiles at the
+        # peak, against 5.3 when they are held over (which also slowed the
+        # permutation test by page faults)
+        tile = 64
+        monkeypatch.setattr(kernels, "TILE", tile)
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((tile, 3)), rng.standard_normal((10 * tile, 3))
+        peak = traced_peak(cross_gram, a, b, RbfParams(1.0))
+        assert peak < 8 * a.shape[0] * b.shape[0] + 4 * 8 * tile * tile
+
 
 class TestBagMeanKernel:
     def test_singleton_bags_reduce_to_kernel(self):
@@ -239,18 +251,90 @@ class TestSigmaSweep:
             assert np.array_equal(cross, kernels.cross_bag_gram(test, train, RbfParams(sigma)))
 
     def test_tile_matches_direct_formula(self):
-        # the two-buffer tile is bitwise the one-expression form
-        import distreg.kernels as kernels
-
+        # cross_gram's two-buffer tile is bitwise the one-expression form
         rng = np.random.default_rng(42)
         a, b = rng.standard_normal((37, 3)), rng.standard_normal((29, 3))
         a_sq, b_sq = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
-        gammas = [0.1, 0.9, 4.0]
-        for gamma, tile in zip(gammas, kernels._kernel_tiles(a, b, a_sq, b_sq, gammas)):
+        for sigma in (2.2, 0.75, 0.35):
             d2 = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
             np.maximum(d2, 0.0, out=d2)
-            d2 *= -gamma
-            assert np.array_equal(tile, np.exp(d2))
+            d2 *= -RbfParams(sigma).gamma
+            assert np.array_equal(cross_gram(a, b, RbfParams(sigma)), np.exp(d2))
+
+    @staticmethod
+    def whole_tile_block_sums(ca, cb, gammas):
+        """Reference form of ``kernels._block_sums``: scale and ``exp`` over
+        the whole tile at each gamma, then two ``reduceat`` passes."""
+        b_rows = cb.rows.copy() if cb is ca else cb.rows
+        d2, buf = kernels._sq_distances(ca.rows, b_rows, ca.sq, cb.sq)
+        for gamma in gammas:
+            np.multiply(d2, -gamma, out=buf)
+            tile = np.exp(buf, out=buf)
+            yield np.add.reduceat(np.add.reduceat(tile, ca.starts, axis=0), cb.starts, axis=1)
+
+    @pytest.mark.parametrize(
+        "tile,sizes,test_sizes",
+        # every set has bags larger than TILE, cut into pieces
+        [
+            (4, [5, 1, 9, 3, 2, 4, 1, 7], [2, 6, 1, 3, 4]),
+            (64, [70, 1, 150, 30, 2, 64, 13, 90, 5], [3, 65, 20, 130]),
+            (1024, [1100, 1, 40, 1500, 300, 5, 700], [3, 1030, 20]),
+        ],
+        ids=["4", "64", "1024"],
+    )
+    def test_fused_sums_equal_whole_tile_form(self, monkeypatch, tile, sizes, test_sizes):
+        monkeypatch.setattr(kernels, "TILE", tile)
+        rng = np.random.default_rng(46)
+        train = self.ragged(rng, sizes)
+        test = self.ragged(rng, test_sizes, prefix="t")
+        gammas = [RbfParams(s).gamma for s in (0.3, 0.5, 0.75, 1.0, 1.6, 2.4, 7.0)]
+        grams = kernels._bag_grams(train, gammas)
+        crosses = kernels._cross_bag_grams(test, train, gammas)
+        monkeypatch.setattr(kernels, "_block_sums", self.whole_tile_block_sums)
+        for got, want in zip(grams, kernels._bag_grams(train, gammas)):
+            assert np.array_equal(got, want)
+        for got, want in zip(crosses, kernels._cross_bag_grams(test, train, gammas)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tile", [4, 1024])
+    def test_exp_only_on_upper_bag_blocks(self, monkeypatch, tile):
+        # a diagonal chunk pair exponentiates the bag blocks j >= i of its
+        # pieces, any other chunk pair its whole tile, once per gamma
+        monkeypatch.setattr(kernels, "TILE", tile)
+        rng = np.random.default_rng(47)
+        train = self.ragged(rng, [5, 1, 9, 3, 2, 4, 1, 7])
+        test = self.ragged(rng, [2, 6, 1, 3, 4], prefix="t")
+        chunks = kernels._chunks(train)
+
+        def upper_entries(c):
+            n = np.diff(np.append(c.starts, c.rows.shape[0]))
+            return sum(int(n_i * n[i:].sum()) for i, n_i in enumerate(n))
+
+        want_gram = sum(upper_entries(c) for c in chunks) + sum(
+            ca.rows.shape[0] * cb.rows.shape[0]
+            for ia, ca in enumerate(chunks)
+            for cb in chunks[ia + 1 :]
+        )
+        want_cross = sum(c.rows.shape[0] for c in kernels._chunks(test)) * sum(
+            c.rows.shape[0] for c in chunks
+        )
+        entries = []
+        exp = np.exp
+
+        def spy(x, *args, **kwargs):
+            entries.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        counts = []
+        for gammas in ([0.7], np.linspace(0.1, 2.0, 7)):
+            entries.clear()
+            kernels._bag_grams(train, gammas)
+            counts.append(sum(entries))
+            entries.clear()
+            kernels._cross_bag_grams(test, train, gammas)
+            counts.append(sum(entries))
+        assert counts == [want_gram, want_cross, 7 * want_gram, 7 * want_cross]
 
     @pytest.mark.parametrize(
         "tile,sizes",
