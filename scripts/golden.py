@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python scripts/golden.py OUT
 
-writes 83 files under OUT and prints one ``sha256  path`` line per file,
+writes 87 files under OUT and prints one ``sha256  path`` line per file,
 with paths relative to OUT, sorted. A refactor that must not change any
 output shows the same lines before and after:
 
@@ -14,7 +14,10 @@ The set:
 - ``distreg run`` (report_*.json, table.csv, table.txt) on a 30-bag
   variance task for lr, kr, rdr, kdr and on a 24-bag multisource task for
   mdr and the stacked kinds, each with the default grid and with a small
-  grid override;
+  grid override, and once more on the variance task with its grid config
+  and every ``run`` flag (``--model`` kdr and lr, ``--trials``,
+  ``--folds``, ``--seed``, ``--test-fraction``, ``--out``) set to a value
+  the config does not hold;
 - ``distreg fit`` -> ``distreg predict`` (model file and predictions) for
   all nine kinds, with default and with explicit hyperparameters, and for
   ``kdr`` (150 bags of 8 rows) and ``mdr`` (60 two-source bags) on data
@@ -101,6 +104,11 @@ def write_golden(out: Path) -> list[Path]:
                 _cli("fit", "--model", kind, *sources, "--targets", targets, "--out", model, *extra)
                 _cli("predict", "--model-file", model, *sources, "--out", preds)
                 files += [model, preds]
+    # every `run` flag overrides its config key with a value of its own
+    run_dir = out / "run" / "variance-flags"
+    _cli("run", "--config", out / "config" / "variance-grid.json", "--model", "kdr", "--model", "lr",
+         "--trials", 1, "--folds", 2, "--seed", 4, "--test-fraction", 0.3, "--out", run_dir)
+    files += [run_dir / name for name in ("report_kdr.json", "report_lr.json", "table.csv", "table.txt")]
     # pooled rows above one tile (distreg.kernels.TILE): the Grams span
     # several chunks; bags above one tile: they are cut into pieces
     large_variance, large_multi = out / "data" / "variance-large", out / "data" / "multisource-large"

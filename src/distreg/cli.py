@@ -12,7 +12,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,62 +52,54 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-_INTEGER = ("an integer", lambda v: _is_number(v) and isinstance(v, int))
-_STRING = ("a string", lambda v: isinstance(v, str))
-_STRINGS = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
-# What each config key must hold: (description, check). A JSON boolean is no number.
-_CONFIG_TYPES = {
-    "instances": _STRINGS,
-    "targets": _STRING,
-    "models": _STRINGS,
-    "test_fraction": ("a number", _is_number),
-    "trials": _INTEGER,
-    "folds": _INTEGER,
-    "seed": _INTEGER,
-    "out": _STRING,
-    "grid": ("an object", lambda v: v is None or isinstance(v, dict)),
+def _is_integer(value) -> bool:
+    return _is_number(value) and isinstance(value, int)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+_REQUIRED = object()
+# Each key of a ``run`` config: (what it must hold, its check, its default or
+# _REQUIRED); a lone string counts as a list of strings of one. A key with a
+# scalar default is also a ``run`` flag that overrides it. A config plus its
+# data files reproduces a run byte-for-byte.
+_RUN_KEYS = {
+    "instances": ("a list of strings", _is_strings, _REQUIRED),
+    "targets": ("a string", lambda v: isinstance(v, str), _REQUIRED),
+    "models": ("a list of strings", _is_strings, _REQUIRED),
+    "test_fraction": ("a number", _is_number, 0.25),
+    "trials": ("an integer", _is_integer, 10),
+    "folds": ("an integer", _is_integer, 5),
+    "seed": ("an integer", _is_integer, 0),
+    "out": ("a string", lambda v: isinstance(v, str), "results"),
+    "grid": ("an object", lambda v: v is None or isinstance(v, dict), None),
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Declarative description of one `run` invocation.
-
-    Loaded from a JSON file; every CLI flag overrides its config key. A config
-    plus its data files reproduces a run byte-for-byte.
-    """
-
-    instances: list[str]
-    targets: str
-    models: list[str]
-    test_fraction: float = 0.25
-    trials: int = 10
-    folds: int = 5
-    seed: int = 0
-    out: str = "results"
-    grid: dict | None = None
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ValueError(f"config {path} must hold a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
-        missing = [key for key in ("instances", "targets", "models") if key not in raw]
-        if missing:
-            raise ValueError(f"config {path}: missing required key {missing[0]!r}")
-        raw.update({key: [raw[key]] for key in ("instances", "models") if isinstance(raw[key], str)})
-        for key, value in raw.items():
-            what, check = _CONFIG_TYPES[key]
-            if not check(value):
-                raise ValueError(f"config {path}: key {key!r} must be {what}, got {json.dumps(value)}")
-        return cls(**raw)
+def _load_config(path) -> dict:
+    """The ``run`` config at ``path``, each key checked against ``_RUN_KEYS``
+    and every key it omits at its default."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    unknown = set(raw) - set(_RUN_KEYS)
+    if unknown:
+        raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
+    missing = [key for key, (_, _, default) in _RUN_KEYS.items() if default is _REQUIRED and key not in raw]
+    if missing:
+        raise ValueError(f"config {path}: missing required key {missing[0]!r}")
+    for key, value in raw.items():
+        what, check, _ = _RUN_KEYS[key]
+        if check is _is_strings and isinstance(value, str):
+            raw[key] = value = [value]
+        if not check(value):
+            raise ValueError(f"config {path}: key {key!r} must be {what}, got {json.dumps(value)}")
+    return {key: raw.get(key, default) for key, (_, _, default) in _RUN_KEYS.items()}
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -145,26 +136,22 @@ def _grid_options(config_grid: dict | None, path) -> dict | None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = ExperimentConfig.from_file(args.config)
-    for key in ("seed", "test_fraction", "trials", "folds", "out"):
-        if getattr(args, key) is not None:
-            setattr(config, key, getattr(args, key))
-    if args.model:
-        config.models = list(args.model)
-    if not config.models:
+    config = _load_config(args.config)
+    config.update((key, value) for key, value in vars(args).items() if key in _RUN_KEYS and value is not None)
+    if not config["models"]:
         raise ValueError(f"config {args.config}: key 'models' names no model kind")
 
-    grid_options = _grid_options(config.grid, args.config)
-    for kind in config.models:
-        _check_kind(kind, len(config.instances))
-    data = _load_dataset(config.instances, config.targets, len(config.instances) > 1)
+    grid_options = _grid_options(config["grid"], args.config)
+    for kind in config["models"]:
+        _check_kind(kind, len(config["instances"]))
+    data = _load_dataset(config["instances"], config["targets"], len(config["instances"]) > 1)
 
-    out_dir = Path(config.out)
+    out_dir = Path(config["out"])
     reports = []
-    for kind in config.models:
+    for kind in config["models"]:
         logger.info("running protocol for %s", kind)
-        report = run_protocol(data, kind, test_fraction=config.test_fraction, trials=config.trials,
-                              k=config.folds, seed=config.seed, grid_options=grid_options)
+        report = run_protocol(data, kind, test_fraction=config["test_fraction"], trials=config["trials"],
+                              k=config["folds"], seed=config["seed"], grid_options=grid_options)
         reports.append(report)
         _write_text(
             out_dir / f"report_{kind}.json",
@@ -329,16 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the evaluation protocol from a config file")
     p_run.add_argument("--config", required=True, help="JSON experiment config")
-    for flag, type_ in (("--seed", int), ("--test-fraction", float), ("--trials", int), ("--folds", int)):
-        p_run.add_argument(flag, type=type_)
-    p_run.add_argument("--out", help="output directory")
-    p_run.add_argument(
-        "--model",
-        action="append",
-        default=None,
-        metavar="KIND",
-        help=f"model kind to run (repeatable); one of {', '.join(MODEL_KINDS)}",
-    )
+    for key, (what, _, default) in _RUN_KEYS.items():
+        if isinstance(default, (int, float, str)):
+            p_run.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                               help=f"{what}; overrides the config's {key!r} (default: {default})")
+    p_run.add_argument("--model", dest="models", action="append", metavar="KIND",
+                       help=f"model kind to run (repeatable); one of {', '.join(MODEL_KINDS)}")
     p_run.set_defaults(func=cmd_run)
 
     p_synth = sub.add_parser("synth", help="generate synthetic datasets")

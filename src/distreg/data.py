@@ -93,15 +93,10 @@ class Normalizer:
 
 @dataclass(frozen=True)
 class BagDataset:
-    """Ordered collection of bags with aligned scalar targets.
-
-    ``normalization`` records the transform that has been applied to the
-    instances (None for raw data). Targets are never normalized.
-    """
+    """Ordered collection of bags with aligned scalar targets."""
 
     bags: tuple[Bag, ...]
     targets: np.ndarray
-    normalization: Normalizer | None = None
 
     def __post_init__(self) -> None:
         bags = tuple(self.bags)
@@ -141,7 +136,7 @@ class BagDataset:
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("subset needs a non-empty 1-D index sequence")
         bags = tuple(self.bags[i] for i in idx)
-        return BagDataset(bags, self.targets[idx], normalization=self.normalization)
+        return BagDataset(bags, self.targets[idx])
 
 
 @dataclass(frozen=True)
@@ -231,7 +226,7 @@ def fit_normalizer(train: BagDataset) -> Normalizer:
 def apply_normalizer(data: BagDataset, transform: Normalizer) -> BagDataset:
     """Normalized copy of ``data``: (x - mean) / scale per feature.
 
-    Targets are unchanged. The transform is recorded on the returned dataset.
+    Targets are unchanged.
     """
     if transform.dim != data.dim:
         raise ValueError(
@@ -241,7 +236,7 @@ def apply_normalizer(data: BagDataset, transform: Normalizer) -> BagDataset:
     bags = tuple(
         Bag(b.id, (b.instances - transform.mean) / transform.scale) for b in data.bags
     )
-    return BagDataset(bags, data.targets, normalization=transform)
+    return BagDataset(bags, data.targets)
 
 
 def align_sources(per_source: Sequence[BagDataset]) -> MultiSourceDataset:

@@ -227,19 +227,18 @@ def default_grid(
     kind: str,
     data: BagDataset | MultiSourceDataset,
     seed: int = 0,
-    lams: Sequence[float] | None = None,
-    sigma_scales: Sequence[float] | None = None,
-    n_features: Sequence[int] | None = None,
+    **overrides: Sequence,
 ) -> list[dict]:
     """Hyperparameter grid centered on the median heuristic of the given data.
 
     Each axis of ``kind`` takes the axis table's default values unless its
-    grid key is given (values checked against the axis): 9 log-spaced lambdas
-    in [1e-6, 1e2]; the median heuristic (``default_sigmas``) times 2^-3 ...
-    2^3, one shared scale for every source's median; 128, 512 and 2048 random
-    features; ``rff_seed`` is ``seed``. Lambda varies fastest.
+    grid key (``lams``, ``sigma_scales``, ``n_features``) is given as an
+    override, whose values are checked against the axis: 9 log-spaced
+    lambdas in [1e-6, 1e2]; the median heuristic (``default_sigmas``) times
+    2^-3 ... 2^3, one shared scale for every source's median; 128, 512 and
+    2048 random features; ``rff_seed`` is ``seed``. Lambda varies fastest.
     """
-    given = {"lams": lams, "sigma_scales": sigma_scales, "n_features": n_features}
+    given = {key: _grid_values(key, values) for key, values in overrides.items()}
     center = default_sigmas(kind, data)
     keys = _axes(kind)
     columns = []
@@ -248,7 +247,7 @@ def default_grid(
         if axis.grid_key is None:
             columns.append([axis.check(key, seed)])
             continue
-        values = axis.grid if given[axis.grid_key] is None else _grid_values(axis.grid_key, given[axis.grid_key])
+        values = given.get(axis.grid_key, axis.grid)
         if key in center:
             med = center[key]
             values = [[m * s for m in med] if isinstance(med, list) else med * s for s in values]
@@ -317,8 +316,10 @@ def run_protocol(
     with k-fold CV, refit the winner on the full training split, score on the
     held-out bags. When ``grid`` is None a fresh default grid is built from
     each trial's training split (``grid_options`` forwards axis overrides to
-    ``default_grid``).
+    ``default_grid``); giving both is an error.
     """
+    if grid is not None and grid_options is not None:
+        raise ValueError("give grid or grid_options, not both: grid_options only shape the default grid")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _integer(seed, 0, "seed")

@@ -280,10 +280,6 @@ def bag_mean_kernel_entry(bag_b: Bag, bag_bp: Bag, params: RbfParams) -> float:
 
     Returns (1 / (n_b n_b')) sum_i sum_j k(x_i, x_j').
     """
-    if bag_b.dim != bag_bp.dim:
-        raise ValueError(
-            f"feature dimension mismatch: {bag_b.dim} vs {bag_bp.dim}"
-        )
     (entry,) = _cross_bag_grams(_one_bag(bag_b), _one_bag(bag_bp), (params.gamma,))
     return float(entry[0, 0])
 

@@ -219,6 +219,8 @@ class _Representation:
             self.normal, self.rhs = matrix, yc
 
     def solve(self, lam: float) -> RidgeSolution:
+        if lam < self.lam_floor:
+            logger.info("lambda %g is below this kind's floor; solved at lambda %g", lam, self.lam_floor)
         coef = _solve_spd(self.normal, self.rhs, max(lam, self.lam_floor))
         if self.back is not None:
             coef = self.back @ coef

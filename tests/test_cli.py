@@ -130,6 +130,30 @@ class TestRun:
         assert (out_dir / "report_lr.json").exists()
         assert not (out_dir / "report_kdr.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--trials", 1), ("--folds", 2), ("--seed", 4), ("--test-fraction", 0.4), ("--out", "elsewhere"),
+         ("--model", "kr")],
+        ids=["trials", "folds", "seed", "test-fraction", "out", "model"],
+    )
+    def test_each_flag_overrides_its_config_key(self, run_config, tmp_path, flag, value):
+        # every value differs from the fixture's config, so a dropped flag shows
+        config, config_out = run_config
+        out_dir = tmp_path / value if flag == "--out" else config_out
+        kind = value if flag == "--model" else "lr"
+        flags = [flag, out_dir if flag == "--out" else value] + ([] if flag == "--model" else ["--model", "lr"])
+        assert run_cli("run", "--config", config, *flags) == 0
+        assert sorted(p.name for p in out_dir.glob("report_*.json")) == [f"report_{kind}.json"]
+        assert (flag == "--out") != config_out.exists()
+        report = json.loads((out_dir / f"report_{kind}.json").read_text(encoding="utf-8"))
+        want = {"trials": 2, "n_folds": 3, "seed": 1, "test_fraction": 0.25}
+        key = {"--trials": "trials", "--folds": "n_folds", "--seed": "seed", "--test-fraction": "test_fraction"}
+        want.update({key[flag]: value} if flag in key else {})
+        got = {"trials": len(report["trials"]), **{k: report[k] for k in ("n_folds", "seed", "test_fraction")}}
+        assert got == want
+        rows = (out_dir / "table.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [kind]
+
     def test_single_source_kind_with_two_sources_fails(self, tmp_path, capsys):
         out = tmp_path / "ms"
         run_cli("synth", "--kind", "multisource-task", "--out", out, "--bags", "12")

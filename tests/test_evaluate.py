@@ -440,8 +440,9 @@ class TestDefaultGrid:
             ({"lams": [1e-3, 0.0]}, "grid key 'lams': lambda must be positive and finite, got 0.0"),
             ({"sigma_scales": []}, "grid key 'sigma_scales' must be a non-empty list, got []"),
             ({"seed": -1}, "hyperparameter 'rff_seed' must be an integer ≥ 0, got -1"),
+            ({"nfeatures": [8]}, "unknown grid key 'nfeatures' (allowed: ['lams', 'n_features', 'sigma_scales'])"),
         ],
-        ids=["n_features-fraction", "lams-zero", "sigma_scales-empty", "negative-seed"],
+        ids=["n_features-fraction", "lams-zero", "sigma_scales-empty", "negative-seed", "unknown-key"],
     )
     def test_invalid_override_named(self, override, message):
         data = make_variance_task(10, 5, 2, seed=14)
@@ -506,8 +507,11 @@ class TestRunProtocol:
             ({"test_fraction": 1e308}, "test_fraction must be in (0, 1), got 1e+308"),
             ({"test_fraction": float("nan")}, "test_fraction must be in (0, 1), got nan"),
             ({"seed": -1}, "seed must be an integer ≥ 0, got -1"),
+            # grid_options only shape the default grid, so with a grid they would be dropped
+            ({"grid_options": {"lams": [-5.0, "x"]}},
+             "give grid or grid_options, not both: grid_options only shape the default grid"),
         ],
-        ids=["huge-test_fraction", "nan-test_fraction", "negative-seed"],
+        ids=["huge-test_fraction", "nan-test_fraction", "negative-seed", "grid-and-grid_options"],
     )
     def test_invalid_option_named(self, option, message):
         data = make_variance_task(12, 4, 2, seed=17)

@@ -298,6 +298,24 @@ class TestBaselines:
         assert np.max(np.abs(a_eff - coef)) <= 1e-6
         assert abs(c_eff - 3.0) <= 1e-6
 
+    @pytest.mark.parametrize("kind", ["lr", "stacked-lr"])
+    def test_lr_lambda_floor_logged(self, caplog, kind):
+        # a lambda below the floor is solved at the floor, and says so
+        data = make_mean_task(20, 5, 3, seed=1)
+        if kind == "stacked-lr":
+            data = MultiSourceDataset((data, data))
+        with caplog.at_level(logging.INFO, logger="distreg.models"):
+            floored = fit_model(kind, data, {"lam": 1e-12})
+        (record,) = [r for r in caplog.records if r.name == "distreg.models"]
+        assert record.levelno == logging.INFO
+        assert "1e-12" in record.getMessage() and "1e-08" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="distreg.models"):
+            at_floor = fit_model(kind, data, {"lam": 1e-8})
+        assert not [r for r in caplog.records if r.name == "distreg.models"]
+        assert np.array_equal(floored.solution.coefficients, at_floor.solution.coefficients)
+        assert floored.solution.lam == 1e-12
+
     def test_kr_equals_kdr_on_singletons(self):
         rng = np.random.default_rng(20)
         train = random_dataset(rng, 12, singleton=True)
