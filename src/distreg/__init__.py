@@ -11,8 +11,15 @@ baselines, an evaluation protocol, and a CLI are included.
 import os as _os
 
 
-def _configure_threads() -> None:
-    # DISTREG_THREADS: BLAS/OpenMP thread count; 0 or unset leaves the default.
+def _configure_threads() -> int:
+    """Thread count from DISTREG_THREADS: BLAS/OpenMP threads and the
+    random-feature sweep workers (``rff``), which never outnumber the usable
+    CPUs. 0 or unset leaves BLAS at its default and gives the sweeps every
+    usable CPU."""
+    if hasattr(_os, "sched_getaffinity"):
+        cpus = len(_os.sched_getaffinity(0))
+    else:  # no affinity masks on this platform
+        cpus = _os.cpu_count() or 1
     raw = _os.environ.get("DISTREG_THREADS", "").strip()
     if raw.isdigit() and raw != "0":
         for var in (
@@ -22,9 +29,11 @@ def _configure_threads() -> None:
             "NUMEXPR_NUM_THREADS",
         ):
             _os.environ.setdefault(var, raw)
+        return min(int(raw), cpus)
+    return cpus
 
 
-_configure_threads()
+_THREADS = _configure_threads()
 
 from .data import (  # noqa: E402
     Bag,

@@ -107,6 +107,14 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _csv_field(value: str) -> str:
+    """``value`` as one CSV field: quoted when it holds a comma, a quote or a
+    line break (csv.writer with a "\n" line end leaves "\r" bare)."""
+    if any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
 def _load_dataset(instance_paths: list[str], targets_path: str | None, multi: bool):
     datasets = [load_bags(p, targets_path) for p in instance_paths]
     return align_sources(datasets) if multi else datasets[0]
@@ -300,7 +308,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     predictions = predict_model(model, data)
     lines = ["bag_id,y_pred"]
     for bag_id, value in zip(data.bag_ids, predictions):
-        lines.append(f"{bag_id},{float(value)!r}")
+        lines.append(f"{_csv_field(bag_id)},{float(value)!r}")
     _write_text(Path(args.out), "\n".join(lines) + "\n")
     print(f"wrote {args.out}")
     return 0

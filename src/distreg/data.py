@@ -277,6 +277,16 @@ def _parse_float(value: str, path: Path, lineno: int, bag_id: str) -> float:
     return number
 
 
+def _csv_records(fh, path: Path):
+    """The records of an open CSV file; a malformed one (such as a field over
+    the csv module's size limit) raises DataFormatError naming the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
+
+
 def load_bags(instances_path: str | Path, targets_path: str | Path | None = None) -> BagDataset:
     """Load a dataset from an instances CSV plus a targets CSV.
 
@@ -290,7 +300,7 @@ def load_bags(instances_path: str | Path, targets_path: str | Path | None = None
     """
     inst_path = Path(instances_path)
     with open(inst_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(fh, inst_path)
         header = next(reader, None)
         if header is None or len(header) < 2 or header[0] != "bag_id":
             raise DataFormatError(
@@ -333,7 +343,7 @@ def load_bags(instances_path: str | Path, targets_path: str | Path | None = None
 
 def _load_targets(path: Path) -> dict[str, float]:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(fh, path)
         header = next(reader, None)
         if header is None or len(header) != 2 or header[0] != "bag_id":
             raise DataFormatError(

@@ -184,7 +184,8 @@ def grid_search_cv(
         groups.setdefault(tuple((a, v) for a, v in point.items() if a != "lam"), []).append(i)
     members = list(groups.values())
 
-    for fi, val_idx in enumerate(folds if members else ()):
+    def run_fold(fi, val_idx):
+        # a function, so that one fold's matrices are freed before the next's are built
         train_idx = np.setdiff1d(all_idx, val_idx)
         # normalizer statistics come from the fold's training bags only
         tr, norms = _normalize(data.subset(train_idx))
@@ -197,7 +198,7 @@ def grid_search_cv(
         except _CV_ERRORS as exc:
             for indices in members:
                 fail(indices, fi, exc)
-            continue
+            return
         for indices, (rep, m_va) in zip(members, built):
             for i in indices:
                 if i in errors:
@@ -208,6 +209,9 @@ def grid_search_cv(
                     fail([i], fi, exc)
                     continue
                 rmse[i, fi] = float(np.sqrt(np.mean((pred - y_val) ** 2)))
+
+    for fi, val_idx in enumerate(folds if members else ()):
+        run_fold(fi, val_idx)
 
     cells = tuple(
         CvCell(point, float("nan"), None, errors[i]) if i in errors

@@ -420,9 +420,9 @@ def median_heuristic(
 
     The usual default length-scale for the RBF kernel. Falls back to 1.0 when
     the median is zero (all points identical) or undefined (a single point).
-    Memory is O(max_points^2): the k x k inner-product matrix of the k points
-    used, and the k (k-1) / 2 squared distances of its upper triangle, which
-    the median then partitions in place.
+    Memory is 8 k^2 bytes for the k points used: their k x k inner-product
+    matrix, whose buffer then holds the k (k-1) / 2 squared distances of its
+    upper triangle, which the median partitions in place.
     """
     x = _check_matrix(instances, "instances")
     if x.shape[0] > max_points:
@@ -433,13 +433,15 @@ def median_heuristic(
         return 1.0
     sq = np.einsum("ij,ij->i", x, x)
     gram = x @ x.T  # one symmetric product; row blocks of it would round differently
-    upper = np.empty(k * (k - 1) // 2)
+    # Row i's upper distances go to the flat buffer's front, compacted: they
+    # end no later than row i does, so only rows already read are overwritten.
+    flat = gram.reshape(-1)
     start = 0
     for i in range(k - 1):
         stop = start + k - 1 - i
-        upper[start:stop] = sq[i] + sq[i + 1 :] - 2.0 * gram[i, i + 1 :]
+        flat[start:stop] = sq[i] + sq[i + 1 :] - 2.0 * gram[i, i + 1 :]
         start = stop
-    del gram
+    upper = flat[:start]
     np.maximum(upper, 0.0, out=upper)
     med = float(np.sqrt(np.median(upper, overwrite_input=True)))
     return med if med > 0 else 1.0

@@ -8,14 +8,25 @@ satisfies E[z(x).z(x')] = exp(-||x - x'||^2 / (2 sigma^2)) and the Monte-Carlo
 error decays like O(D^-1/2). The cos/sin pairs keep everything real and give
 ||z(x)|| = 1 exactly, so dot products are directly comparable to RBF kernel
 values. One basis is shared by all bags.
+
+``bag_feature_sweep`` splits a dataset's bags into contiguous parts of
+near-equal row count, one per worker thread (``DISTREG_THREADS``, at most
+the usable CPUs, or all of them when it is unset or 0), because numpy
+releases the interpreter lock inside the matmul and the cos/sin. Every bag
+goes through the same arithmetic in whichever part it lands and writes only
+its own column, so the result is bitwise independent of the worker count.
 """
 
 from __future__ import annotations
 
+import concurrent.futures as futures
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _THREADS
 from .data import Bag, BagDataset, canonical_rows
 
 __all__ = [
@@ -30,6 +41,32 @@ __all__ = [
 
 # Rows of the feature matrix computed per batch when averaging large bags.
 _ROW_CHUNK = 1024
+
+# Parts (worker threads) per bag_feature_sweep; read at call time.
+_WORKERS = _THREADS
+
+_pool: futures.ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> futures.ThreadPoolExecutor:
+    """The process's sweep pool, created on first use with ``_WORKERS`` threads
+    (``concurrent.futures`` imports its thread module only then)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = futures.ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="distreg-rff")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the parent's threads: it starts its own pool
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -82,21 +119,35 @@ def sample_basis(dim: int, n_components: int, sigma: float, seed: int) -> Fourie
     return FourierBasis(weights=weights, sigma=float(sigma), seed=int(seed))
 
 
-def feature_matrix(x: np.ndarray, basis: FourierBasis) -> np.ndarray:
-    """Map rows of ``x`` (n x d) to interleaved [cos, sin] features (n x 2D)."""
-    x = np.asarray(x, dtype=float)
+def _check_input(x: np.ndarray, basis: FourierBasis) -> None:
     if x.ndim != 2:
         raise ValueError(f"x must be 2-D, got shape {x.shape}")
     if x.shape[1] != basis.dim:
         raise ValueError(
             f"feature dimension mismatch: basis has d={basis.dim}, input has d={x.shape[1]}"
         )
-    proj = x @ basis.weights
-    out = np.empty((x.shape[0], basis.feature_dim))
-    out[:, 0::2] = np.cos(proj)
-    out[:, 1::2] = np.sin(proj)
+
+
+def _scratch(rows: int, basis: FourierBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for ``_features`` of up to ``rows`` rows: projections, features."""
+    return np.empty((rows, basis.n_components)), np.empty((rows, basis.feature_dim))
+
+
+def _features(x: np.ndarray, basis: FourierBasis, proj: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``feature_matrix`` of checked rows, written into ``out`` (n x 2D)
+    through ``proj`` (n x D); returns ``out``."""
+    np.matmul(x, basis.weights, out=proj)
+    np.cos(proj, out=out[:, 0::2])
+    np.sin(proj, out=out[:, 1::2])
     out *= 1.0 / np.sqrt(basis.n_components)
     return out
+
+
+def feature_matrix(x: np.ndarray, basis: FourierBasis) -> np.ndarray:
+    """Map rows of ``x`` (n x d) to interleaved [cos, sin] features (n x 2D)."""
+    x = np.asarray(x, dtype=float)
+    _check_input(x, basis)
+    return _features(x, basis, *_scratch(x.shape[0], basis))
 
 
 def feature_map(x: np.ndarray, basis: FourierBasis) -> np.ndarray:
@@ -105,28 +156,35 @@ def feature_map(x: np.ndarray, basis: FourierBasis) -> np.ndarray:
     return feature_matrix(x[None, :], basis)[0]
 
 
-def _sweep_means(x: np.ndarray, basis: FourierBasis, n_halvings: int) -> np.ndarray:
+def _sweep_means(
+    x: np.ndarray, basis: FourierBasis, n_halvings: int, proj: np.ndarray, f: np.ndarray
+) -> np.ndarray:
     """Mean feature rows of one bag at sigma / 2^k for k = 0..n_halvings.
 
-    Halving sigma doubles every projection t, and the interleaved
-    [cos t, sin t] pairs read as complex numbers e^{it} square to e^{2it}
-    (cos 2t = cos^2 t - sin^2 t, sin 2t = 2 sin t cos t), so only level 0
-    evaluates trig. Rows go through in batches of ``_ROW_CHUNK`` at every
-    level, bounding memory for large bags.
+    ``x`` holds the bag's rows in canonical order, which makes the means
+    exactly permutation-invariant. Halving sigma doubles every projection
+    t, and the interleaved [cos t, sin t] pairs read as complex numbers
+    e^{it} square to e^{2it} (cos 2t = cos^2 t - sin^2 t,
+    sin 2t = 2 sin t cos t), so only level 0 evaluates trig. Rows go
+    through in batches of ``len(proj)`` at every level, inside the scratch
+    ``proj`` (rows x D) and ``f`` (rows x 2D), bounding memory for large
+    bags.
     """
-    # canonical row order -> exactly permutation-invariant bag means
-    x = canonical_rows(x)
-    n = x.shape[0]
+    _check_input(x, basis)
+    n, rows = x.shape[0], proj.shape[0]
     root_d = np.sqrt(basis.n_components)
     sums = np.zeros((n_halvings + 1, basis.feature_dim))
     pairs = sums.view(complex)
-    for i0 in range(0, n, _ROW_CHUNK):
-        f = feature_matrix(x[i0 : i0 + _ROW_CHUNK], basis)
-        sums[0] += f.sum(axis=0)
-        z = f.view(complex) * root_d if n_halvings else None
-        for k in range(1, n_halvings + 1):
-            np.square(z, out=z)
-            pairs[k] += z.sum(axis=0)
+    for i0 in range(0, n, rows):
+        xc = x[i0 : i0 + rows]
+        fc = _features(xc, basis, proj[: len(xc)], f[: len(xc)])
+        sums[0] += fc.sum(axis=0)
+        if n_halvings:
+            fc *= root_d
+            z = fc.view(complex)
+            for k in range(1, n_halvings + 1):
+                np.square(z, out=z)
+                pairs[k] += z.sum(axis=0)
     sums[0] /= n
     sums[1:] /= n * root_d
     return sums
@@ -138,7 +196,18 @@ def bag_mean_features(bag: Bag, basis: FourierBasis) -> np.ndarray:
     Dot products between bag mean features approximate the mean-embedding
     dot products computed by the exact kernel path.
     """
-    return _sweep_means(bag.instances, basis, 0)[0]
+    x = canonical_rows(bag.instances)
+    return _sweep_means(x, basis, 0, *_scratch(min(_ROW_CHUNK, x.shape[0]), basis))[0]
+
+
+def _parts(sizes: np.ndarray, workers: int) -> list[tuple[int, int]]:
+    """At most ``workers`` contiguous, non-empty runs of bags, each of about
+    an equal share of the rows: a bag belongs to the share its middle row
+    falls in."""
+    middles = np.cumsum(sizes) - sizes / 2
+    owner = (workers * middles / sizes.sum()).astype(int)
+    bounds = [0, *(np.flatnonzero(np.diff(owner)) + 1).tolist(), len(sizes)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def bag_feature_sweep(data: BagDataset, basis: FourierBasis, n_halvings: int) -> np.ndarray:
@@ -154,8 +223,24 @@ def bag_feature_sweep(data: BagDataset, basis: FourierBasis, n_halvings: int) ->
     if n_halvings < 0:
         raise ValueError(f"n_halvings must be >= 0, got {n_halvings}")
     out = np.empty((n_halvings + 1, data.n_bags, basis.feature_dim))
-    for i, bag in enumerate(data.bags):
-        out[:, i] = _sweep_means(bag.instances, basis, n_halvings)
+    # sorted here, so that the workers call no public function: the spans of
+    # perfbench/tracer.py, which wraps those, sit on one stack for all threads
+    xs = [canonical_rows(bag.instances) for bag in data.bags]
+    sizes = np.array([x.shape[0] for x in xs])
+    rows = min(_ROW_CHUNK, int(sizes.max()))
+
+    def sweep(lo: int, hi: int, proj: np.ndarray, f: np.ndarray) -> None:
+        for i in range(lo, hi):
+            out[:, i] = _sweep_means(xs[i], basis, n_halvings, proj, f)
+
+    parts = [(lo, hi, *_scratch(rows, basis)) for lo, hi in _parts(sizes, _WORKERS)]
+    if len(parts) == 1:
+        sweep(*parts[0])
+        return out
+    running = [_executor().submit(sweep, *part) for part in parts]
+    futures.wait(running)
+    for future in running:
+        future.result()  # the first failing part's exception, as raised
     return out
 
 

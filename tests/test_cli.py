@@ -415,6 +415,44 @@ class TestFitPredict:
         assert run_cli(*fit, "--out", tmp_path / "without.json") == 0
         assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
 
+    def test_predictions_read_back_with_input_ids(self, tmp_path, capsys):
+        import csv
+
+        ids = ["a,1", 'q"x', "p\rq", "n\nl", "plain"]
+        inst, tgt = tmp_path / "inst.csv", tmp_path / "tgt.csv"
+        with open(inst, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["bag_id", "f1"])
+            writer.writerows([bag_id, 0.25 * i + j] for i, bag_id in enumerate(ids) for j in (0, 1))
+        with open(tgt, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["bag_id", "y"], *([bag_id, i] for i, bag_id in enumerate(ids))])
+        model_path, pred_path = tmp_path / "model.json", tmp_path / "pred.csv"
+        assert run_cli("fit", "--model", "lr", "--instances", inst, "--targets", tgt,
+                       "--out", model_path) == 0
+        assert run_cli("predict", "--model-file", model_path, "--instances", inst,
+                       "--out", pred_path) == 0
+        with open(pred_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["bag_id", "y_pred"]
+        assert [r[0] for r in rows[1:]] == ids
+        assert all(len(r) == 2 and np.isfinite(float(r[1])) for r in rows[1:])
+        # ids that need no quoting are written as they are
+        assert pred_path.read_text(encoding="utf-8").splitlines()[-1].startswith("plain,")
+
+    @pytest.mark.parametrize("which", ["instances", "targets"])
+    def test_oversized_csv_field_named(self, tmp_path, variance_files, capsys, which):
+        inst, tgt = variance_files
+        path = {"instances": inst, "targets": tgt}[which]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = "b," + "1" * 131073  # over the csv module's field size limit
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("fit", "--model", "lr", "--instances", inst, "--targets", tgt,
+                       "--out", tmp_path / "model.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: malformed CSV: field larger than field limit")
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.json").exists()
+
     def test_predict_twice_identical_bytes(self, tmp_path, variance_files):
         inst, tgt = variance_files
         model_path = tmp_path / "model.json"

@@ -364,6 +364,33 @@ class TestGridSearch:
         assert [c.fold_rmse for c in cells] == [c.fold_rmse for c in clean.table]
         assert result.best == clean.best
 
+    def test_folds_do_not_outlive_their_matrices(self):
+        # the search holds one fold's matrices at a time: its peak stays near
+        # that of one fold's matrices call (two folds' worth when the
+        # previous fold's features stayed alive)
+        import tracemalloc
+
+        from distreg.models import _check_point, _normalize, _spec, _state, _transform
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        data = make_variance_task(30, 10, 3, 0)
+        grid = default_grid("rdr", data, seed=0, lams=[1e-3, 1e-1], n_features=[512])
+        search = peak(lambda: grid_search_cv(data, "rdr", grid, k=5, seed=0))
+        val_idx = kfold_split(data.n_bags, 5, seed=0)[0]
+        tr, norms = _normalize(data.subset(np.setdiff1d(np.arange(data.n_bags), val_idx)))
+        va, _ = _normalize(data.subset(val_idx), norms)
+        tr, va = _transform("rdr", tr), _transform("rdr", va)
+        states = [_state("rdr", tr, _check_point("rdr", p, data)) for p in grid[::2]]
+        fold = peak(lambda: _spec("rdr").matrices(states, tr, va))
+        assert search <= 1.2 * fold
+
     @pytest.mark.parametrize("kind", ["kdr", "mdr"])
     def test_one_distance_pass_per_chunk_pair_per_fold(self, monkeypatch, kind):
         import distreg.kernels as kernels

@@ -1,8 +1,14 @@
 """Random Fourier feature sampling, mapping, and kernel approximation."""
 
+import os
+import select
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import distreg.rff as rff
 from distreg import (
     Bag,
     BagDataset,
@@ -11,6 +17,7 @@ from distreg import (
     bag_feature_sweep,
     bag_mean_features,
     bag_mean_kernel_entry,
+    canonical_rows,
     feature_map,
     feature_matrix,
     rbf_kernel,
@@ -216,6 +223,102 @@ class TestBagFeatureSweep:
             bag_feature_sweep(data, sample_basis(2, 4, 1.0, seed=0), -1)
         with pytest.raises(ValueError, match="dimension mismatch"):
             bag_feature_sweep(data, sample_basis(3, 4, 1.0, seed=0), 2)
+
+
+def _read_all(fd, size):
+    chunks = []
+    while size > 0 and (chunk := os.read(fd, size)):
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+SPLIT = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+class TestWorkerSplit:
+    """``bag_feature_sweep`` splits the bags into one contiguous part per
+    worker; every bag's means are bitwise those of a lone ``_sweep_means``
+    call, whatever the worker count."""
+
+    @SPLIT
+    @given(
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=8),
+        large_at=st.integers(0, 8),
+        chunk=st.integers(2, 5),
+        workers=st.integers(1, 4),
+        n_halvings=st.integers(0, 6),
+        n_components=st.sampled_from([1, 3, 128]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_equal_to_per_bag_reference(
+        self, sizes, large_at, chunk, workers, n_halvings, n_components, seed
+    ):
+        sizes.insert(min(large_at, len(sizes)), 2 * chunk + 1)  # one bag over the chunk
+        rng = np.random.default_rng(seed)
+        data = BagDataset(
+            tuple(Bag(f"b{i}", rng.standard_normal((n, 2))) for i, n in enumerate(sizes)),
+            np.zeros(len(sizes)),
+        )
+        basis = sample_basis(2, n_components, 1.3, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rff, "_ROW_CHUNK", chunk)
+            mp.setattr(rff, "_WORKERS", workers)
+            mp.setattr(rff, "_pool", None)  # a pool of `workers` threads, more than the CPUs
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                got = bag_feature_sweep(data, basis, n_halvings)
+            finally:
+                sys.setswitchinterval(interval)
+                if rff._pool is not None:
+                    rff._pool.shutdown()
+            for i, bag in enumerate(data.bags):
+                x = canonical_rows(bag.instances)
+                scratch = rff._scratch(min(chunk, x.shape[0]), basis)
+                want = rff._sweep_means(x, basis, n_halvings, *scratch)
+                assert np.array_equal(got[:, i], want)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_worker_error_reaches_caller(self, monkeypatch, workers):
+        monkeypatch.setattr(rff, "_WORKERS", workers)
+        rng = np.random.default_rng(24)
+        data = BagDataset(
+            tuple(Bag(f"b{i}", rng.standard_normal((3, 2))) for i in range(6)), np.zeros(6)
+        )
+        with pytest.raises(ValueError) as info:
+            bag_feature_sweep(data, sample_basis(3, 4, 1.0, seed=0), 2)
+        assert str(info.value) == "feature dimension mismatch: basis has d=3, input has d=2"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_pool(self, monkeypatch):
+        # the parent's pool threads do not exist in a forked child: reusing
+        # its pool there would wait forever
+        monkeypatch.setattr(rff, "_WORKERS", 2)
+        rng = np.random.default_rng(25)
+        data = BagDataset(
+            tuple(Bag(f"b{i}", rng.standard_normal((200, 2))) for i in range(6)), np.zeros(6)
+        )
+        basis = sample_basis(2, 512, 1.0, seed=1)
+        # parts long enough that the parent's pool starts both its threads
+        want = bag_feature_sweep(data, basis, 1)
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child
+            try:
+                os.write(write_end, bag_feature_sweep(data, basis, 1).tobytes())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        try:
+            ready, _, _ = select.select([read_end], [], [], 20)
+            got = _read_all(read_end, want.nbytes) if ready else b""
+        finally:
+            os.close(read_end)
+            if not ready:
+                os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert got == want.tobytes()
 
 
 def max_pair_error(basis, pairs, params):
