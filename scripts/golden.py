@@ -3,8 +3,12 @@
     PYTHONPATH=src python scripts/golden.py OUT
 
 writes 87 files under OUT and prints one ``sha256  path`` line per file,
-with paths relative to OUT, sorted. A refactor that must not change any
-output shows the same lines before and after:
+with paths relative to OUT, sorted, after a first line that names what the
+bytes also depend on: ``DISTREG_THREADS`` (the BLAS thread count moves the
+last digits of large exact solves), the numpy and scipy versions, and the
+BLAS library and version. A refactor that must not change any output shows
+the same lines before and after, and a comparison across thread settings or
+BLAS builds shows up as a diff of the first line:
 
     PYTHONPATH=<parent checkout>/src python scripts/golden.py /tmp/a > a.txt
     PYTHONPATH=src python scripts/golden.py /tmp/b > b.txt
@@ -37,6 +41,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -156,11 +161,26 @@ def write_golden(out: Path) -> list[Path]:
     return files
 
 
+def fingerprint() -> str:
+    """The first output line: the thread setting and the numeric libraries."""
+    # imported here: distreg must read DISTREG_THREADS before numpy loads
+    import numpy as np
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("DISTREG_THREADS") or "(unset)"
+    return (
+        f"# DISTREG_THREADS={threads} numpy {np.__version__} scipy {scipy.__version__} "
+        f"BLAS {blas.get('name')} {blas.get('version')}"
+    )
+
+
 def main_golden(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python scripts/golden.py OUT", file=sys.stderr)
         return 2
     out = Path(argv[0])
+    print(fingerprint())
     for path in sorted(write_golden(out)):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out)}")

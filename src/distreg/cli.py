@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataFormatError, align_sources, load_bags, save_bags
+from .data import DataFormatError, _not_utf8, align_sources, load_bags, save_bags
 from .evaluate import render_table, report_to_dict, reports_to_csv, run_protocol
 from .kernels import RbfParams, median_heuristic, mmd_permutation_test
 from .models import (
@@ -208,14 +208,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _load_sample(path: str) -> np.ndarray:
     try:
-        sample = np.loadtxt(path, delimiter=",", ndmin=2)
+        sample = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     except ValueError as exc:
         raise DataFormatError(f"{path}: not a headerless numeric CSV ({exc})") from exc
     if sample.size == 0:
         raise DataFormatError(f"{path}: empty sample")
     if not np.all(np.isfinite(sample)):
         # loadtxt skips comments and blank lines: find the value in the text
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 for value in line.split("#")[0].split(","):
                     try:

@@ -277,14 +277,36 @@ def _parse_float(value: str, path: Path, lineno: int, bag_id: str) -> float:
     return number
 
 
-def _csv_records(fh, path: Path):
-    """The records of an open CSV file; a malformed one (such as a field over
-    the csv module's size limit) raises DataFormatError naming the line."""
-    reader = csv.reader(fh)
+def _not_utf8(path: str | Path) -> DataFormatError:
+    """The error for a file that does not decode as UTF-8, naming the line of
+    its first bad byte."""
+    raw = Path(path).read_bytes()
     try:
-        yield from reader
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        bad = raw[exc.start : exc.end]
+        return DataFormatError(f"{path}:{line}: not valid UTF-8: can't decode {bad!r}: {exc.reason}")
+    return DataFormatError(f"{path}: not valid UTF-8")  # changed since it was read
+
+
+def _csv_records(fh, path: Path):
+    """The records of a CSV file opened with ``newline=""`` and
+    ``encoding="utf-8-sig"`` (UTF-8 after an optional byte order mark).
+    Bytes that are not UTF-8 and malformed CSV (such as a field over the csv
+    module's size limit, or a quote still open at the end of the file) raise
+    DataFormatError naming the line; a malformed record is named by the line
+    it starts on."""
+    reader = csv.reader(fh, strict=True)
+    start = 1
+    try:
+        for record in reader:
+            yield record
+            start = reader.line_num + 1
     except csv.Error as exc:
-        raise DataFormatError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
+        raise DataFormatError(f"{path}:{start}: malformed CSV: {exc}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
 
 def load_bags(instances_path: str | Path, targets_path: str | Path | None = None) -> BagDataset:
@@ -299,7 +321,7 @@ def load_bags(instances_path: str | Path, targets_path: str | Path | None = None
     set to 0.0.
     """
     inst_path = Path(instances_path)
-    with open(inst_path, newline="", encoding="utf-8") as fh:
+    with open(inst_path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv_records(fh, inst_path)
         header = next(reader, None)
         if header is None or len(header) < 2 or header[0] != "bag_id":
@@ -342,7 +364,7 @@ def load_bags(instances_path: str | Path, targets_path: str | Path | None = None
 
 
 def _load_targets(path: Path) -> dict[str, float]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv_records(fh, path)
         header = next(reader, None)
         if header is None or len(header) != 2 or header[0] != "bag_id":

@@ -25,7 +25,11 @@ Gram reads. These sums are bitwise those of whole-tile passes, because
 ``np.add.reduceat`` sums each segment independently of the others. The MMD
 permutation test never holds the pooled (n+m) x (n+m) kernel matrix either:
 it builds it one block of TILE rows at a time, once per batch of up to TILE
-permutations, so its memory is O(TILE (n+m)). Entry sums rely on numpy's
+permutations, so its memory is O(TILE (n+m)). Each block's matrix-vector
+products, one per split, run over cache-sized row slices of the block, split
+across the package's worker threads (``DISTREG_THREADS``); the slices start
+at multiples of 16 rows, so the products are bitwise those of the whole
+block, whatever the worker count. Entry sums rely on numpy's
 pairwise summation, which keeps the double-sum accurate enough for 1e-12
 comparisons against naive loops. All functions are pure and deterministic; a
 non-finite value in an input matrix or bag raises.
@@ -38,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _parts, _run_parts
 from .data import Bag, BagDataset, MultiSourceDataset, canonical_rows, pooled_instances
 
 __all__ = [
@@ -58,6 +63,10 @@ __all__ = [
 
 # Max rows/cols of any materialized kernel block.
 TILE = 1024
+
+# Kernel entries in one row slice of an MMD block (1 MB): small enough to stay
+# in L2 while the split products of a whole batch read it.
+_SLICE = 2**17
 
 
 @dataclass(frozen=True)
@@ -350,6 +359,44 @@ class MmdTestResult:
     n_permutations: int
 
 
+def _row_slices(rows: int, cols: int) -> list[tuple[int, int]]:
+    """Row slices [r0, r1) of a rows x cols kernel block, of about ``_SLICE``
+    entries each, whose matrix-vector products are bitwise those of the
+    whole block.
+
+    OpenBLAS's dgemv_t takes rows in groups of 4 from the start of its matrix
+    and rounds a pair of rows left over at its end differently from a group
+    (measured, OpenBLAS 0.3.31). So every slice but the last is a multiple of
+    16 rows, and the last ends where the block does; a one-row last slice,
+    which numpy computes as a dot product instead, joins the one before it.
+    Up to 460800 entries OpenBLAS uses one thread, so the slices give the
+    one-thread product of the block, which is also the block's own product
+    at any BLAS thread count that cuts it at multiples of 4 rows.
+    """
+    height = max(16, _SLICE // cols // 16 * 16)
+    cuts = list(range(height, rows, height))
+    if cuts and rows - cuts[-1] == 1:
+        cuts.pop()
+    return list(zip([0, *cuts], [*cuts, rows]))
+
+
+def _split_products(block: np.ndarray, ax: np.ndarray, gx: np.ndarray) -> None:
+    """``gx[s] = block @ ax[s]`` for every split s, bitwise, one row slice at
+    a time: each slice serves every split while it is in cache. Contiguous
+    runs of slices go to the worker pool; ``np.dot`` releases the
+    interpreter lock (``@`` does not at these sizes). One product per split
+    and slice: a batched one rounds differently."""
+    slices = _row_slices(*block.shape)
+
+    def products(lo: int, hi: int) -> None:
+        for r0, r1 in slices[lo:hi]:
+            part = block[r0:r1]
+            for a, g in zip(ax, gx):
+                np.dot(part, a, out=g[r0:r1])
+
+    _run_parts(products, _parts([r1 - r0 for r0, r1 in slices]))
+
+
 def mmd_permutation_test(
     sample_x: np.ndarray,
     sample_y: np.ndarray,
@@ -363,7 +410,11 @@ def mmd_permutation_test(
     split and the permutations are taken in batches of up to TILE; for each
     batch, the pooled rows are swept in blocks of TILE rows, and each block of
     the kernel matrix serves one matrix-vector product per split of the batch.
-    Memory is O(TILE (n+m)) whatever P is, and time is
+    The products read the block in row slices of about 1 MB, each used by
+    every split while it is in cache, and the slices are shared out among the
+    worker threads; the result is bitwise that of whole-block products at one
+    BLAS thread, whatever the worker count. Memory is O(TILE (n+m)) whatever
+    P is, and time is
     O((n+m)^2 (d ceil((P+1) / TILE) + P)). The p-value uses the standard
     add-one convention (1 + #{null >= observed}) / (1 + P).
     """
@@ -389,9 +440,7 @@ def mmd_permutation_test(
             block = cross_gram(pooled[i0:i1], pooled, params)
             if s0 == 0:
                 row_sums[i0:i1] = block.sum(axis=1)
-            # one product per split: a batched one rounds differently
-            for a, g in zip(ax, gx):
-                g[i0:i1] = block @ a
+            _split_products(block, ax, gx[:, i0:i1])
             del block  # before the next block is allocated
         total = float(row_sums.sum())
         for s, (a, g) in enumerate(zip(ax, gx), start=s0):

@@ -19,14 +19,11 @@ its own column, so the result is bitwise independent of the worker count.
 
 from __future__ import annotations
 
-import concurrent.futures as futures
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _THREADS
+from . import _parts, _run_parts
 from .data import Bag, BagDataset, canonical_rows
 
 __all__ = [
@@ -41,32 +38,6 @@ __all__ = [
 
 # Rows of the feature matrix computed per batch when averaging large bags.
 _ROW_CHUNK = 1024
-
-# Parts (worker threads) per bag_feature_sweep; read at call time.
-_WORKERS = _THREADS
-
-_pool: futures.ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _executor() -> futures.ThreadPoolExecutor:
-    """The process's sweep pool, created on first use with ``_WORKERS`` threads
-    (``concurrent.futures`` imports its thread module only then)."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = futures.ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="distreg-rff")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has none of the parent's threads: it starts its own pool
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -200,16 +171,6 @@ def bag_mean_features(bag: Bag, basis: FourierBasis) -> np.ndarray:
     return _sweep_means(x, basis, 0, *_scratch(min(_ROW_CHUNK, x.shape[0]), basis))[0]
 
 
-def _parts(sizes: np.ndarray, workers: int) -> list[tuple[int, int]]:
-    """At most ``workers`` contiguous, non-empty runs of bags, each of about
-    an equal share of the rows: a bag belongs to the share its middle row
-    falls in."""
-    middles = np.cumsum(sizes) - sizes / 2
-    owner = (workers * middles / sizes.sum()).astype(int)
-    bounds = [0, *(np.flatnonzero(np.diff(owner)) + 1).tolist(), len(sizes)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def bag_feature_sweep(data: BagDataset, basis: FourierBasis, n_halvings: int) -> np.ndarray:
     """Bag mean-feature matrices at sigma, sigma/2, ..., sigma/2^n_halvings.
 
@@ -226,21 +187,16 @@ def bag_feature_sweep(data: BagDataset, basis: FourierBasis, n_halvings: int) ->
     # sorted here, so that the workers call no public function: the spans of
     # perfbench/tracer.py, which wraps those, sit on one stack for all threads
     xs = [canonical_rows(bag.instances) for bag in data.bags]
-    sizes = np.array([x.shape[0] for x in xs])
-    rows = min(_ROW_CHUNK, int(sizes.max()))
+    sizes = [x.shape[0] for x in xs]
+    rows = min(_ROW_CHUNK, max(sizes))
 
     def sweep(lo: int, hi: int, proj: np.ndarray, f: np.ndarray) -> None:
         for i in range(lo, hi):
             out[:, i] = _sweep_means(xs[i], basis, n_halvings, proj, f)
 
-    parts = [(lo, hi, *_scratch(rows, basis)) for lo, hi in _parts(sizes, _WORKERS)]
-    if len(parts) == 1:
-        sweep(*parts[0])
-        return out
-    running = [_executor().submit(sweep, *part) for part in parts]
-    futures.wait(running)
-    for future in running:
-        future.result()  # the first failing part's exception, as raised
+    # scratch from this thread: a worker's own allocations come from its
+    # malloc arena, which raised the variance-rff peak RSS by 4.4 MB
+    _run_parts(sweep, [(lo, hi, *_scratch(rows, basis)) for lo, hi in _parts(sizes)])
     return out
 
 

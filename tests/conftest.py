@@ -9,10 +9,13 @@ instead of the blocked Gram assembly and Cholesky route under test.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
+import pytest
 from scipy.spatial.distance import cdist
 
+import distreg
 from distreg import Bag, BagDataset
 
 
@@ -44,6 +47,22 @@ HYPERS = {
     "stacked-kdr": {"lam": 1e-3, "sigma": 1.2},
     "stacked-rdr": {"lam": 1e-3, "sigma": 1.2, "n_features": 16, "rff_seed": 0},
 }
+
+
+def with_workers(workers: int, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` on a fresh worker pool of ``workers`` threads
+    (possibly more than the CPUs), which switch every microsecond."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distreg, "_WORKERS", workers)
+        mp.setattr(distreg, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+            if distreg._pool is not None:
+                distreg._pool.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,29 @@ class TestMmd:
         assert "p_value" not in captured.out
 
 
+    def test_invalid_utf8_named(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        np.savetxt(a, np.zeros((5, 2)), delimiter=",")
+        b.write_bytes(b"0.5,1.0\n# comment\n1.5,\xff2\n")
+        assert run_cli("mmd", a, b) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {b}:3: not valid UTF-8: ")
+        assert "Traceback" not in err
+
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        out = tmp_path / "gallery"
+        run_cli("synth", "--kind", "two-sample-gallery", "--out", out, "--samples", "150")
+        capsys.readouterr()
+        files = [out / "gallery_d_x.csv", out / "gallery_d_y.csv"]
+        for path in files:
+            (tmp_path / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        stdout = []
+        for x, y in (files, [tmp_path / path.name for path in files]):
+            assert run_cli("mmd", x, y, "--permutations", "50") == 0
+            stdout.append(capsys.readouterr().out)
+        assert stdout[0] == stdout[1]
+
+
 class TestFitPredict:
     def test_round_trip_matches_in_process(self, tmp_path, variance_files):
         inst, tgt = variance_files
@@ -452,6 +475,49 @@ class TestFitPredict:
         assert err.startswith(f"error: {path}:3: malformed CSV: field larger than field limit")
         assert "Traceback" not in err
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("which", ["instances", "targets"])
+    def test_invalid_utf8_named(self, tmp_path, variance_files, capsys, which):
+        inst, tgt = variance_files
+        path = {"instances": inst, "targets": tgt}[which]
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = b"b," + b"\xff" + lines[3].split(b",", 1)[1]
+        path.write_bytes(b"\n".join(lines))
+        assert run_cli("fit", "--model", "lr", "--instances", inst, "--targets", tgt,
+                       "--out", tmp_path / "model.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:4: not valid UTF-8: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("which", ["instances", "targets"])
+    def test_unterminated_quote_rejected(self, tmp_path, variance_files, capsys, which):
+        # once read as the value '3\n', and the model was written
+        inst, tgt = variance_files
+        path = {"instances": inst, "targets": tgt}[which]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        bag = lines[1].split(",")[0] if which == "instances" else "extra"
+        path.write_text("\n".join(lines) + f'\n{bag},"3\n', encoding="utf-8")
+        assert run_cli("fit", "--model", "lr", "--instances", inst, "--targets", tgt,
+                       "--out", tmp_path / "model.json") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:{len(lines) + 1}: malformed CSV: unexpected end of data\n"
+        assert not (tmp_path / "model.json").exists()
+
+    def test_byte_order_mark_accepted(self, tmp_path, variance_files):
+        # as spreadsheet exports write it; it was read into the header
+        inst, tgt = variance_files
+        bom = {}
+        for path in (inst, tgt):
+            bom[path] = tmp_path / f"bom-{path.name}"
+            bom[path].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for files, out in (((inst, tgt), "plain"), ((bom[inst], bom[tgt]), "bom")):
+            assert run_cli("fit", "--model", "kdr", "--instances", files[0], "--targets", files[1],
+                           "--out", tmp_path / f"{out}.json") == 0
+            assert run_cli("predict", "--model-file", tmp_path / f"{out}.json",
+                           "--instances", files[0], "--out", tmp_path / f"{out}.csv") == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_predict_twice_identical_bytes(self, tmp_path, variance_files):
         inst, tgt = variance_files

@@ -1,7 +1,12 @@
 """Loading, normalization, alignment, and their error reporting."""
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distreg import (
     Bag,
@@ -105,6 +110,50 @@ class TestLoadBags:
         np.testing.assert_array_equal(back.targets, data.targets)
         for a, b in zip(back.bags, data.bags):
             np.testing.assert_array_equal(a.instances, b.instances)
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        ids=st.lists(
+            st.text(st.sampled_from(list('ab ,"\r\n;\u00e9\ufeff')), min_size=1, max_size=6),
+            min_size=1, max_size=5, unique=True,
+        ),
+        bom=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rfc4180_files_load_as_written(self, ids, bom, seed):
+        # ids with commas, quotes, CR and LF, quoted as RFC 4180 says; a byte
+        # order mark in front changes nothing
+        rng = np.random.default_rng(seed)
+        data = BagDataset(
+            tuple(Bag(i, rng.standard_normal((int(rng.integers(1, 4)), 2))) for i in ids),
+            rng.standard_normal(len(ids)),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            inst, tgt = Path(tmp, "i.csv"), Path(tmp, "t.csv")
+            save_bags(data, inst, tgt)
+            with open(inst, newline="", encoding="utf-8") as fh:
+                records = list(csv.reader(fh))  # the lenient reading
+            if bom:
+                for path in (inst, tgt):
+                    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            back = load_bags(inst, tgt)
+        lenient_ids = tuple(dict.fromkeys(r[0] for r in records[1:] if r))
+        assert back.bag_ids == data.bag_ids == lenient_ids
+        assert back.targets.tobytes() == data.targets.tobytes()
+        for a, b in zip(back.bags, data.bags):
+            assert a.instances.tobytes() == b.instances.tobytes()
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [('bag_id,f1\na,1\nb,"3\n', 3), ('bag_id,f1\na,"1\nb,2\nc,3\n', 2)],
+        ids=["last-line", "open-to-the-end"],
+    )
+    def test_unterminated_quote_names_its_record(self, tmp_path, text, line):
+        path = write(tmp_path / "i.csv", text)
+        with pytest.raises(DataFormatError) as info:
+            load_bags(path)
+        assert str(info.value) == f"{path}:{line}: malformed CSV: unexpected end of data"
 
 
 class TestNormalizer:

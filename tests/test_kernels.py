@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import distreg.kernels as kernels
 from distreg import (
@@ -28,6 +29,7 @@ from conftest import (
     oracle_mean_entry,
     oracle_rbf,
     random_dataset,
+    with_workers,
 )
 
 
@@ -616,6 +618,84 @@ class TestBlockedMmdTest:
         # one block, the split weights and their products: 3 TILE x (n+m)
         # arrays; the whole pooled Gram would be 8 (n+m)^2 = 72 MB
         assert peak < 4 * 8 * tile * rows
+
+
+SLICED = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+class TestSlicedSplitProducts:
+    """Each kernel block's split products run over row slices shared out among
+    the worker threads; every product is bitwise the whole block's."""
+
+    @SLICED
+    @given(
+        full=st.integers(0, 4),
+        extra=st.integers(0, 17),
+        cols=st.integers(1, 300),
+        n_splits=st.integers(1, 6),
+        slice_rows=st.sampled_from([1, 16, 32, 48]),
+        workers=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_equal_to_whole_block(
+        self, full, extra, cols, n_splits, slice_rows, workers, seed
+    ):
+        # up to 4 whole slices of at least 16 rows, then 0-17 rows more: the
+        # last slice may be short, and 1, 2 or 3 rows past a group of 4
+        rows = max(1, max(16, slice_rows) * full + extra)
+        rng = np.random.default_rng(seed)
+        block = np.exp(-3.0 * rng.random((rows, cols)))
+        ax = (rng.random((n_splits, cols)) < 0.5).astype(float)
+        gx = np.full((n_splits, cols + rows + 5), np.nan)
+        out = gx[:, 3 : 3 + rows]  # a column range of a wider array, as in the test
+        with pytest.MonkeyPatch.context() as mp:
+            # a short slice budget: several slices per block, the last one short
+            mp.setattr(kernels, "_SLICE", slice_rows * cols)
+            with_workers(workers, kernels._split_products, block, ax, out)
+        for a, g in zip(ax, out):
+            assert g.tobytes() == (block @ a).tobytes()
+        assert np.isnan(gx[:, :3]).all() and np.isnan(gx[:, 3 + rows :]).all()
+
+    @SLICED
+    @given(
+        tile=st.sampled_from([64, 101]),
+        n=st.integers(1, 170),
+        m=st.integers(1, 170),
+        d=st.integers(1, 4),
+        n_permutations=st.integers(1, 120),
+        slice_rows=st.sampled_from([1, 16, 32]),
+        workers=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_equal_to_unblocked(
+        self, tile, n, m, d, n_permutations, slice_rows, workers, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        y = 1.1 * rng.standard_normal((m, d)) + 0.2
+        params = RbfParams(median_heuristic(np.vstack([x, y])))
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks of TILE rows, a ragged last one, each cut into slices
+            mp.setattr(kernels, "TILE", tile)
+            mp.setattr(kernels, "_SLICE", slice_rows * (n + m))
+            got = with_workers(
+                workers, mmd_permutation_test, x, y, params, n_permutations=n_permutations, seed=seed
+            )
+        want = unblocked_mmd_test(x, y, params, n_permutations, seed=seed)
+        assert (got.statistic, got.p_value, got.null_q95, got.null_q99) == want
+
+    @pytest.mark.parametrize(
+        "rows,cols,want",
+        [
+            (1024, 4000, [(i, i + 32) for i in range(0, 1024, 32)]),
+            (70, 2000, [(0, 64), (64, 70)]),
+            (65, 2000, [(0, 65)]),  # no one-row slice
+            (1, 1000, [(0, 1)]),
+            (33, 100_000, [(0, 16), (16, 33)]),  # at least 16 rows
+        ],
+    )
+    def test_row_slices(self, rows, cols, want):
+        assert kernels._row_slices(rows, cols) == want
 
 
 class TestMedianHeuristic:

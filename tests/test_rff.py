@@ -2,12 +2,12 @@
 
 import os
 import select
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import distreg
 import distreg.rff as rff
 from distreg import (
     Bag,
@@ -20,9 +20,11 @@ from distreg import (
     canonical_rows,
     feature_map,
     feature_matrix,
+    mmd_permutation_test,
     rbf_kernel,
     sample_basis,
 )
+from conftest import with_workers
 
 
 class TestSampleBasis:
@@ -263,16 +265,7 @@ class TestWorkerSplit:
         basis = sample_basis(2, n_components, 1.3, seed=seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rff, "_ROW_CHUNK", chunk)
-            mp.setattr(rff, "_WORKERS", workers)
-            mp.setattr(rff, "_pool", None)  # a pool of `workers` threads, more than the CPUs
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                got = bag_feature_sweep(data, basis, n_halvings)
-            finally:
-                sys.setswitchinterval(interval)
-                if rff._pool is not None:
-                    rff._pool.shutdown()
+            got = with_workers(workers, bag_feature_sweep, data, basis, n_halvings)
             for i, bag in enumerate(data.bags):
                 x = canonical_rows(bag.instances)
                 scratch = rff._scratch(min(chunk, x.shape[0]), basis)
@@ -281,7 +274,7 @@ class TestWorkerSplit:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_worker_error_reaches_caller(self, monkeypatch, workers):
-        monkeypatch.setattr(rff, "_WORKERS", workers)
+        monkeypatch.setattr(distreg, "_WORKERS", workers)
         rng = np.random.default_rng(24)
         data = BagDataset(
             tuple(Bag(f"b{i}", rng.standard_normal((3, 2))) for i in range(6)), np.zeros(6)
@@ -291,22 +284,33 @@ class TestWorkerSplit:
         assert str(info.value) == "feature dimension mismatch: basis has d=3, input has d=2"
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_gets_its_own_pool(self, monkeypatch):
+    @pytest.mark.parametrize("work", ["sweep", "mmd"])
+    def test_forked_child_gets_its_own_pool(self, monkeypatch, work):
         # the parent's pool threads do not exist in a forked child: reusing
         # its pool there would wait forever
-        monkeypatch.setattr(rff, "_WORKERS", 2)
+        monkeypatch.setattr(distreg, "_WORKERS", 2)
         rng = np.random.default_rng(25)
-        data = BagDataset(
-            tuple(Bag(f"b{i}", rng.standard_normal((200, 2))) for i in range(6)), np.zeros(6)
-        )
-        basis = sample_basis(2, 512, 1.0, seed=1)
+        if work == "sweep":
+            data = BagDataset(
+                tuple(Bag(f"b{i}", rng.standard_normal((200, 2))) for i in range(6)), np.zeros(6)
+            )
+            basis = sample_basis(2, 512, 1.0, seed=1)
+
+            def compute():
+                return bag_feature_sweep(data, basis, 1)
+        else:
+            x, y = rng.standard_normal((300, 2)), rng.standard_normal((300, 2)) + 0.1
+
+            def compute():
+                r = mmd_permutation_test(x, y, RbfParams(1.0), n_permutations=100)
+                return np.array([r.statistic, r.p_value, r.null_q95, r.null_q99])
         # parts long enough that the parent's pool starts both its threads
-        want = bag_feature_sweep(data, basis, 1)
+        want = compute()
         read_end, write_end = os.pipe()
         pid = os.fork()
         if pid == 0:  # child
             try:
-                os.write(write_end, bag_feature_sweep(data, basis, 1).tobytes())
+                os.write(write_end, compute().tobytes())
             finally:
                 os._exit(0)
         os.close(write_end)
