@@ -83,6 +83,8 @@ def _load_config(path) -> dict:
     and every key it omits at its default."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -212,23 +214,36 @@ def _load_sample(path: str) -> np.ndarray:
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     except ValueError as exc:
+        _check_sample_lines(path)
         raise DataFormatError(f"{path}: not a headerless numeric CSV ({exc})") from exc
     if sample.size == 0:
         raise DataFormatError(f"{path}: empty sample")
     if not np.all(np.isfinite(sample)):
-        # loadtxt skips comments and blank lines: find the value in the text
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                for value in line.split("#")[0].split(","):
-                    try:
-                        finite = np.isfinite(float(value))
-                    except ValueError:
-                        continue
-                    if not finite:
-                        raise DataFormatError(
-                            f"{path}:{lineno}: non-finite value {value.strip()!r}"
-                        )
+        _check_sample_lines(path)
     return sample
+
+
+def _check_sample_lines(path: str) -> None:
+    """Raise DataFormatError naming the first line of a sample file with a
+    value that is not a finite number, or with another field count than the
+    first row's. Like loadtxt, the scan skips comments and blank lines."""
+    width = None
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#")[0]
+            if not text.strip():
+                continue
+            values = text.split(",")
+            width = width or len(values)
+            if len(values) != width:
+                raise DataFormatError(f"{path}:{lineno}: expected {width} fields, got {len(values)}")
+            for value in values:
+                try:
+                    number = float(value)
+                except ValueError:
+                    raise DataFormatError(f"{path}:{lineno}: non-numeric value {value.strip()!r}") from None
+                if not np.isfinite(number):
+                    raise DataFormatError(f"{path}:{lineno}: non-finite value {value.strip()!r}")
 
 
 def cmd_mmd(args: argparse.Namespace) -> int:

@@ -291,17 +291,18 @@ def _not_utf8(path: str | Path) -> DataFormatError:
 
 
 def _csv_records(fh, path: Path):
-    """The records of a CSV file opened with ``newline=""`` and
-    ``encoding="utf-8-sig"`` (UTF-8 after an optional byte order mark).
-    Bytes that are not UTF-8 and malformed CSV (such as a field over the csv
-    module's size limit, or a quote still open at the end of the file) raise
-    DataFormatError naming the line; a malformed record is named by the line
-    it starts on."""
+    """``(line, record)`` for each record of a CSV file opened with
+    ``newline=""`` and ``encoding="utf-8-sig"`` (UTF-8 after an optional byte
+    order mark), where ``line`` is the line the record starts on: a quoted
+    field may hold line breaks. Bytes that are not UTF-8 and malformed CSV
+    (such as a field over the csv module's size limit, or a quote still open
+    at the end of the file) raise DataFormatError naming the line; a
+    malformed record is named by the line it starts on."""
     reader = csv.reader(fh, strict=True)
     start = 1
     try:
         for record in reader:
-            yield record
+            yield start, record
             start = reader.line_num + 1
     except csv.Error as exc:
         raise DataFormatError(f"{path}:{start}: malformed CSV: {exc}") from None
@@ -323,7 +324,7 @@ def load_bags(instances_path: str | Path, targets_path: str | Path | None = None
     inst_path = Path(instances_path)
     with open(inst_path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv_records(fh, inst_path)
-        header = next(reader, None)
+        _, header = next(reader, (1, None))
         if header is None or len(header) < 2 or header[0] != "bag_id":
             raise DataFormatError(
                 f"{inst_path}:1: expected header 'bag_id,f1,...,fd', got {header!r}"
@@ -331,7 +332,7 @@ def load_bags(instances_path: str | Path, targets_path: str | Path | None = None
         dim = len(header) - 1
         order: list[str] = []
         rows: dict[str, list[list[float]]] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if not row:
                 continue
             bag_id = row[0]
@@ -366,13 +367,13 @@ def load_bags(instances_path: str | Path, targets_path: str | Path | None = None
 def _load_targets(path: Path) -> dict[str, float]:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv_records(fh, path)
-        header = next(reader, None)
+        _, header = next(reader, (1, None))
         if header is None or len(header) != 2 or header[0] != "bag_id":
             raise DataFormatError(
                 f"{path}:1: expected header 'bag_id,y', got {header!r}"
             )
         targets: dict[str, float] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if not row:
                 continue
             if len(row) != 2:

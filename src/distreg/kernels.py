@@ -10,18 +10,20 @@ embeddings never needs the feature maps explicitly, because
 
     <mu_b, mu_b'> = (1 / (n_b n_b')) sum_i sum_j k(x_i^b, x_j^b').
 
-Every such sum goes through one tile engine, ``_bag_grams`` and
-``_cross_bag_grams``; ``bag_gram``, ``cross_bag_gram``,
-``bag_mean_kernel_entry``, ``multisource_bag_gram`` and ``mmd_squared`` are
-its one-sigma calls. Bags are taken in canonical row order, a bag of more
-than TILE rows is cut into TILE-row pieces, and the pieces are packed into
-chunks of at most TILE pooled rows. So no kernel block larger than TILE x TILE
-is ever materialized, and one squared-distance pass per chunk pair serves
-every sigma of a call (cross-validation gets all sigmas of a fold this way):
-only the scaling, ``exp`` and per-bag sums run per sigma, one bag row block
-at a time in a small reused buffer. A chunk paired with itself computes only
-the bag blocks on and above its diagonal, which are all that the symmetric
-Gram reads. These sums are bitwise those of whole-tile passes, because
+Every such sum goes through one tile engine, ``_grams``; ``bag_gram``,
+``cross_bag_gram``, ``bag_mean_kernel_entry``, ``multisource_bag_gram`` and
+``mmd_squared`` are its one-sigma calls. Bags are taken in canonical row
+order, a bag of more than TILE rows is cut into TILE-row pieces, and the
+pieces are packed into chunks of at most TILE pooled rows. So no kernel block
+larger than TILE x TILE is ever materialized, and one squared-distance pass
+per chunk pair serves every sigma of a call (cross-validation gets all sigmas
+of a fold this way): only the scaling, ``exp`` and per-bag sums run per
+sigma, one bag row block at a time in a small reused buffer, and each block's
+per-bag sums are added straight into the output. A chunk paired with itself
+computes only the bag blocks on and above its diagonal, which are all that
+the symmetric Gram reads; the upper triangle is then mirrored in place. So a
+call holds its S x B x B' outputs plus two tiles, whatever the sigma count S.
+These sums are bitwise those of whole-tile passes, because
 ``np.add.reduceat`` sums each segment independently of the others. The MMD
 permutation test never holds the pooled (n+m) x (n+m) kernel matrix either:
 it builds it one block of TILE rows at a time, once per batch of up to TILE
@@ -212,72 +214,69 @@ def _chunks(data: BagDataset) -> list[_Chunk]:
     return chunks
 
 
-def _block_sums(ca: _Chunk, cb: _Chunk, gammas: Sequence[float]):
-    """Per-bag-pair kernel sums between two chunks, one matrix per gamma, from
-    one distance pass.
+def _add_pair_sums(out: np.ndarray, ca: _Chunk, cb: _Chunk, gammas: Sequence[float], mirror: bool) -> None:
+    """Add the per-bag-pair kernel sums between two chunks into
+    ``out[g, ca.bags, cb.bags]`` for each gamma g, from one distance pass.
 
-    Scaling, ``exp`` and the row sum run one bag row block at a time in a
-    small reused buffer. On a diagonal chunk pair only the bag blocks on and
-    above the diagonal are computed; the rest of each matrix stays zero.
+    Scaling, ``exp`` and the column sum run one bag row block at a time in a
+    small reused buffer, and the block's per-bag sums go straight into its
+    output row. A chunk paired with itself adds only the bag blocks on and
+    above the diagonal. ``mirror`` marks an off-diagonal chunk pair of a
+    symmetric Gram: a bag cut across both chunks adds its cross-piece sum to
+    its diagonal entry twice, once for each orientation.
     """
     # numpy sends a @ a.T on one array to syrk, which rounds differently from
     # the gemm of every other chunk pair
     b_rows = cb.rows.copy() if cb is ca else cb.rows
     d2, buf = _sq_distances(ca.rows, b_rows, ca.sq, cb.sq)
     ends = np.append(ca.starts[1:], ca.rows.shape[0])
-    col_sums = np.zeros((len(gammas), len(ca.starts), cb.rows.shape[0]))
     for i, (r0, r1) in enumerate(zip(ca.starts, ends)):
-        c0 = cb.starts[i] if cb is ca else 0
+        j0 = i if cb is ca else 0
+        c0 = cb.starts[j0]
         block = d2[r0:r1, c0:]
         scratch = buf.reshape(-1)[: block.size].reshape(block.shape)
-        for g, gamma in enumerate(gammas):
+        row = ca.bags.start + i
+        cols = slice(cb.bags.start + j0, cb.bags.stop)
+        for total, gamma in zip(out, gammas):
             np.multiply(block, -gamma, out=scratch)
             np.exp(scratch, out=scratch)
             # a one-segment reduceat rounds as the whole-tile one does;
             # sum(axis=0) does not
-            col_sums[g, i, c0:] = np.add.reduceat(scratch, [0], axis=0)
-    for sums in col_sums:
-        yield np.add.reduceat(sums, cb.starts, axis=1)
+            col_sums = np.add.reduceat(scratch, [0], axis=0)[0]
+            sums = np.add.reduceat(col_sums, cb.starts[j0:] - c0)
+            total[row, cols] += sums
+            if mirror and row == cb.bags.start:
+                total[row, row] += sums[0]
 
 
 def _bag_sizes(data: BagDataset) -> np.ndarray:
     return np.array([b.n_instances for b in data.bags], dtype=float)
 
 
-def _bag_grams(data: BagDataset, gammas: Sequence[float]) -> list[np.ndarray]:
-    """Bag Gram values of ``data`` at each gamma, from one distance pass per
-    chunk pair."""
-    chunks = _chunks(data)
-    sums = np.zeros((len(gammas), len(data.bags), len(data.bags)))
-    for ia, ca in enumerate(chunks):
-        for cb in chunks[ia:]:
-            for total, block in zip(sums, _block_sums(ca, cb, gammas)):
-                total[ca.bags, cb.bags] += block
-                if cb is not ca:
-                    total[cb.bags, ca.bags] += block.T
-    scale = np.outer(_bag_sizes(data), _bag_sizes(data))
-    # the upper triangle holds every sum (a diagonal chunk pair leaves its
-    # lower bag blocks zero); mirror it for exact symmetry
-    return [(np.triu(total) + np.triu(total, 1).T) / scale for total in sums]
-
-
-def _cross_bag_grams(
-    test: BagDataset, train: BagDataset, gammas: Sequence[float]
-) -> list[np.ndarray]:
-    """Cross bag Gram values of ``test`` against ``train`` at each gamma, from
-    one distance pass per chunk pair."""
-    if test.dim != train.dim:
-        raise ValueError(
-            f"feature dimension mismatch: test d={test.dim}, train d={train.dim}"
-        )
-    chunks_b = _chunks(train)
-    sums = np.zeros((len(gammas), len(test.bags), len(train.bags)))
-    for ca in _chunks(test):
-        for cb in chunks_b:
-            for total, block in zip(sums, _block_sums(ca, cb, gammas)):
-                total[ca.bags, cb.bags] += block
-    scale = np.outer(_bag_sizes(test), _bag_sizes(train))
-    return [total / scale for total in sums]
+def _grams(a: BagDataset, b: BagDataset | None, gammas: Sequence[float]) -> np.ndarray:
+    """Bag Gram values of ``a`` against ``b``, or against itself when ``b``
+    is None, at each gamma: one (gammas, bags of a, bags of b) array, from
+    one distance pass per chunk pair. Beside the output, the scratch is two
+    tiles, whatever the number of gammas."""
+    symmetric, b = b is None, a if b is None else b
+    if a.dim != b.dim:
+        raise ValueError(f"feature dimension mismatch: test d={a.dim}, train d={b.dim}")
+    chunks_a = _chunks(a)
+    chunks_b = chunks_a if symmetric else _chunks(b)
+    out = np.zeros((len(gammas), a.n_bags, b.n_bags))
+    for ia, ca in enumerate(chunks_a):
+        for cb in chunks_b[ia:] if symmetric else chunks_b:
+            _add_pair_sums(out, ca, cb, gammas, mirror=symmetric and cb is not ca)
+    # row by row and sigma by sigma: one row of scratch, never a B x B one
+    sizes_b = _bag_sizes(b)
+    for i, n_i in enumerate(_bag_sizes(a)):
+        scale = n_i * sizes_b  # row i of np.outer(sizes_a, sizes_b)
+        for total in out:
+            if symmetric:
+                # the upper triangle holds every sum; mirror it for exact symmetry
+                total[i + 1 :, i] = total[i, i + 1 :]
+            total[i] /= scale
+    return out
 
 
 def _one_bag(bag: Bag) -> BagDataset:
@@ -289,7 +288,7 @@ def bag_mean_kernel_entry(bag_b: Bag, bag_bp: Bag, params: RbfParams) -> float:
 
     Returns (1 / (n_b n_b')) sum_i sum_j k(x_i, x_j').
     """
-    (entry,) = _cross_bag_grams(_one_bag(bag_b), _one_bag(bag_bp), (params.gamma,))
+    (entry,) = _grams(_one_bag(bag_b), _one_bag(bag_bp), (params.gamma,))
     return float(entry[0, 0])
 
 
@@ -300,7 +299,7 @@ def bag_gram(data: BagDataset, params: RbfParams) -> BagGram:
     mirrored), with entries in (0, 1] and positive semidefinite up to
     round-off.
     """
-    return BagGram(_bag_grams(data, (params.gamma,))[0])
+    return BagGram(_grams(data, None, (params.gamma,))[0])
 
 
 def cross_bag_gram(
@@ -311,7 +310,7 @@ def cross_bag_gram(
     Entry (t, b) is (1 / (m_t n_b)) sum_l sum_i k(x_l^t, x_i^b); predictions of
     a dual model are this matrix times its coefficient vector.
     """
-    return _cross_bag_grams(test, train, (params.gamma,))[0]
+    return _grams(test, train, (params.gamma,))[0]
 
 
 def multisource_bag_gram(
@@ -323,7 +322,7 @@ def multisource_bag_gram(
             f"need one RbfParams per source: got {len(params)} for "
             f"{data.n_sources} sources"
         )
-    return BagGram(sum(_bag_grams(src, (p.gamma,))[0] for src, p in zip(data.sources, params)))
+    return BagGram(sum(_grams(src, None, (p.gamma,))[0] for src, p in zip(data.sources, params)))
 
 
 def mmd_squared(
@@ -342,7 +341,7 @@ def mmd_squared(
     _check_same_dim(x, y)
     x, y = _one_bag(Bag("sample_x", x)), _one_bag(Bag("sample_y", y))
     (kxx,), (kyy,), (kxy,) = (
-        _cross_bag_grams(a, b, (params.gamma,)) for a, b in ((x, x), (y, y), (x, y))
+        _grams(a, b, (params.gamma,)) for a, b in ((x, x), (y, y), (x, y))
     )
     value = float(kxx[0, 0] + kyy[0, 0] - 2.0 * kxy[0, 0])
     return 0.0 if -1e-12 <= value < 0.0 else value

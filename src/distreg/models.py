@@ -52,6 +52,7 @@ from .data import (
     BagDataset,
     MultiSourceDataset,
     Normalizer,
+    _not_utf8,
     apply_normalizer,
     canonical_rows,
     fit_normalizer,
@@ -60,8 +61,7 @@ from .data import (
 from .kernels import (
     BagGram,
     RbfParams,
-    _bag_grams,
-    _cross_bag_grams,
+    _grams,
     cross_gram,
     median_heuristic_bags,
 )
@@ -263,10 +263,8 @@ def _summed_grams(sources: Callable[[FittedModel], tuple[BagDataset, ...]]):
     def matrices(states, train, test):
         fitted_on = sources(states[0])
         gammas = [list(dict.fromkeys(m.kernel_params[f].gamma for m in states)) for f in range(len(fitted_on))]
-        grams = None if train is None else [_bag_grams(s, g) for s, g in zip(fitted_on, gammas)]
-        crosses = None if test is None else [
-            _cross_bag_grams(t, s, g) for t, s, g in zip(test, fitted_on, gammas)
-        ]
+        grams = None if train is None else [_grams(s, None, g) for s, g in zip(fitted_on, gammas)]
+        crosses = None if test is None else [_grams(t, s, g) for t, s, g in zip(test, fitted_on, gammas)]
         out = []
         for m in states:
             at = [g.index(p.gamma) for g, p in zip(gammas, m.kernel_params)]
@@ -797,6 +795,8 @@ def load_model(path: str | Path) -> FittedModel:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"corrupt model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:

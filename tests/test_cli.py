@@ -247,6 +247,14 @@ class TestRun:
         assert run_cli("run", "--config", config, *flags) == 1
         assert capsys.readouterr().err == message + "\n"
 
+    def test_invalid_utf8_config_named(self, run_config, capsys):
+        config, _ = run_config
+        config.write_bytes(b'{\n"trials": 2,\n"out": "r\xff"\n}\n')
+        assert run_cli("run", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}:3: not valid UTF-8: can't decode b'\\xff'")
+        assert "Traceback" not in err
+
     def test_lone_model_string_accepted(self, run_config):
         config, out_dir = run_config
         raw = json.loads(config.read_text(encoding="utf-8"))
@@ -343,6 +351,26 @@ class TestMmd:
         assert "Traceback" not in captured.err
         assert "p_value" not in captured.out
 
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("1.5,x", "non-numeric value 'x'"),
+            ("1.5,", "non-numeric value ''"),
+            ("1.5,2.0,3.0", "expected 2 fields, got 3"),
+            ("1.5", "expected 2 fields, got 1"),
+        ],
+        ids=["non-numeric", "empty-field", "extra-field", "missing-field"],
+    )
+    def test_bad_row_named_by_line(self, tmp_path, capsys, line, message):
+        # loadtxt skips the comment and the blank line, and counts rows, not lines
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        np.savetxt(a, np.zeros((5, 2)), delimiter=",")
+        b.write_text(f"0.5,1.0\n# comment\n\n2.0,0.0\n{line}\n2.0,0.0\n", encoding="utf-8")
+        assert run_cli("mmd", a, b) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {b}:5: {message}\n"
+        assert "p_value" not in captured.out
 
     def test_invalid_utf8_named(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -587,6 +615,20 @@ class TestFitPredict:
         assert run_cli("predict", "--model-file", bad, "--instances", inst,
                        "--out", tmp_path / "p.csv") != 0
         assert "corrupt model file" in capsys.readouterr().err
+
+    def test_invalid_utf8_model_file_named(self, tmp_path, variance_files, capsys):
+        inst, tgt = variance_files
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--model", "kdr", "--instances", inst, "--targets", tgt,
+                       "--out", model_path) == 0
+        text = model_path.read_bytes()
+        model_path.write_bytes(text[:40] + b"\n\xff" + text[40:])
+        assert run_cli("predict", "--model-file", model_path, "--instances", inst,
+                       "--out", tmp_path / "p.csv") == 1
+        err = capsys.readouterr().err
+        line = text[:40].count(b"\n") + 2
+        assert err.startswith(f"error: {model_path}:{line}: not valid UTF-8: can't decode b'\\xff'")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "edit,message",

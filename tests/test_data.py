@@ -155,6 +155,21 @@ class TestLoadBags:
             load_bags(path)
         assert str(info.value) == f"{path}:{line}: malformed CSV: unexpected end of data"
 
+    def test_errors_after_a_quoted_line_break_name_their_line(self, tmp_path):
+        # the id "a\nb" spans lines 2 and 3, so the bad value is on line 5,
+        # although it is the fourth record
+        path = write(tmp_path / "i.csv", 'bag_id,f1\n"a\nb",1\nc,2\nc,x\n')
+        with pytest.raises(DataFormatError) as info:
+            load_bags(path)
+        assert str(info.value) == f"{path}:5: non-numeric value 'x' for bag 'c'"
+
+    def test_target_errors_after_a_quoted_line_break_name_their_line(self, tmp_path):
+        inst = write(tmp_path / "i.csv", 'bag_id,f1\n"a\nb",1\nc,2\n')
+        tgt = write(tmp_path / "t.csv", 'bag_id,y\n"a\nb",1.0\nc,2.0\nc,3.0\n')
+        with pytest.raises(DataFormatError) as info:
+            load_bags(inst, tgt)
+        assert str(info.value) == f"{tgt}:5: duplicate target for bag 'c'"
+
 
 class TestNormalizer:
     def test_single_bag_hand_values(self):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import distreg.kernels as kernels
 from distreg import (
@@ -246,8 +246,8 @@ class TestSigmaSweep:
         train = self.ragged(rng, [5, 1, 9, 3, 2, 4, 1, 7])
         test = self.ragged(rng, [2, 6, 1, 3, 4], prefix="t")
         sigmas = [0.3, 0.75, 1.0, 2.4, 7.0]
-        grams = kernels._bag_grams(train, [RbfParams(s).gamma for s in sigmas])
-        crosses = kernels._cross_bag_grams(test, train, [RbfParams(s).gamma for s in sigmas])
+        grams = kernels._grams(train, None, [RbfParams(s).gamma for s in sigmas])
+        crosses = kernels._grams(test, train, [RbfParams(s).gamma for s in sigmas])
         for sigma, gram, cross in zip(sigmas, grams, crosses):
             assert np.array_equal(gram, kernels.bag_gram(train, RbfParams(sigma)).values)
             assert np.array_equal(cross, kernels.cross_bag_gram(test, train, RbfParams(sigma)))
@@ -264,15 +264,20 @@ class TestSigmaSweep:
             assert np.array_equal(cross_gram(a, b, RbfParams(sigma)), np.exp(d2))
 
     @staticmethod
-    def whole_tile_block_sums(ca, cb, gammas):
-        """Reference form of ``kernels._block_sums``: scale and ``exp`` over
-        the whole tile at each gamma, then two ``reduceat`` passes."""
+    def whole_tile_pair_sums(out, ca, cb, gammas, mirror):
+        """Reference form of ``kernels._add_pair_sums``: scale and ``exp``
+        over the whole tile at each gamma, then two ``reduceat`` passes,
+        whose block is added to the output, and its transpose too on an
+        off-diagonal chunk pair of a symmetric Gram."""
         b_rows = cb.rows.copy() if cb is ca else cb.rows
         d2, buf = kernels._sq_distances(ca.rows, b_rows, ca.sq, cb.sq)
-        for gamma in gammas:
+        for total, gamma in zip(out, gammas):
             np.multiply(d2, -gamma, out=buf)
             tile = np.exp(buf, out=buf)
-            yield np.add.reduceat(np.add.reduceat(tile, ca.starts, axis=0), cb.starts, axis=1)
+            block = np.add.reduceat(np.add.reduceat(tile, ca.starts, axis=0), cb.starts, axis=1)
+            total[ca.bags, cb.bags] += block
+            if mirror:
+                total[cb.bags, ca.bags] += block.T
 
     @pytest.mark.parametrize(
         "tile,sizes,test_sizes",
@@ -290,12 +295,12 @@ class TestSigmaSweep:
         train = self.ragged(rng, sizes)
         test = self.ragged(rng, test_sizes, prefix="t")
         gammas = [RbfParams(s).gamma for s in (0.3, 0.5, 0.75, 1.0, 1.6, 2.4, 7.0)]
-        grams = kernels._bag_grams(train, gammas)
-        crosses = kernels._cross_bag_grams(test, train, gammas)
-        monkeypatch.setattr(kernels, "_block_sums", self.whole_tile_block_sums)
-        for got, want in zip(grams, kernels._bag_grams(train, gammas)):
+        grams = kernels._grams(train, None, gammas)
+        crosses = kernels._grams(test, train, gammas)
+        monkeypatch.setattr(kernels, "_add_pair_sums", self.whole_tile_pair_sums)
+        for got, want in zip(grams, kernels._grams(train, None, gammas)):
             assert np.array_equal(got, want)
-        for got, want in zip(crosses, kernels._cross_bag_grams(test, train, gammas)):
+        for got, want in zip(crosses, kernels._grams(test, train, gammas)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("tile", [4, 1024])
@@ -331,10 +336,10 @@ class TestSigmaSweep:
         counts = []
         for gammas in ([0.7], np.linspace(0.1, 2.0, 7)):
             entries.clear()
-            kernels._bag_grams(train, gammas)
+            kernels._grams(train, None, gammas)
             counts.append(sum(entries))
             entries.clear()
-            kernels._cross_bag_grams(test, train, gammas)
+            kernels._grams(test, train, gammas)
             counts.append(sum(entries))
         assert counts == [want_gram, want_cross, 7 * want_gram, 7 * want_cross]
 
@@ -359,10 +364,10 @@ class TestSigmaSweep:
         counts = []
         for n_sigmas in (1, 7):
             calls.clear()
-            kernels._bag_grams(train, np.linspace(0.1, 2.0, n_sigmas))
+            kernels._grams(train, None, np.linspace(0.1, 2.0, n_sigmas))
             counts.append(len(calls))
             calls.clear()
-            kernels._cross_bag_grams(test, train, np.linspace(0.1, 2.0, n_sigmas))
+            kernels._grams(test, train, np.linspace(0.1, 2.0, n_sigmas))
             counts.append(len(calls))
         n_train, n_test = len(kernels._chunks(train)), len(kernels._chunks(test))
         assert counts == [n_train * (n_train + 1) // 2, n_test * n_train] * 2
@@ -618,6 +623,52 @@ class TestBlockedMmdTest:
         # one block, the split weights and their products: 3 TILE x (n+m)
         # arrays; the whole pooled Gram would be 8 (n+m)^2 = 72 MB
         assert peak < 4 * 8 * tile * rows
+
+
+class TestGramMemory:
+    """The tile engine holds its outputs, one copy of the pooled rows and a
+    few tiles, whatever the sigma count: no scratch grows with S."""
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(
+        n_a=st.integers(1, 300),
+        n_b=st.integers(1, 300),
+        n_sigmas=st.integers(1, 28),
+        dim=st.integers(1, 3),
+        symmetric=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    # the old engine's S x pieces x TILE column sums and B x B copies
+    # exceeded the bound by megabytes here
+    @example(n_a=34, n_b=34, n_sigmas=28, dim=2, symmetric=True, seed=0)
+    @example(n_a=20, n_b=58, n_sigmas=28, dim=2, symmetric=False, seed=0)
+    def test_peak_is_outputs_plus_tiles(self, n_a, n_b, n_sigmas, dim, symmetric, seed):
+        tile = 64
+        n_b = n_a if symmetric else n_b
+        # at most about 2^15 output entries, so that an example takes well
+        # under 0.1 s under tracemalloc
+        n_sigmas = max(1, min(n_sigmas, 2**15 // (n_a * n_b)))
+        rng = np.random.default_rng(seed)
+
+        def one_or_two_row_bags(n, prefix):
+            bags = tuple(
+                Bag(f"{prefix}{i}", rng.standard_normal((int(rng.integers(1, 3)), dim)))
+                for i in range(n)
+            )
+            return BagDataset(bags, np.zeros(n))
+
+        a = one_or_two_row_bags(n_a, "a")
+        b = None if symmetric else one_or_two_row_bags(n_b, "b")
+        gammas = list(np.linspace(0.1, 2.0, n_sigmas))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "TILE", tile)
+            peak = traced_peak(kernels._grams, a, b, gammas)
+        rows = sum(bag.n_instances for ds in (a, b) if ds is not None for bag in ds.bags)
+        outputs = 8 * n_sigmas * n_a * n_b
+        # per-bag slack: each bag's piece, its squared norms and its share of
+        # the chunk bookkeeping
+        slack = 256 * (n_a + n_b) + 4096
+        assert peak <= outputs + 8 * dim * rows + 3 * 8 * tile * tile + slack
 
 
 SLICED = settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -2,7 +2,7 @@
 
 Bag Grams: hypothesis draws the bags (1-6 bags of 1-5 instances, d = 1-3)
 and up to four sigmas; every Gram of one call comes from the same
-squared-distance tiles (``kernels._bag_grams`` / ``_cross_bag_grams``).
+squared-distance tiles (``kernels._grams``).
 Models: the predictions of every kind are invariant to instance order,
 instance duplication and per-feature affine maps of the input, and follow
 the order of the bags. CLI: ``distreg.cli.main`` on generated configs, grid
@@ -33,7 +33,7 @@ from distreg import (
     predict_model,
 )
 from distreg.cli import main as cli_main
-from distreg.kernels import _bag_grams, _cross_bag_grams
+from distreg.kernels import _grams
 from distreg.models import _normalize, _spec, _transform
 from conftest import HYPERS, oracle_bag_gram, oracle_cross_bag_gram
 
@@ -84,10 +84,10 @@ def test_invariant_to_instance_order(pair, sigmas, data):
         rows = [data.draw(st.permutations(range(b.n_instances))) for b in ds.bags]
         shuffled.append(_reorder(ds, range(ds.n_bags), rows))
     gammas = _gammas(sigmas)
-    for want, got in zip(_bag_grams(train, gammas), _bag_grams(shuffled[0], gammas)):
+    for want, got in zip(_grams(train, None, gammas), _grams(shuffled[0], None, gammas)):
         assert np.array_equal(want, got)
     for want, got in zip(
-        _cross_bag_grams(test, train, gammas), _cross_bag_grams(shuffled[1], shuffled[0], gammas)
+        _grams(test, train, gammas), _grams(shuffled[1], shuffled[0], gammas)
     ):
         assert np.array_equal(want, got)
 
@@ -106,13 +106,13 @@ def test_permutes_with_bag_order(pair, sigmas, data):
     idx = np.arange(len(p))
     kept = (np.subtract.outer(idx, idx) >= 0) == (np.subtract.outer(p, p) >= 0)
     moved_train = _reorder(train, p)
-    for want, got in zip(_bag_grams(train, gammas), _bag_grams(moved_train, gammas)):
+    for want, got in zip(_grams(train, None, gammas), _grams(moved_train, None, gammas)):
         want = want[np.ix_(p, p)]
         assert np.array_equal(want[kept], got[kept])
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-300)
     for want, got in zip(
-        _cross_bag_grams(test, train, gammas),
-        _cross_bag_grams(_reorder(test, q), moved_train, gammas),
+        _grams(test, train, gammas),
+        _grams(_reorder(test, q), moved_train, gammas),
     ):
         assert np.array_equal(want[np.ix_(q, p)], got)
 
@@ -123,7 +123,7 @@ def test_matches_loop_oracle(pair, sigmas):
     train, test = pair
     gammas = _gammas(sigmas)
     for sigma, gram, cross in zip(
-        sigmas, _bag_grams(train, gammas), _cross_bag_grams(test, train, gammas)
+        sigmas, _grams(train, None, gammas), _grams(test, train, gammas)
     ):
         assert np.max(np.abs(gram - oracle_bag_gram(train, sigma))) <= 1e-12
         assert np.max(np.abs(cross - oracle_cross_bag_gram(test, train, sigma))) <= 1e-12
