@@ -105,6 +105,7 @@ from .data import (  # noqa: E402
     canonical_rows,
     fit_normalizer,
     load_bags,
+    load_sample,
     pooled_instances,
     save_bags,
 )

@@ -16,14 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataFormatError, _not_utf8, align_sources, load_bags, save_bags
+from .data import _read_json, align_sources, load_bags, load_sample, save_bags
 from .evaluate import render_table, report_to_dict, reports_to_csv, run_protocol
 from .kernels import RbfParams, median_heuristic, mmd_permutation_test
 from .models import (
     _AXES,
     _DOMAINS,
     HYPER_AXES,
-    IllConditionedError,
     MODEL_KINDS,
     MULTISOURCE_KINDS,
     _grid_values,
@@ -81,12 +80,7 @@ _RUN_KEYS = {
 def _load_config(path) -> dict:
     """The ``run`` config at ``path``, each key checked against ``_RUN_KEYS``
     and every key it omits at its default."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     unknown = set(raw) - set(_RUN_KEYS)
@@ -208,44 +202,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_sample(path: str) -> np.ndarray:
-    try:
-        sample = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    except ValueError as exc:
-        _check_sample_lines(path)
-        raise DataFormatError(f"{path}: not a headerless numeric CSV ({exc})") from exc
-    if sample.size == 0:
-        raise DataFormatError(f"{path}: empty sample")
-    if not np.all(np.isfinite(sample)):
-        _check_sample_lines(path)
-    return sample
-
-
-def _check_sample_lines(path: str) -> None:
-    """Raise DataFormatError naming the first line of a sample file with a
-    value that is not a finite number, or with another field count than the
-    first row's. Like loadtxt, the scan skips comments and blank lines."""
-    width = None
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#")[0]
-            if not text.strip():
-                continue
-            values = text.split(",")
-            width = width or len(values)
-            if len(values) != width:
-                raise DataFormatError(f"{path}:{lineno}: expected {width} fields, got {len(values)}")
-            for value in values:
-                try:
-                    number = float(value)
-                except ValueError:
-                    raise DataFormatError(f"{path}:{lineno}: non-numeric value {value.strip()!r}") from None
-                if not np.isfinite(number):
-                    raise DataFormatError(f"{path}:{lineno}: non-finite value {value.strip()!r}")
-
-
 def cmd_mmd(args: argparse.Namespace) -> int:
     _integer(args.seed, 0, "--seed")
     _integer(args.permutations, 1, "--permutations")
@@ -255,8 +211,8 @@ def cmd_mmd(args: argparse.Namespace) -> int:
             params = RbfParams(args.sigma)
         except ValueError as exc:
             raise ValueError(f"--sigma: {exc}") from None
-    x = _load_sample(args.sample_x)
-    y = _load_sample(args.sample_y)
+    x = load_sample(args.sample_x)
+    y = load_sample(args.sample_y)
     if x.shape[1] != y.shape[1]:
         raise ValueError(
             f"feature dimension mismatch: {args.sample_x} has d={x.shape[1]}, "
@@ -396,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (OSError, ValueError, DataFormatError, IllConditionedError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,5 @@
-"""Bag-structured datasets: CSV loading, feature normalization, multisource alignment.
+"""Bag-structured datasets: reading every input file (CSV and JSON), feature
+normalization, multisource alignment.
 
 A *bag* is a group of instance feature vectors that share one scalar target
 (all pixels in a county, all readings at a site, ...). Supervision lives at
@@ -10,6 +11,7 @@ threads.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +30,7 @@ __all__ = [
     "canonical_rows",
     "fit_normalizer",
     "load_bags",
+    "load_sample",
     "pooled_instances",
     "save_bags",
 ]
@@ -265,16 +268,26 @@ def align_sources(per_source: Sequence[BagDataset]) -> MultiSourceDataset:
     return MultiSourceDataset(views)
 
 
-def _parse_float(value: str, path: Path, lineno: int, bag_id: str) -> float:
+def _parse_float(value: str, path: str | Path, line: int, bag: str | None) -> float:
+    """``value`` as a finite float, in the one number grammar of every input
+    file: surrounding whitespace, then ASCII text that Python's ``float``
+    reads and that holds no ``_`` (a sign, digits, a decimal point and an
+    exponent; ``nan`` and ``inf`` spellings parse and are then rejected as
+    non-finite). Errors name the file, the line and, when given, the bag."""
+    text = value.strip()
     try:
-        number = float(value)
+        if not text.isascii() or "_" in text:
+            raise ValueError
+        number = float(text)
     except ValueError:
-        raise DataFormatError(
-            f"{path}:{lineno}: non-numeric value {value!r} for bag {bag_id!r}"
-        ) from None
+        raise DataFormatError(f"{path}:{line}: non-numeric value {value!r}{_of(bag)}") from None
     if not math.isfinite(number):
-        raise DataFormatError(f"{path}:{lineno}: non-finite value {value!r} for bag {bag_id!r}")
+        raise DataFormatError(f"{path}:{line}: non-finite value {value!r}{_of(bag)}")
     return number
+
+
+def _of(bag: str | None) -> str:
+    return "" if bag is None else f" for bag {bag!r}"
 
 
 def _not_utf8(path: str | Path) -> DataFormatError:
@@ -290,15 +303,29 @@ def _not_utf8(path: str | Path) -> DataFormatError:
     return DataFormatError(f"{path}: not valid UTF-8")  # changed since it was read
 
 
-def _csv_records(fh, path: Path):
-    """``(line, record)`` for each record of a CSV file opened with
-    ``newline=""`` and ``encoding="utf-8-sig"`` (UTF-8 after an optional byte
-    order mark), where ``line`` is the line the record starts on: a quoted
-    field may hold line breaks. Bytes that are not UTF-8 and malformed CSV
-    (such as a field over the csv module's size limit, or a quote still open
-    at the end of the file) raise DataFormatError naming the line; a
-    malformed record is named by the line it starts on."""
-    reader = csv.reader(fh, strict=True)
+def _read_json(path: str | Path):
+    """The JSON document in the file at ``path`` (UTF-8 after an optional byte
+    order mark, as RFC 8259 allows); bytes that are not UTF-8 and text that is
+    not JSON raise DataFormatError naming the line."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg} (column {exc.colno})") from None
+    except RecursionError:
+        raise DataFormatError(f"{path}: not valid JSON: nested too deeply") from None
+
+
+def _csv_records(lines, path: str | Path):
+    """``(line, record)`` for each CSV record in ``lines``, the lines of a file
+    opened with ``newline=""`` and ``encoding="utf-8-sig"`` (UTF-8 after an
+    optional byte order mark), where ``line`` is the line the record starts
+    on: a quoted field may hold line breaks. Bytes that are not UTF-8 and
+    malformed CSV (such as a field over the csv module's size limit, or a
+    quote still open at the end of the file) raise DataFormatError naming
+    the line; a malformed record is named by the line it starts on."""
+    reader = csv.reader(lines, strict=True)
     start = 1
     try:
         for record in reader:
@@ -308,6 +335,36 @@ def _csv_records(fh, path: Path):
         raise DataFormatError(f"{path}:{start}: malformed CSV: {exc}") from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+
+
+def _rows(path: str | Path, header: str | None):
+    """``(line, bag, values)`` for each record of the CSV input file at
+    ``path``, its numbers parsed by ``_parse_float``; lines that are empty or
+    hold only whitespace are skipped.
+
+    With a ``header`` (``'bag_id,y'``, or ``'bag_id,f1,...,fd'`` for any d)
+    the file must start with a header of that shape, ``bag`` is each record's
+    first field and ``values`` the rest. Without one the file is a headerless
+    sample, ``bag`` is None and ``#`` starts a comment that runs to the end of
+    its line. Every record has as many fields as the header, or for a sample
+    as its first record.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        records = _csv_records(fh if header else (line.partition("#")[0] for line in fh), path)
+        width = None
+        if header:
+            _, names = next(records, (1, None))
+            width = len(names or ())
+            if width < 2 or names[0] != "bag_id" or ("..." not in header and width != header.count(",") + 1):
+                raise DataFormatError(f"{path}:1: expected header {header!r}, got {names!r}")
+        for line, record in records:
+            if len(record) < 2 and not "".join(record).strip():
+                continue
+            width = width or len(record)
+            bag = record[0] if header else None
+            if len(record) != width:
+                raise DataFormatError(f"{path}:{line}: expected {width} fields, got {len(record)}{_of(bag)}")
+            yield line, bag, [_parse_float(v, path, line, bag) for v in record[1 if header else 0 :]]
 
 
 def load_bags(instances_path: str | Path, targets_path: str | Path | None = None) -> BagDataset:
@@ -322,71 +379,35 @@ def load_bags(instances_path: str | Path, targets_path: str | Path | None = None
     set to 0.0.
     """
     inst_path = Path(instances_path)
-    with open(inst_path, newline="", encoding="utf-8-sig") as fh:
-        reader = _csv_records(fh, inst_path)
-        _, header = next(reader, (1, None))
-        if header is None or len(header) < 2 or header[0] != "bag_id":
-            raise DataFormatError(
-                f"{inst_path}:1: expected header 'bag_id,f1,...,fd', got {header!r}"
-            )
-        dim = len(header) - 1
-        order: list[str] = []
-        rows: dict[str, list[list[float]]] = {}
-        for lineno, row in reader:
-            if not row:
-                continue
-            bag_id = row[0]
-            if len(row) != dim + 1:
-                raise DataFormatError(
-                    f"{inst_path}:{lineno}: expected {dim + 1} fields, got {len(row)} "
-                    f"(bag {bag_id!r})"
-                )
-            values = [_parse_float(v, inst_path, lineno, bag_id) for v in row[1:]]
-            if bag_id not in rows:
-                rows[bag_id] = []
-                order.append(bag_id)
-            rows[bag_id].append(values)
-    if not order:
+    rows: dict[str, list[list[float]]] = {}
+    for _, bag_id, values in _rows(inst_path, "bag_id,f1,...,fd"):
+        rows.setdefault(bag_id, []).append(values)
+    if not rows:
         raise DataFormatError(f"{inst_path}: no bags (file has no instance rows)")
 
     if targets_path is None:
-        targets = {bid: 0.0 for bid in order}
+        targets = dict.fromkeys(rows, 0.0)
     else:
-        targets = _load_targets(Path(targets_path))
-        for bid in order:
-            if bid not in targets:
-                raise DataFormatError(
-                    f"{targets_path}: missing target for bag {bid!r}"
-                )
-
-    bags = tuple(Bag(bid, np.asarray(rows[bid], dtype=float)) for bid in order)
-    y = np.asarray([targets[bid] for bid in order], dtype=float)
-    return BagDataset(bags, y)
-
-
-def _load_targets(path: Path) -> dict[str, float]:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _csv_records(fh, path)
-        _, header = next(reader, (1, None))
-        if header is None or len(header) != 2 or header[0] != "bag_id":
-            raise DataFormatError(
-                f"{path}:1: expected header 'bag_id,y', got {header!r}"
-            )
-        targets: dict[str, float] = {}
-        for lineno, row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 2 fields, got {len(row)}"
-                )
-            bag_id = row[0]
+        targets = {}
+        for line, bag_id, (y,) in _rows(Path(targets_path), "bag_id,y"):
             if bag_id in targets:
-                raise DataFormatError(
-                    f"{path}:{lineno}: duplicate target for bag {bag_id!r}"
-                )
-            targets[bag_id] = _parse_float(row[1], path, lineno, bag_id)
-    return targets
+                raise DataFormatError(f"{targets_path}:{line}: duplicate target for bag {bag_id!r}")
+            targets[bag_id] = y
+        for bid in rows:
+            if bid not in targets:
+                raise DataFormatError(f"{targets_path}: missing target for bag {bid!r}")
+
+    bags = tuple(Bag(bid, np.asarray(values, dtype=float)) for bid, values in rows.items())
+    return BagDataset(bags, np.asarray([targets[bid] for bid in rows], dtype=float))
+
+
+def load_sample(path: str | Path) -> np.ndarray:
+    """The (n, d) sample in a headerless numeric CSV, as ``distreg mmd``
+    reads it: one instance per line; ``#`` comments and blank lines are skipped."""
+    values = [row for _, _, row in _rows(path, None)]
+    if not values:
+        raise DataFormatError(f"{path}: empty sample")
+    return np.asarray(values, dtype=float)
 
 
 def save_bags(

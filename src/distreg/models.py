@@ -45,14 +45,13 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .data import (
     Bag,
     BagDataset,
     MultiSourceDataset,
     Normalizer,
-    _not_utf8,
+    _read_json,
     apply_normalizer,
     canonical_rows,
     fit_normalizer,
@@ -111,6 +110,8 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     anything larger would silently distort cross-validated comparisons. A
     solve that needed jitter is logged at INFO.
     """
+    import scipy.linalg  # on the first solve: it is most of ``import distreg``'s time
+
     n = matrix.shape[0]
     diag_unit = float(np.trace(matrix)) / n
     for eps in (0.0,) + _JITTERS:
@@ -119,7 +120,7 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
         try:
             factor = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
             solution = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             continue
         if eps:
             logger.info(
@@ -793,16 +794,11 @@ def load_model(path: str | Path) -> FittedModel:
     sizes disagree with the coefficients raises ``ValueError`` naming the
     file and the field.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"corrupt model file {path}: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError(f"{path} is not a {_FORMAT} file")
     if doc.get("version") != _VERSION:
-        raise ValueError(f"unsupported model file version {doc.get('version')!r}")
+        raise ValueError(f"model file {path}: unsupported version {doc.get('version')!r}")
     for name in _CODECS:
         if name not in doc:
             raise ValueError(f"model file {path}: missing field {name!r}")

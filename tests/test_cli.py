@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: run, synth, mmd, fit, predict."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +42,13 @@ def run_config(tmp_path, variance_files):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path, Path(config["out"])
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg is most of the import time and only the ridge solve needs it
+    code = "import distreg.cli, sys; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 class TestSynth:
@@ -255,6 +265,24 @@ class TestRun:
         assert err.startswith(f"error: {config}:3: not valid UTF-8: can't decode b'\\xff'")
         assert "Traceback" not in err
 
+    def test_byte_order_mark_config_runs(self, run_config, tmp_path):
+        # RFC 8259 lets a parser ignore a leading BOM, as the CSV inputs do
+        config, out_dir = run_config
+        assert run_cli("run", "--config", config) == 0
+        plain = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        assert run_cli("run", "--config", bom, "--out", tmp_path / "bom") == 0
+        assert {p.name: p.read_bytes() for p in (tmp_path / "bom").iterdir()} == plain
+
+    def test_malformed_config_named_by_line(self, run_config, capsys):
+        config, _ = run_config
+        config.write_text('{\n"trials": 2,\n"seed": 1,,\n}\n', encoding="utf-8")
+        assert run_cli("run", "--config", config) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}:3: not valid JSON: Expecting property name enclosed in double quotes (column 11)\n"
+        )
+
     def test_lone_model_string_accepted(self, run_config):
         config, out_dir = run_config
         raw = json.loads(config.read_text(encoding="utf-8"))
@@ -393,6 +421,28 @@ class TestMmd:
             assert run_cli("mmd", x, y, "--permutations", "50") == 0
             stdout.append(capsys.readouterr().out)
         assert stdout[0] == stdout[1]
+
+
+    def test_quoted_numbers_load(self, tmp_path, capsys):
+        # the sample reader is the instances' CSV reader: RFC 4180 quotes are
+        # taken off before the number is read
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        rows = np.random.default_rng(3).standard_normal((20, 2))
+        plain.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in rows), encoding="utf-8")
+        quoted.write_text("".join(f'"{float(a)!r}",{float(b)!r}\n' for a, b in rows), encoding="utf-8")
+        stdout = []
+        for path in (plain, quoted):
+            assert run_cli("mmd", path, plain, "--permutations", "20") == 0
+            stdout.append(capsys.readouterr().out)
+        assert stdout[0] == stdout[1]
+
+    @pytest.mark.parametrize("text", ["1_000", "\u0661"])
+    def test_number_grammar_is_the_instances_one(self, tmp_path, capsys, text):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        np.savetxt(a, np.zeros((5, 2)), delimiter=",")
+        b.write_text(f"0.5,1.0\n2.0,{text}\n", encoding="utf-8")
+        assert run_cli("mmd", a, b) == 1
+        assert capsys.readouterr().err == f"error: {b}:2: non-numeric value {text!r}\n"
 
 
 class TestFitPredict:
@@ -613,8 +663,34 @@ class TestFitPredict:
         bad = tmp_path / "bad.json"
         bad.write_text("definitely not json", encoding="utf-8")
         assert run_cli("predict", "--model-file", bad, "--instances", inst,
-                       "--out", tmp_path / "p.csv") != 0
-        assert "corrupt model file" in capsys.readouterr().err
+                       "--out", tmp_path / "p.csv") == 1
+        assert capsys.readouterr().err == f"error: {bad}:1: not valid JSON: Expecting value (column 1)\n"
+
+    def test_malformed_model_file_named_by_line(self, tmp_path, variance_files, capsys):
+        inst, tgt = variance_files
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--model", "kdr", "--instances", inst, "--targets", tgt,
+                       "--out", model_path) == 0
+        capsys.readouterr()
+        model_path.write_text(model_path.read_text(encoding="utf-8").replace(",", ",\n", 2)[:-3],
+                              encoding="utf-8")
+        assert run_cli("predict", "--model-file", model_path, "--instances", inst,
+                       "--out", tmp_path / "p.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}:3: not valid JSON: ")
+        assert err.endswith(")\n") and "Traceback" not in err
+
+    def test_byte_order_mark_model_file_loads(self, tmp_path, variance_files):
+        inst, tgt = variance_files
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--model", "kdr", "--instances", inst, "--targets", tgt,
+                       "--out", model_path) == 0
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + model_path.read_bytes())
+        for path, out in ((model_path, "p.csv"), (bom, "bom.csv")):
+            assert run_cli("predict", "--model-file", path, "--instances", inst,
+                           "--out", tmp_path / out) == 0
+        assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "bom.csv").read_bytes()
 
     def test_invalid_utf8_model_file_named(self, tmp_path, variance_files, capsys):
         inst, tgt = variance_files

@@ -17,6 +17,7 @@ from distreg import (
     apply_normalizer,
     fit_normalizer,
     load_bags,
+    load_sample,
     pooled_instances,
     save_bags,
 )
@@ -75,6 +76,30 @@ class TestLoadBags:
         tgt = write(tmp_path / "tgt.csv", "bag_id,y\na,1.0\nb,-inf\n")
         with pytest.raises(DataFormatError, match=r"tgt\.csv:3: non-finite value '-inf' for bag 'b'"):
             load_bags(inst, tgt)
+
+    @pytest.mark.parametrize("text", ["1_000", "\u0661", "\uff11"])
+    def test_number_grammar_is_ascii_without_underscores(self, tmp_path, text):
+        # Python's float reads each of these; the one grammar of every input
+        # file does not
+        inst = write(tmp_path / "inst.csv", f"bag_id,f1,f2\na,1,2\nb,3,{text}\n")
+        with pytest.raises(DataFormatError) as info:
+            load_bags(inst)
+        assert str(info.value) == f"{inst}:3: non-numeric value {text!r} for bag 'b'"
+
+    def test_whitespace_around_numbers_and_blank_lines(self, tmp_path):
+        inst = write(tmp_path / "inst.csv", "bag_id,f1\na, 1.5\n \n\t\nb,2e1\t\n\n")
+        tgt = write(tmp_path / "tgt.csv", "bag_id,y\n  \na,+1\nb,-.5 \n")
+        data = load_bags(inst, tgt)
+        assert data.bag_ids == ("a", "b")
+        np.testing.assert_array_equal(pooled_instances(data), [[1.5], [20.0]])
+        np.testing.assert_array_equal(data.targets, [1.0, -0.5])
+
+    def test_target_field_count_names_bag(self, tmp_path):
+        inst = write(tmp_path / "inst.csv", "bag_id,f1\na,1\n")
+        tgt = write(tmp_path / "tgt.csv", "bag_id,y\na,1.0,2.0\n")
+        with pytest.raises(DataFormatError) as info:
+            load_bags(inst, tgt)
+        assert str(info.value) == f"{tgt}:2: expected 2 fields, got 3 for bag 'a'"
 
     def test_missing_target(self, tmp_path):
         inst = write(tmp_path / "inst.csv", "bag_id,f1\na,1\nb,2\n")
@@ -169,6 +194,26 @@ class TestLoadBags:
         with pytest.raises(DataFormatError) as info:
             load_bags(inst, tgt)
         assert str(info.value) == f"{tgt}:5: duplicate target for bag 'c'"
+
+
+class TestLoadSample:
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = write(tmp_path / "s.csv", "# x, y\n1.5,2\n\n  \n3,4 # trailing\r\n\ufeff5,6\n")
+        with pytest.raises(DataFormatError, match=r"s\.csv:6: non-numeric value '\\ufeff5'"):
+            load_sample(path)  # a BOM counts only at the start of the file
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\xef\xbb\xbf", b""))
+        np.testing.assert_array_equal(load_sample(path), [[1.5, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+    def test_empty_sample(self, tmp_path):
+        path = write(tmp_path / "s.csv", "# nothing\n\n")
+        with pytest.raises(DataFormatError) as info:
+            load_sample(path)
+        assert str(info.value) == f"{path}: empty sample"
+
+    def test_bits_equal_the_repr_written(self, tmp_path, rng=np.random.default_rng(11)):
+        sample = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))
+        path = write(tmp_path / "s.csv", "".join(",".join(repr(float(v)) for v in row) + "\n" for row in sample))
+        assert load_sample(path).tobytes() == sample.tobytes()
 
 
 class TestNormalizer:

@@ -495,8 +495,9 @@ class TestPersistence:
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ValueError, match="corrupt model file"):
+        with pytest.raises(ValueError) as info:
             load_model(path)
+        assert str(info.value) == f"{path}:1: not valid JSON: Expecting property name enclosed in double quotes (column 2)"
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "model.json"

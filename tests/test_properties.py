@@ -7,8 +7,10 @@ Models: the predictions of every kind are invariant to instance order,
 instance duplication and per-feature affine maps of the input, and follow
 the order of the bags. CLI: ``distreg.cli.main`` on generated configs, grid
 overrides, ``fit`` flags and CSV rows exits 0 or reports an ``error:`` line,
-never an uncaught exception. Runs are derandomized so the suite stays
-reproducible.
+never an uncaught exception; on input files with generated bytes spliced in it
+prints the error of the file's reader, which names the file. Number texts load
+alike in instance files and ``mmd`` samples. Runs are derandomized so the
+suite stays reproducible.
 """
 
 import contextlib
@@ -27,12 +29,16 @@ from distreg import (
     MULTISOURCE_KINDS,
     Bag,
     BagDataset,
+    DataFormatError,
     MultiSourceDataset,
     RbfParams,
     fit_model,
+    load_bags,
+    load_model,
+    load_sample,
     predict_model,
 )
-from distreg.cli import main as cli_main
+from distreg.cli import _load_config, main as cli_main
 from distreg.kernels import _grams
 from distreg.models import _normalize, _spec, _transform
 from conftest import HYPERS, oracle_bag_gram, oracle_cross_bag_gram
@@ -439,3 +445,125 @@ def test_cli_csv_rows_never_raise(cli_data, header, rows, bad_row, targets, bad_
         if _assert_clean_exit(*fit, "--instances", cli_data["one"], "--targets", targets_path) == 0:
             _assert_clean_exit("predict", "--model-file", model, "--instances", instances,
                                "--out", Path(tmp) / "p.csv")
+
+
+# ---------------------------------------------------------------------------
+# Input bytes: each input file of the CLI (instances, targets, mmd sample,
+# config, model) is a valid file with generated bytes spliced in. ``main``
+# exits 0, or exits 1 with an ``error:`` line; when the file's reader rejects
+# the file, that line is exactly the reader's error, and the error names the
+# file. Every run works in a fresh directory and names only files in it.
+
+INPUT_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+_TEMPLATES = {
+    "i.csv": "bag_id,f1,f2\n" + "".join(f"b{i % 8},{0.5 * i - 3:g},{(i * 7) % 5 - 1.5:g}\n" for i in range(16)),
+    "t.csv": "bag_id,y\n" + "".join(f"b{i},{0.25 * i - 1:g}\n" for i in range(8)),
+    "s.csv": "# x,y\n" + "".join(f"{0.3 * i:g},{(i * 5) % 7 - 3:g}\n" for i in range(12)),
+    "s0.csv": "".join(f"{0.2 * i - 1:g},{(i * 3) % 4:g}\n" for i in range(12)),
+    "c.json": json.dumps({"instances": "i.csv", "targets": "t.csv", "models": ["lr"], "trials": 1, "folds": 2,
+                          "seed": 0, "out": "out", "grid": {"lams": [0.001]}}, indent=1),
+}
+_FIT = ("fit", "--model", "lr", "--instances", "i.csv", "--targets", "t.csv", "--out", "m.json")
+# role -> (the file it splices, the command, the file's reader, the files the reader reads)
+_ROLES = {
+    "instances": ("i.csv", _FIT, lambda p: load_bags(p, "t.csv"), ("i.csv", "t.csv")),
+    "targets": ("t.csv", _FIT, lambda p: load_bags("i.csv", p), ("i.csv", "t.csv")),
+    "sample": ("s.csv", ("mmd", "s.csv", "s0.csv", "--permutations", "5"), load_sample, ("s.csv",)),
+    "config": ("c.json", ("run", "--config", "c.json"), _load_config, ("c.json",)),
+    "model": ("m.json", ("predict", "--model-file", "m.json", "--instances", "i.csv", "--out", "p.csv"),
+              load_model, ("m.json",)),
+}
+_FRAGMENTS = st.sampled_from(
+    [b"\x00", b"\xff", b"\xc3", b'"', b"\r", b"\n", b"\xef\xbb\xbf", b"_", "\u0661".encode(), "\u00a0".encode(),
+     b",", b"#", b" ", b"\r\n", b"", b"e", b"-", b".", b"nan", b"x" * 140_000, b"[" * 5000, b"{", b"}"]
+) | st.binary(max_size=3)
+# (where, bytes cut, fragment): no fragment holds a "/" or a digit, so a
+# spliced config names only files in its own directory and asks for at most
+# a few trials
+_SPLICES = st.lists(
+    st.tuples(st.floats(0, 1), st.integers(0, 3), _FRAGMENTS.map(lambda b: bytes(c for c in b if c not in b"/0123456789"))),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _splice(data: bytes, splices) -> bytes:
+    for where, cut, fragment in splices:
+        i = int(where * len(data))
+        data = data[:i] + fragment + data[i + cut:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """The template input files, with the model file ``_FIT`` writes."""
+    root = tmp_path_factory.mktemp("inputs")
+    files = {name: text.encode() for name, text in _TEMPLATES.items()}
+    with contextlib.chdir(root):
+        for name, data in files.items():
+            Path(name).write_bytes(data)
+        assert _run_main(*_FIT)[0] == 0
+        files["m.json"] = Path("m.json").read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("role", sorted(_ROLES))
+@INPUT_PROPERTY
+@given(_SPLICES)
+@example([(0.0, 0, b"\xef\xbb\xbf")])
+@example([(0.0, 1, b"[" * 5000)])
+@example([(0.5, 0, b"x" * 140_000)])
+@example([(0.5, 0, b"\x00")])
+@example([(0.7, 1, b"\xff")])
+@example([(0.9, 1, b"_")])
+@example([(0.9, 1, "\u0661".encode())])
+@example([(0.3, 0, b'"'), (0.6, 0, b"\r")])
+def test_spliced_input_bytes_fail_cleanly(input_files, role, splices):
+    name, argv, read, read_names = _ROLES[role]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for file, data in input_files.items():
+            Path(file).write_bytes(_splice(data, splices) if file == name else data)
+        try:
+            read(name)
+            rejected = None
+        except (OSError, ValueError) as exc:
+            rejected = exc
+        rc, err = _run_main(*argv)
+    assert "Traceback" not in err
+    if rejected is None:
+        assert rc == 0 or (rc == 1 and err.startswith("error: ")), (role, splices, err)
+    else:
+        assert (rc, err) == (1, f"error: {rejected}\n")
+        assert any(file in str(rejected) for file in read_names), err
+
+
+_NUMBER_TEXTS = st.lists(
+    st.sampled_from(list("0123456789+-.eE_ \t\"x") + ["inf", "nan", "Infinity", "\u0661", "\u00b2", "\u00a0",
+                                                     "\u2003", "\x1c", "\x00", "\ufeff"]),
+    min_size=1,
+    max_size=8,
+).map("".join).filter(str.strip)  # a blank line is no number, and a sample skips it
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_NUMBER_TEXTS)
+@example("1_000")
+@example("\u0661")
+@example("1\u00a0")
+@example('"1.5"')
+@example(" -2E3\t")
+def test_number_texts_load_alike_in_instances_and_samples(text):
+    # one field on its own line, so "," line breaks and "#" comments, which
+    # are the file formats' syntax, are not drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, sample = Path(tmp, "i.csv"), Path(tmp, "s.csv")
+        inst.write_text(f"bag_id,f1\na,{text}\n", encoding="utf-8")
+        sample.write_text(f"0\n{text}\n", encoding="utf-8")
+        loaded = []
+        for read in (lambda: load_bags(inst).bags[0].instances[0, 0], lambda: load_sample(sample)[1, 0]):
+            try:
+                loaded.append(repr(float(read())))
+            except DataFormatError:
+                loaded.append(None)
+    assert loaded[0] == loaded[1], (text, loaded)
