@@ -4,22 +4,22 @@
 
 writes 87 files under OUT and prints one ``sha256  path`` line per file,
 with paths relative to OUT, sorted, after a first line that names what the
-bytes also depend on: ``DISTREG_THREADS`` (the BLAS thread count moves the
-last digits of large exact solves), the numpy and scipy versions, the BLAS
-library and version, and the SIMD target numpy dispatches float64 ``exp``
-to. A refactor that must not change any output shows the same lines before
-and after, and a comparison across thread settings, BLAS builds or CPUs
-shows up as a diff of the first line:
+bytes also depend on: the numpy and scipy versions, the BLAS library and
+version, and the SIMD target numpy dispatches float64 ``exp`` to. They do not
+depend on ``DISTREG_THREADS`` or on import order, because distreg runs BLAS
+on one thread. A refactor that must not change any output shows the same
+lines before and after, and a comparison across BLAS builds or CPUs shows up
+as a diff of the first line:
 
     PYTHONPATH=<parent checkout>/src python scripts/golden.py /tmp/a > a.txt
     PYTHONPATH=src python scripts/golden.py /tmp/b > b.txt
     diff a.txt b.txt
 
-``scripts/golden.sha256`` holds the output at ``DISTREG_THREADS=1``, and
-``tests/test_golden.py`` compares a fresh run against it. A deliberate change
-of outputs is re-recorded, as one visible diff of that file, with
+``scripts/golden.sha256`` holds the output, and ``tests/test_golden.py``
+compares a fresh run against it. A deliberate change of outputs is
+re-recorded, as one visible diff of that file, with
 
-    DISTREG_THREADS=1 PYTHONPATH=src python scripts/golden.py /tmp/g > scripts/golden.sha256
+    PYTHONPATH=src python scripts/golden.py /tmp/g > scripts/golden.sha256
 
 The set:
 - ``distreg run`` (report_*.json, table.csv, table.txt) on a 30-bag
@@ -48,9 +48,11 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from distreg.cli import main
 from distreg.models import MULTISOURCE_KINDS, SINGLE_SOURCE_KINDS
@@ -169,14 +171,9 @@ def write_golden(out: Path) -> list[Path]:
 
 
 def fingerprint() -> str:
-    """The first output line: the thread setting, the numeric libraries and
-    the SIMD target of numpy's float64 ``exp``."""
-    # imported here: distreg must read DISTREG_THREADS before numpy loads
-    import numpy as np
-    import scipy
-
+    """The first output line: the numeric libraries and the SIMD target of
+    numpy's float64 ``exp``."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    threads = os.environ.get("DISTREG_THREADS") or "(unset)"
     try:
         from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
     except ImportError:
@@ -185,7 +182,7 @@ def fingerprint() -> str:
         (loop,) = opt_func_info(func_name="^exp$", signature="float64")["exp"].values()
         exp = loop["current"]
     return (
-        f"# DISTREG_THREADS={threads} numpy {np.__version__} scipy {scipy.__version__} "
+        f"# numpy {np.__version__} scipy {scipy.__version__} "
         f"BLAS {blas.get('name')} {blas.get('version')} exp {exp}"
     )
 

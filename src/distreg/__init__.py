@@ -11,30 +11,57 @@ baselines, an evaluation protocol, and a CLI are included.
 from __future__ import annotations
 
 import concurrent.futures as _futures
+import functools as _functools
 import os as _os
 import threading as _threading
 from collections.abc import Callable as _Callable, Sequence as _Sequence
 
 
 def _configure_threads() -> int:
-    """Thread count from DISTREG_THREADS: BLAS/OpenMP threads and the
-    workers of ``_run_parts``, which never outnumber the usable CPUs. 0 or
-    unset leaves BLAS at its default and gives the pool every usable CPU."""
+    """Workers of ``_run_parts``: DISTREG_THREADS, never more than the usable
+    CPUs; 0 or unset gives every usable CPU. BLAS is not sized by it: it runs
+    on one thread at every setting (``_one_blas_thread``)."""
     if hasattr(_os, "sched_getaffinity"):
         cpus = len(_os.sched_getaffinity(0))
     else:  # no affinity masks on this platform
         cpus = _os.cpu_count() or 1
     raw = _os.environ.get("DISTREG_THREADS", "").strip()
     if raw.isdigit() and raw != "0":
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            _os.environ.setdefault(var, raw)
         return min(int(raw), cpus)
     return cpus
+
+
+@_functools.cache
+def _one_blas_thread(extension: str) -> None:
+    """Put the OpenBLAS that the extension module ``extension`` links on one
+    thread for the whole process, through its thread setter.
+
+    A BLAS product or factorization split across threads rounds differently,
+    so this is what gives every output the same bytes at every
+    DISTREG_THREADS and import order. Where no setter is found, the
+    ``*_NUM_THREADS`` variables are set to 1 where unset, which reaches only a
+    BLAS loaded later; that is logged at INFO.
+    """
+    import ctypes
+    import importlib
+    import logging
+
+    try:
+        # a handle to the extension also finds the symbols of the libraries it links
+        blas = ctypes.CDLL(importlib.import_module(extension).__file__)
+    except (ImportError, OSError):
+        blas = None
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", ""):
+            setter = getattr(blas, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if setter is not None:
+                setter(1)
+                return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(var, "1")
+    logging.getLogger(__name__).info(
+        "no OpenBLAS thread setter behind %s: BLAS threads left to *_NUM_THREADS (1 where unset)", extension
+    )
 
 
 # Threads of the one worker pool, and the most parts ``_parts`` makes; read
@@ -93,6 +120,9 @@ def _run_parts(task: _Callable[..., None], parts: _Sequence[tuple]) -> None:
     for future in running:
         future.result()
 
+
+# numpy's BLAS; scipy's is pinned by the first ridge solve, which loads it
+_one_blas_thread("numpy.linalg._umath_linalg")
 
 from .data import (  # noqa: E402
     Bag,

@@ -217,12 +217,18 @@ def fit_normalizer(train: BagDataset) -> Normalizer:
     values are all identical get scale 1 and keep their exact constant as the
     mean, so they normalize to exactly 0. Statistics are accumulated in
     canonical row order, so they are exactly invariant to instance order.
+    A feature whose mean or standard deviation overflows raises a
+    ``ValueError`` naming its column (``f1`` for the first).
     """
     pooled = canonical_rows(pooled_instances(train))
     constant = pooled.max(axis=0) == pooled.min(axis=0)
-    mean = np.where(constant, pooled[0], pooled.mean(axis=0))
-    std = pooled.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.where(constant, pooled[0], pooled.mean(axis=0))
+        std = pooled.std(axis=0)
     scale = np.where(constant | (std == 0.0), 1.0, std)
+    overflowed = ~(np.isfinite(mean) & np.isfinite(scale))
+    if overflowed.any():
+        raise ValueError(f"feature f{np.argmax(overflowed) + 1}: values too large to normalize")
     return Normalizer(mean=mean, scale=scale)
 
 

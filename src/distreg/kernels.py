@@ -29,12 +29,12 @@ permutation test never holds the pooled (n+m) x (n+m) kernel matrix either:
 it builds it one block of TILE rows at a time, once per batch of up to TILE
 permutations, so its memory is O(TILE (n+m)). Each block's matrix-vector
 products, one per split, run over cache-sized row slices of the block, split
-across the package's worker threads (``DISTREG_THREADS``); the slices start
-at multiples of 16 rows, so the products are bitwise those of the whole
-block, whatever the worker count. Entry sums rely on numpy's
-pairwise summation, which keeps the double-sum accurate enough for 1e-12
-comparisons against naive loops. All functions are pure and deterministic; a
-non-finite value in an input matrix or bag raises.
+across the package's worker threads (``DISTREG_THREADS``); BLAS itself runs
+on one thread, and the slices start at multiples of 16 rows, so the products
+are bitwise those of the whole block, whatever the worker count. Entry sums
+rely on numpy's pairwise summation, which keeps the double-sum accurate
+enough for 1e-12 comparisons against naive loops. All functions are pure
+and deterministic; a non-finite value in an input matrix or bag raises.
 """
 
 from __future__ import annotations
@@ -368,9 +368,7 @@ def _row_slices(rows: int, cols: int) -> list[tuple[int, int]]:
     (measured, OpenBLAS 0.3.31). So every slice but the last is a multiple of
     16 rows, and the last ends where the block does; a one-row last slice,
     which numpy computes as a dot product instead, joins the one before it.
-    Up to 460800 entries OpenBLAS uses one thread, so the slices give the
-    one-thread product of the block, which is also the block's own product
-    at any BLAS thread count that cuts it at multiples of 4 rows.
+    BLAS runs on one thread, so the slices give the block's own product.
     """
     height = max(16, _SLICE // cols // 16 * 16)
     cuts = list(range(height, rows, height))
@@ -411,10 +409,9 @@ def mmd_permutation_test(
     the kernel matrix serves one matrix-vector product per split of the batch.
     The products read the block in row slices of about 1 MB, each used by
     every split while it is in cache, and the slices are shared out among the
-    worker threads; the result is bitwise that of whole-block products at one
-    BLAS thread, whatever the worker count. Memory is O(TILE (n+m)) whatever
-    P is, and time is
-    O((n+m)^2 (d ceil((P+1) / TILE) + P)). The p-value uses the standard
+    worker threads; the result is bitwise that of whole-block products,
+    whatever the worker count. Memory is O(TILE (n+m)) whatever P is, and
+    time is O((n+m)^2 (d ceil((P+1) / TILE) + P)). The p-value uses the standard
     add-one convention (1 + #{null >= observed}) / (1 + P).
     """
     x = _check_matrix(sample_x, "sample_x")

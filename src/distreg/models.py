@@ -46,6 +46,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _one_blas_thread
 from .data import (
     Bag,
     BagDataset,
@@ -111,6 +112,8 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     solve that needed jitter is logged at INFO.
     """
     import scipy.linalg  # on the first solve: it is most of ``import distreg``'s time
+
+    _one_blas_thread("scipy.linalg._flapack")
 
     n = matrix.shape[0]
     diag_unit = float(np.trace(matrix)) / n

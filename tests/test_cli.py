@@ -621,6 +621,16 @@ class TestFitPredict:
         err = capsys.readouterr().err
         assert "d=2" in err and "d=3" in err
 
+    def test_overflowing_feature_named(self, tmp_path, capsys, recwarn):
+        # finite values whose spread overflows the normalizer's variance
+        inst, tgt = tmp_path / "i.csv", tmp_path / "t.csv"
+        inst.write_text("bag_id,f1\na,1e300\na,-1e300\nb,2\nc,3\n", encoding="utf-8")
+        tgt.write_text("bag_id,y\na,1\nb,2\nc,3\n", encoding="utf-8")
+        assert run_cli("fit", "--model", "lr", "--instances", inst, "--targets", tgt,
+                       "--out", tmp_path / "m.json") == 1
+        assert capsys.readouterr().err == "error: feature f1: values too large to normalize\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_multisource_fit_predict(self, tmp_path):
         out = tmp_path / "ms"
         run_cli("synth", "--kind", "multisource-task", "--out", out, "--bags", "15", "--seed", "6")

@@ -2,7 +2,11 @@
 
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,21 @@ from conftest import random_dataset
 
 def normalized(data):
     return apply_normalizer(data, fit_normalizer(data))
+
+
+# Prints the mdr default-grid CV table of the multisource task's training
+# split; with the argument "numpy-first", numpy is imported before distreg.
+CV_TABLE_SCRIPT = """
+import sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import distreg as dr
+
+data = dr.make_multisource_task(120, seed=0)
+train = data.subset(dr.split_train_test(120, 0.33, 0)[0])
+result = dr.grid_search_cv(train, "mdr", dr.default_grid("mdr", train), k=5, seed=0)
+print(repr([(cell.params, cell.fold_rmse, cell.error) for cell in result.table]))
+"""
 
 
 class TestComputeMetrics:
@@ -349,6 +368,20 @@ class TestGridSearch:
         manual = self.manual_fold_rmse(data, kind, grid, k=3, seed=7)
         got = np.array([cell.fold_rmse for cell in result.table])
         assert np.array_equal(got, manual)
+
+    def test_cv_table_same_at_every_thread_setting_and_import_order(self):
+        # OpenBLAS threads round the mdr products differently, and they are
+        # fixed when numpy loads, so each setting runs in its own interpreter
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS") and k != "DISTREG_THREADS"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        tables = [
+            subprocess.run(
+                [sys.executable, "-c", CV_TABLE_SCRIPT, first], env={**env, **extra},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for first, extra in (("distreg-first", {"DISTREG_THREADS": "1"}), ("numpy-first", {}))
+        ]
+        assert tables[0] == tables[1]
 
     def test_invalid_mdr_sigma_fails_alone(self):
         rng = np.random.default_rng(13)
