@@ -110,7 +110,9 @@ def _run_parts(task: _Callable[..., None], parts: _Sequence[tuple]) -> None:
     is re-raised as it was raised.
 
     A task may call numpy but no public function of distreg: the benchmark's
-    tracer wraps those and keeps one span stack for all threads.
+    tracer wraps those and keeps one span stack for all threads. Nor may a
+    task call ``_run_parts`` itself: tasks waiting on parts that no free
+    worker can take would deadlock a full pool.
     """
     if len(parts) == 1:
         task(*parts[0])

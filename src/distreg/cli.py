@@ -9,6 +9,7 @@ go to the log.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -26,6 +27,7 @@ from .models import (
     MODEL_KINDS,
     MULTISOURCE_KINDS,
     _grid_values,
+    _SourceError,
     _integer,
     _spec,
     default_sigmas,
@@ -116,6 +118,15 @@ def _load_dataset(instance_paths: list[str], targets_path: str | None, multi: bo
     return align_sources(datasets) if multi else datasets[0]
 
 
+@contextlib.contextmanager
+def _naming_sources(instance_paths: list[str]):
+    """Prefix a data error in one source with that source's instances file."""
+    try:
+        yield
+    except _SourceError as exc:
+        raise ValueError(f"{instance_paths[exc.source]}: {exc}") from None
+
+
 def _check_source_count(owner: str, n_files: int, n_sources: int | None) -> None:
     """Reject a number of instance files that does not match the sources a
     model reads: exactly ``n_sources``, or at least two when it is None (a
@@ -154,8 +165,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     reports = []
     for kind in config["models"]:
         logger.info("running protocol for %s", kind)
-        report = run_protocol(data, kind, test_fraction=config["test_fraction"], trials=config["trials"],
-                              k=config["folds"], seed=config["seed"], grid_options=grid_options)
+        with _naming_sources(config["instances"]):
+            report = run_protocol(data, kind, test_fraction=config["test_fraction"], trials=config["trials"],
+                                  k=config["folds"], seed=config["seed"], grid_options=grid_options)
         reports.append(report)
         _write_text(
             out_dir / f"report_{kind}.json",
@@ -264,9 +276,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     _check_kind(kind, len(args.instances))
     hyper = _hyper_from_args(args, kind)
     data = _load_dataset(args.instances, args.targets, kind in MULTISOURCE_KINDS)
-    if any(key not in hyper for key in HYPER_AXES[kind]):
-        hyper = {**default_sigmas(kind, data), **hyper}
-    model = fit_model(kind, data, hyper)
+    with _naming_sources(args.instances):
+        if any(key not in hyper for key in HYPER_AXES[kind]):
+            hyper = {**default_sigmas(kind, data), **hyper}
+        model = fit_model(kind, data, hyper)
     save_model(model, args.out)
     print(f"wrote {args.out}")
     return 0

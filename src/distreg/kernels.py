@@ -18,23 +18,31 @@ pieces are packed into chunks of at most TILE pooled rows. So no kernel block
 larger than TILE x TILE is ever materialized, and one squared-distance pass
 per chunk pair serves every sigma of a call (cross-validation gets all sigmas
 of a fold this way): only the scaling, ``exp`` and per-bag sums run per
-sigma, one bag row block at a time in a small reused buffer, and each block's
-per-bag sums are added straight into the output. A chunk paired with itself
-computes only the bag blocks on and above its diagonal, which are all that
-the symmetric Gram reads; the upper triangle is then mirrored in place. So a
-call holds its S x B x B' outputs plus two tiles, whatever the sigma count S.
-These sums are bitwise those of whole-tile passes, because
-``np.add.reduceat`` sums each segment independently of the others. The MMD
-permutation test never holds the pooled (n+m) x (n+m) kernel matrix either:
-it builds it one block of TILE rows at a time, once per batch of up to TILE
-permutations, so its memory is O(TILE (n+m)). Each block's matrix-vector
-products, one per split, run over cache-sized row slices of the block, split
-across the package's worker threads (``DISTREG_THREADS``); BLAS itself runs
-on one thread, and the slices start at multiples of 16 rows, so the products
-are bitwise those of the whole block, whatever the worker count. Entry sums
-rely on numpy's pairwise summation, which keeps the double-sum accurate
-enough for 1e-12 comparisons against naive loops. All functions are pure
-and deterministic; a non-finite value in an input matrix or bag raises.
+sigma. The calling thread computes a chunk pair's row products in one gemm,
+into the first of two tiles; the pair's bag row blocks are then shared out,
+in runs of consecutive blocks of about 1 MB of entries, among the package's
+worker threads (``DISTREG_THREADS``). Each run builds its squared distances
+in its own row band of the second tile, then scales, exponentiates and sums
+them at each sigma in its band of the first, whose products it has used up,
+and adds its per-bag sums straight into its own output rows, so no two
+threads write the same memory. A chunk paired with itself computes only the
+bag blocks on and above its diagonal, which are all that the symmetric Gram
+reads (there each block is a run of its own); the upper triangle is then
+mirrored in place.
+So a call holds its S x B x B' outputs plus two tiles, whatever the sigma
+count S and the worker count. These sums are bitwise those of whole-tile
+passes at every worker count: the gemm keeps its shape, the rest is
+elementwise, and ``np.add.reduceat`` sums each segment independently of the
+others. The MMD permutation test never holds the pooled (n+m) x (n+m) kernel
+matrix either: it builds it one block of TILE rows at a time, once per batch
+of up to TILE permutations, so its memory is O(TILE (n+m)). Each block's
+matrix-vector products, one per split, run over cache-sized row slices of
+the block, split across the worker threads; BLAS itself runs on one thread,
+and the slices start at multiples of 16 rows, so the products are bitwise
+those of the whole block, whatever the worker count. Entry sums rely on
+numpy's pairwise summation, which keeps the double-sum accurate enough for
+1e-12 comparisons against naive loops. All functions are pure and
+deterministic; a non-finite value in an input matrix or bag raises.
 """
 
 from __future__ import annotations
@@ -66,8 +74,9 @@ __all__ = [
 # Max rows/cols of any materialized kernel block.
 TILE = 1024
 
-# Kernel entries in one row slice of an MMD block (1 MB): small enough to stay
-# in L2 while the split products of a whole batch read it.
+# Kernel entries in one row slice of a block (1 MB): small enough to stay in
+# L2 while the split products of an MMD batch, or the sigmas of a bag Gram,
+# read it.
 _SLICE = 2**17
 
 
@@ -214,39 +223,72 @@ def _chunks(data: BagDataset) -> list[_Chunk]:
     return chunks
 
 
+def _pair_product(ca: _Chunk, cb: _Chunk) -> tuple[np.ndarray, np.ndarray]:
+    """The two tiles of a chunk pair: ``ca.rows @ cb.rows.T`` from one gemm,
+    and an uninitialized tile of the same shape."""
+    # numpy sends a @ a.T on one array to syrk, which rounds differently from
+    # the gemm of every other chunk pair
+    b_rows = cb.rows.copy() if cb is ca else cb.rows
+    prod = ca.rows @ b_rows.T
+    return prod, np.empty_like(prod)
+
+
+def _band(tile: np.ndarray, r0: int, r1: int, cols: int) -> np.ndarray:
+    """A contiguous (r1 - r0) x cols array in rows [r0, r1) of a C-contiguous
+    tile at least ``cols`` wide."""
+    return tile[r0:r1].reshape(-1)[: (r1 - r0) * cols].reshape(r1 - r0, cols)
+
+
 def _add_pair_sums(out: np.ndarray, ca: _Chunk, cb: _Chunk, gammas: Sequence[float], mirror: bool) -> None:
     """Add the per-bag-pair kernel sums between two chunks into
     ``out[g, ca.bags, cb.bags]`` for each gamma g, from one distance pass.
 
-    Scaling, ``exp`` and the column sum run one bag row block at a time in a
-    small reused buffer, and the block's per-bag sums go straight into its
-    output row. A chunk paired with itself adds only the bag blocks on and
-    above the diagonal. ``mirror`` marks an off-diagonal chunk pair of a
-    symmetric Gram: a bag cut across both chunks adds its cross-piece sum to
-    its diagonal entry twice, once for each orientation.
+    The calling thread does the chunk pair's one gemm. The bag row blocks
+    then run on the worker pool in runs of consecutive blocks of about
+    ``_SLICE`` entries; each run works in its own row band of the two tiles
+    and writes only its own output rows. A chunk paired with itself computes
+    only the bag blocks on and above the diagonal, so there each block, which
+    starts at its own bag's column, is a run of one. ``mirror`` marks an
+    off-diagonal chunk pair of a symmetric Gram: a bag cut across both chunks
+    adds its cross-piece sum to its diagonal entry twice, once for each
+    orientation.
     """
-    # numpy sends a @ a.T on one array to syrk, which rounds differently from
-    # the gemm of every other chunk pair
-    b_rows = cb.rows.copy() if cb is ca else cb.rows
-    d2, buf = _sq_distances(ca.rows, b_rows, ca.sq, cb.sq)
+    prod, dist = _pair_product(ca, cb)
+    width = prod.shape[1]
     ends = np.append(ca.starts[1:], ca.rows.shape[0])
-    for i, (r0, r1) in enumerate(zip(ca.starts, ends)):
-        j0 = i if cb is ca else 0
-        c0 = cb.starts[j0]
-        block = d2[r0:r1, c0:]
-        scratch = buf.reshape(-1)[: block.size].reshape(block.shape)
-        row = ca.bags.start + i
-        cols = slice(cb.bags.start + j0, cb.bags.stop)
-        for total, gamma in zip(out, gammas):
-            np.multiply(block, -gamma, out=scratch)
-            np.exp(scratch, out=scratch)
-            # a one-segment reduceat rounds as the whole-tile one does;
-            # sum(axis=0) does not
-            col_sums = np.add.reduceat(scratch, [0], axis=0)[0]
-            sums = np.add.reduceat(col_sums, cb.starts[j0:] - c0)
-            total[row, cols] += sums
-            if mirror and row == cb.bags.start:
-                total[row, row] += sums[0]
+    diagonal = cb is ca
+    runs, lo = [], 0  # [lo, hi) of blocks
+    for hi in range(1, len(ends) + 1):
+        if diagonal or hi == len(ends) or (ends[hi] - ca.starts[lo]) * width > _SLICE:
+            runs.append((lo, hi))
+            lo = hi
+
+    def sums(first: int, last: int) -> None:
+        for lo, hi in runs[first:last]:
+            j0 = lo if diagonal else 0  # first bag column
+            r0, r1, c0 = ca.starts[lo], ends[hi - 1], cb.starts[j0]
+            d2 = _band(dist, r0, r1, width - c0)
+            np.add.outer(ca.sq[r0:r1], cb.sq[c0:], out=d2)
+            ab = prod[r0:r1, c0:]
+            ab *= 2.0
+            d2 -= ab
+            np.maximum(d2, 0.0, out=d2)  # guard tiny negatives from cancellation
+            scratch = _band(prod, r0, r1, width - c0)  # its products are used up
+            rows = slice(ca.bags.start + lo, ca.bags.start + hi)
+            cols = slice(cb.bags.start + j0, cb.bags.stop)
+            for total, gamma in zip(out, gammas):
+                np.multiply(d2, -gamma, out=scratch)
+                np.exp(scratch, out=scratch)
+                # reduceat sums each segment on its own, so a run gets the
+                # bits of a whole tile; sum(axis=0) would round differently
+                block = np.add.reduceat(scratch, ca.starts[lo:hi] - r0, axis=0)
+                block = np.add.reduceat(block, cb.starts[j0:] - c0, axis=1)
+                total[rows, cols] += block
+                if mirror and rows.stop - 1 == cb.bags.start:
+                    total[cb.bags.start, cb.bags.start] += block[-1, 0]
+
+    entries = [(ends[hi - 1] - ca.starts[lo]) * (width - cb.starts[lo if diagonal else 0]) for lo, hi in runs]
+    _run_parts(sums, _parts(entries))
 
 
 def _bag_sizes(data: BagDataset) -> np.ndarray:
@@ -257,7 +299,7 @@ def _grams(a: BagDataset, b: BagDataset | None, gammas: Sequence[float]) -> np.n
     """Bag Gram values of ``a`` against ``b``, or against itself when ``b``
     is None, at each gamma: one (gammas, bags of a, bags of b) array, from
     one distance pass per chunk pair. Beside the output, the scratch is two
-    tiles, whatever the number of gammas."""
+    tiles, whatever the number of gammas and of worker threads."""
     symmetric, b = b is None, a if b is None else b
     if a.dim != b.dim:
         raise ValueError(f"feature dimension mismatch: test d={a.dim}, train d={b.dim}")

@@ -558,14 +558,31 @@ def stack_multisource(data: MultiSourceDataset, mode: str) -> BagDataset:
     return BagDataset(tuple(bags), data.targets)
 
 
+class _SourceError(ValueError):
+    """A ValueError raised for one source of a dataset: ``source`` is its
+    index, so a caller that knows where each source came from can name it."""
+
+    def __init__(self, source: int, message: str) -> None:
+        super().__init__(message)
+        self.source = source
+
+
+def _fit_normalizer(source: int, data: BagDataset) -> Normalizer:
+    try:
+        return fit_normalizer(data)
+    except ValueError as exc:
+        raise _SourceError(source, str(exc)) from None
+
+
 def _normalize(data, normalizers=None):
     """Normalize each source of ``data`` (a BagDataset or MultiSourceDataset),
     fitting the normalizers on it when none are given; returns the normalized
-    data, of the same type, and the normalizers."""
+    data, of the same type, and the normalizers. A source whose normalizer
+    cannot be fitted raises ``_SourceError``."""
     multi = isinstance(data, MultiSourceDataset)
     sources = data.sources if multi else (data,)
     if normalizers is None:
-        normalizers = tuple(fit_normalizer(src) for src in sources)
+        normalizers = tuple(_fit_normalizer(s, src) for s, src in enumerate(sources))
     elif len(normalizers) != len(sources):
         raise ValueError(
             f"source count mismatch: model expects {len(normalizers)}, got {len(sources)}"

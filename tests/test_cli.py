@@ -391,7 +391,7 @@ class TestMmd:
         ids=["non-numeric", "empty-field", "extra-field", "missing-field"],
     )
     def test_bad_row_named_by_line(self, tmp_path, capsys, line, message):
-        # loadtxt skips the comment and the blank line, and counts rows, not lines
+        # the comment and the blank line are skipped but counted: the bad row is line 5
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         np.savetxt(a, np.zeros((5, 2)), delimiter=",")
         b.write_text(f"0.5,1.0\n# comment\n\n2.0,0.0\n{line}\n2.0,0.0\n", encoding="utf-8")
@@ -628,7 +628,14 @@ class TestFitPredict:
         tgt.write_text("bag_id,y\na,1\nb,2\nc,3\n", encoding="utf-8")
         assert run_cli("fit", "--model", "lr", "--instances", inst, "--targets", tgt,
                        "--out", tmp_path / "m.json") == 1
-        assert capsys.readouterr().err == "error: feature f1: values too large to normalize\n"
+        assert capsys.readouterr().err == f"error: {inst}: feature f1: values too large to normalize\n"
+        # a multisource kind names the source's own file, here the second
+        other = tmp_path / "o.csv"
+        other.write_text("bag_id,g1,g2\na,1,2\nb,2,1\nc,3,0\n", encoding="utf-8")
+        for kind in ("mdr", "stacked-lr"):
+            assert run_cli("fit", "--model", kind, "--instances", other, "--instances", inst,
+                           "--targets", tgt, "--out", tmp_path / "m.json") == 1
+            assert capsys.readouterr().err == f"error: {inst}: feature f1: values too large to normalize\n"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_multisource_fit_predict(self, tmp_path):

@@ -429,13 +429,13 @@ class TestGridSearch:
         import distreg.kernels as kernels
 
         calls = []
-        original = kernels._sq_distances
+        original = kernels._pair_product
 
-        def spy(*args):
-            calls.append(args[0].shape)
-            return original(*args)
+        def spy(ca, cb):
+            calls.append((ca.rows.shape[0], cb.rows.shape[0]))
+            return original(ca, cb)
 
-        monkeypatch.setattr(kernels, "_sq_distances", spy)
+        monkeypatch.setattr(kernels, "_pair_product", spy)
         rng = np.random.default_rng(14)
         data = random_dataset(rng, 12) if kind == "kdr" else self.two_source(rng, 12)
         counts = []

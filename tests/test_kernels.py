@@ -352,13 +352,13 @@ class TestSigmaSweep:
     def test_one_distance_pass_per_chunk_pair(self, monkeypatch, tile, sizes):
         monkeypatch.setattr(kernels, "TILE", tile)
         calls = []
-        original = kernels._sq_distances
+        original = kernels._pair_product
 
-        def spy(*args):
-            calls.append(args[0].shape[0])
-            return original(*args)
+        def spy(ca, cb):
+            calls.append(ca.rows.shape[0])
+            return original(ca, cb)
 
-        monkeypatch.setattr(kernels, "_sq_distances", spy)
+        monkeypatch.setattr(kernels, "_pair_product", spy)
         train = self.ragged(np.random.default_rng(43), sizes)
         test = self.ragged(np.random.default_rng(44), sizes[::-1], prefix="t")
         counts = []
@@ -627,7 +627,8 @@ class TestBlockedMmdTest:
 
 class TestGramMemory:
     """The tile engine holds its outputs, one copy of the pooled rows and a
-    few tiles, whatever the sigma count: no scratch grows with S."""
+    few tiles, whatever the sigma count and the worker count: no scratch
+    grows with S, and the pooled row blocks share the two tiles."""
 
     @settings(max_examples=6, deadline=None, derandomize=True, database=None)
     @given(
@@ -636,13 +637,16 @@ class TestGramMemory:
         n_sigmas=st.integers(1, 28),
         dim=st.integers(1, 3),
         symmetric=st.booleans(),
+        workers=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**16),
     )
     # the old engine's S x pieces x TILE column sums and B x B copies
     # exceeded the bound by megabytes here
-    @example(n_a=34, n_b=34, n_sigmas=28, dim=2, symmetric=True, seed=0)
-    @example(n_a=20, n_b=58, n_sigmas=28, dim=2, symmetric=False, seed=0)
-    def test_peak_is_outputs_plus_tiles(self, n_a, n_b, n_sigmas, dim, symmetric, seed):
+    @example(n_a=34, n_b=34, n_sigmas=28, dim=2, symmetric=True, workers=1, seed=0)
+    @example(n_a=20, n_b=58, n_sigmas=28, dim=2, symmetric=False, workers=1, seed=0)
+    @example(n_a=34, n_b=34, n_sigmas=28, dim=2, symmetric=True, workers=2, seed=0)
+    @example(n_a=20, n_b=58, n_sigmas=28, dim=2, symmetric=False, workers=2, seed=0)
+    def test_peak_is_outputs_plus_tiles(self, n_a, n_b, n_sigmas, dim, symmetric, workers, seed):
         tile = 64
         n_b = n_a if symmetric else n_b
         # at most about 2^15 output entries, so that an example takes well
@@ -662,13 +666,61 @@ class TestGramMemory:
         gammas = list(np.linspace(0.1, 2.0, n_sigmas))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "TILE", tile)
-            peak = traced_peak(kernels._grams, a, b, gammas)
+            peak = with_workers(workers, traced_peak, kernels._grams, a, b, gammas)
         rows = sum(bag.n_instances for ds in (a, b) if ds is not None for bag in ds.bags)
         outputs = 8 * n_sigmas * n_a * n_b
         # per-bag slack: each bag's piece, its squared norms and its share of
         # the chunk bookkeeping
         slack = 256 * (n_a + n_b) + 4096
         assert peak <= outputs + 8 * dim * rows + 3 * 8 * tile * tile + slack
+
+
+@st.composite
+def ragged_bag_sets(draw):
+    """A TILE and the bag sizes of a training and a test set: ragged bags
+    of up to three TILE-row pieces each."""
+    tile = draw(st.sampled_from([4, 64]))
+    size = st.integers(1, 2 * tile + 3)
+    return tile, draw(st.lists(size, min_size=1, max_size=10)), draw(st.lists(size, min_size=1, max_size=5))
+
+
+class TestPooledRowBlocks:
+    """The bag row blocks of each chunk pair run on the worker pool in runs
+    of about ``_SLICE`` entries, each in its own row band of the two tiles;
+    the Grams are the same bytes at every worker count and run length."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        sets=ragged_bag_sets(),
+        n_sigmas=st.integers(1, 4),
+        dim=st.integers(1, 3),
+        # runs of one block, of a few, and of a whole chunk at these tiles
+        slice_entries=st.sampled_from([1, 64, 2**17]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_bytes_at_every_worker_count(self, sets, n_sigmas, dim, slice_entries, seed):
+        tile, sizes, test_sizes = sets
+        rng = np.random.default_rng(seed)
+
+        def bags(sizes, prefix):
+            return BagDataset(
+                tuple(Bag(f"{prefix}{i}", rng.standard_normal((n, dim))) for i, n in enumerate(sizes)),
+                np.zeros(len(sizes)),
+            )
+
+        train, test = bags(sizes, "b"), bags(test_sizes, "t")
+        gammas = list(np.geomspace(0.05, 3.0, n_sigmas))
+
+        def grams():
+            # the symmetric Gram mirrors cut bags across chunk pairs; the cross one does not
+            return kernels._grams(train, None, gammas).tobytes() + kernels._grams(test, train, gammas).tobytes()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "TILE", tile)
+            want = with_workers(1, grams)
+            mp.setattr(kernels, "_SLICE", slice_entries)
+            for workers in (1, 2, 3):
+                assert with_workers(workers, grams) == want
 
 
 SLICED = settings(max_examples=25, deadline=None, derandomize=True, database=None)
