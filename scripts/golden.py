@@ -4,10 +4,11 @@
 
 writes 87 files under OUT and prints one ``sha256  path`` line per file,
 with paths relative to OUT, sorted, after a first line that names what the
-bytes also depend on: the numpy and scipy versions, the BLAS library and
-version, and the SIMD target numpy dispatches float64 ``exp`` to. They do not
-depend on ``DISTREG_THREADS`` or on import order, because distreg runs BLAS
-on one thread. A refactor that must not change any output shows the same
+bytes also depend on: the numpy and scipy versions, numpy's BLAS library and
+version, the LAPACK library and version that the ridge solves call (the one
+scipy links), and the SIMD target numpy dispatches float64 ``exp`` to. They
+do not depend on ``DISTREG_THREADS`` or on import order, because distreg
+runs BLAS on one thread. A refactor that must not change any output shows the same
 lines before and after, and a comparison across BLAS builds or CPUs shows up
 as a diff of the first line:
 
@@ -171,9 +172,11 @@ def write_golden(out: Path) -> list[Path]:
 
 
 def fingerprint() -> str:
-    """The first output line: the numeric libraries and the SIMD target of
-    numpy's float64 ``exp``."""
+    """The first output line: the numeric libraries (numpy's BLAS, and the
+    LAPACK behind ``scipy.linalg`` that the ridge solves call) and the SIMD
+    target of numpy's float64 ``exp``."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     try:
         from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
     except ImportError:
@@ -183,7 +186,8 @@ def fingerprint() -> str:
         exp = loop["current"]
     return (
         f"# numpy {np.__version__} scipy {scipy.__version__} "
-        f"BLAS {blas.get('name')} {blas.get('version')} exp {exp}"
+        f"BLAS {blas.get('name')} {blas.get('version')} "
+        f"LAPACK {lapack.get('name')} {lapack.get('version')} exp {exp}"
     )
 
 

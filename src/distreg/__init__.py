@@ -11,7 +11,6 @@ baselines, an evaluation protocol, and a CLI are included.
 from __future__ import annotations
 
 import concurrent.futures as _futures
-import functools as _functools
 import os as _os
 import threading as _threading
 from collections.abc import Callable as _Callable, Sequence as _Sequence
@@ -31,10 +30,46 @@ def _configure_threads() -> int:
     return cpus
 
 
-@_functools.cache
-def _one_blas_thread(extension: str) -> None:
-    """Put the OpenBLAS that the extension module ``extension`` links on one
-    thread for the whole process, through its thread setter.
+def _extension(package: str, module: str):
+    """The compiled module ``module`` of ``package`` (its path under the
+    package's directory, without the suffix), opened with ``ctypes``, and its
+    path; found through the import machinery's spec, so neither is imported.
+    The handle is None where no such file opens. A handle to an extension
+    module also finds the symbols of the libraries it links."""
+    import ctypes
+    import importlib.machinery
+    import importlib.util
+
+    spec = importlib.util.find_spec(package)
+    root = spec.submodule_search_locations[0] if spec and spec.submodule_search_locations else package
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = _os.path.join(root, module + suffix)
+        if _os.path.isfile(path):
+            try:
+                return ctypes.CDLL(path), path
+            except OSError:
+                return None, path
+    return None, _os.path.join(root, module)
+
+
+def _blas_symbols(library, *names: str):
+    """The functions ``names`` behind a ``ctypes`` handle (or None), under the
+    first spelling an OpenBLAS build exports all of them in: prefix
+    ``scipy_`` or none, then suffix ``64_`` or none. Returns them and whether
+    the suffix is ``64_``, whose routines take 64-bit integers; (None, False)
+    where no spelling has them all."""
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", ""):
+            found = [getattr(library, f"{prefix}{name}{suffix}", None) for name in names]
+            if None not in found:
+                return found, suffix == "64_"
+    return None, False
+
+
+def _one_blas_thread(library, path: str) -> None:
+    """Put the OpenBLAS behind ``library``, the handle ``_extension`` opened
+    from ``path``, on one thread for the whole process, through its thread
+    setter.
 
     A BLAS product or factorization split across threads rounds differently,
     so this is what gives every output the same bytes at every
@@ -42,25 +77,19 @@ def _one_blas_thread(extension: str) -> None:
     ``*_NUM_THREADS`` variables are set to 1 where unset, which reaches only a
     BLAS loaded later; that is logged at INFO.
     """
-    import ctypes
-    import importlib
+    setter, _ = _blas_symbols(library, "openblas_set_num_threads")
+    if setter is not None:
+        import ctypes
+
+        setter[0].argtypes, setter[0].restype = [ctypes.c_int], None
+        setter[0](1)
+        return
     import logging
 
-    try:
-        # a handle to the extension also finds the symbols of the libraries it links
-        blas = ctypes.CDLL(importlib.import_module(extension).__file__)
-    except (ImportError, OSError):
-        blas = None
-    for prefix in ("scipy_", ""):
-        for suffix in ("64_", ""):
-            setter = getattr(blas, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if setter is not None:
-                setter(1)
-                return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(var, "1")
     logging.getLogger(__name__).info(
-        "no OpenBLAS thread setter behind %s: BLAS threads left to *_NUM_THREADS (1 where unset)", extension
+        "no OpenBLAS thread setter behind %s: BLAS threads left to *_NUM_THREADS (1 where unset)", path
     )
 
 
@@ -123,8 +152,8 @@ def _run_parts(task: _Callable[..., None], parts: _Sequence[tuple]) -> None:
         future.result()
 
 
-# numpy's BLAS; scipy's is pinned by the first ridge solve, which loads it
-_one_blas_thread("numpy.linalg._umath_linalg")
+# numpy's BLAS; the first ridge solve pins scipy's, whose LAPACK it calls
+_one_blas_thread(*_extension("numpy", "linalg/_umath_linalg"))
 
 from .data import (  # noqa: E402
     Bag,

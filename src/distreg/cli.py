@@ -13,6 +13,7 @@ import contextlib
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +29,11 @@ from .models import (
     MULTISOURCE_KINDS,
     _grid_values,
     _SourceError,
+    _fit,
     _integer,
+    _median_sigmas,
+    _normalize,
     _spec,
-    default_sigmas,
-    fit_model,
     load_model,
     predict_model,
     save_model,
@@ -277,9 +279,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     hyper = _hyper_from_args(args, kind)
     data = _load_dataset(args.instances, args.targets, kind in MULTISOURCE_KINDS)
     with _naming_sources(args.instances):
+        # normalized once: the median heuristic and the fit read the same data
+        normalized, normalizers = _normalize(data)
         if any(key not in hyper for key in HYPER_AXES[kind]):
-            hyper = {**default_sigmas(kind, data), **hyper}
-        model = fit_model(kind, data, hyper)
+            hyper = {**_median_sigmas(kind, normalized), **hyper}
+        model = replace(_fit(kind, normalized, hyper), normalizers=normalizers)
     save_model(model, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -36,6 +36,8 @@ statistics fitted on the training bags only, then call the low-level
 from __future__ import annotations
 
 import base64
+import ctypes
+import functools
 import json
 import logging
 import math
@@ -46,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _one_blas_thread
+from . import _blas_symbols, _extension, _one_blas_thread
 from .data import (
     Bag,
     BagDataset,
@@ -103,6 +105,27 @@ class IllConditionedError(RuntimeError):
     """A ridge system stayed non-factorizable after the maximum diagonal jitter."""
 
 
+@functools.cache
+def _lapack():
+    """``dpotrf`` and ``dpotrs`` of the LAPACK that scipy's ``linalg._flapack``
+    links, with their integer type, ready to call through ``ctypes``; that
+    OpenBLAS is put on one thread first. Nothing of scipy is imported. Raises
+    OSError naming the file where the routines cannot be found."""
+    library, path = _extension("scipy", "linalg/_flapack")
+    _one_blas_thread(library, path)
+    routines, wide = _blas_symbols(library, "dpotrf_", "dpotrs_")
+    if routines is None:
+        raise OSError(f"{path}: no LAPACK dpotrf_ and dpotrs_ to call (prefix scipy_ or none, suffix 64_ or none)")
+    potrf, potrs = routines
+    integer = ctypes.c_int64 if wide else ctypes.c_int
+    # the arguments scipy's own wrapper passes: no hidden string lengths
+    ref = ctypes.POINTER(integer)
+    potrf.argtypes = [ctypes.c_char_p, ref, ctypes.c_void_p, ref, ref]
+    potrs.argtypes = [ctypes.c_char_p, ref, ref, ctypes.c_void_p, ref, ctypes.c_void_p, ref, ref]
+    potrf.restype = potrs.restype = None
+    return potrf, potrs, integer
+
+
 def _solve_spd(matrix: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     """Solve (matrix + lam*I) x = rhs by Cholesky, with escalating jitter.
 
@@ -110,21 +133,30 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     bumped by eps * trace/n for eps in 1e-10, 1e-8, 1e-6 before giving up;
     anything larger would silently distort cross-validated comparisons. A
     solve that needed jitter is logged at INFO.
+
+    The factorization and solve are LAPACK's ``dpotrf``/``dpotrs`` on the
+    lower triangle of a Fortran-ordered copy, called (``_lapack``) exactly as
+    ``scipy.linalg.cho_factor``/``cho_solve`` call them, so the bits are
+    theirs without the cost of importing ``scipy.linalg``.
     """
-    import scipy.linalg  # on the first solve: it is most of ``import distreg``'s time
-
-    _one_blas_thread("scipy.linalg._flapack")
-
+    potrf, potrs, integer = _lapack()
     n = matrix.shape[0]
+    if matrix.shape != (n, n) or np.shape(rhs)[:1] != (n,):  # LAPACK would read past them
+        raise ValueError(f"need a square matrix and a right-hand side of its rows, got {matrix.shape}, {np.shape(rhs)}")
+    size, info = integer(n), integer()
     diag_unit = float(np.trace(matrix)) / n
     for eps in (0.0,) + _JITTERS:
-        shifted = matrix.copy()
-        shifted[np.diag_indices(n)] += lam + eps * diag_unit
-        try:
-            factor = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
-            solution = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        except np.linalg.LinAlgError:
+        shifted = np.array(matrix, dtype=np.float64, order="F")
+        shifted.reshape(-1, order="F")[:: n + 1] += lam + eps * diag_unit  # its diagonal, in place
+        factor = shifted.ctypes.data
+        potrf(b"L", size, factor, size, info)
+        if info.value > 0:  # a leading minor is not positive definite
             continue
+        solution = np.array(rhs, dtype=np.float64, order="F")
+        if info.value == 0:
+            potrs(b"L", size, integer(solution.size // n), factor, size, solution.ctypes.data, size, info)
+        if info.value < 0:
+            raise ValueError(f"LAPACK reported an illegal value in argument {-info.value} of a Cholesky routine")
         if eps:
             logger.info(
                 "Cholesky needed diagonal jitter %g = %g x trace/n (n=%d, trace/n=%g, lambda=%g)",
@@ -630,10 +662,15 @@ def default_sigmas(kind: str, data) -> dict:
     transform receives, which are stacked for ``stacked-*``: ``kr`` uses the
     instances themselves, ``stacked-kr`` the stacked bag means.
     """
+    return _median_sigmas(kind, _normalize(data)[0])
+
+
+def _median_sigmas(kind: str, normalized) -> dict:
+    """``default_sigmas`` on data that ``_normalize`` has normalized already."""
     axes = [a for a in _axes(kind) if _AXES[a].default is None]
     if not axes:
         return {}
-    meds = [median_heuristic_bags(src) for src in _stack(kind, _normalize(data)[0])]
+    meds = [median_heuristic_bags(src) for src in _stack(kind, normalized)]
     return {a: meds if _AXES[a].domain == "reals" else meds[0] for a in axes}
 
 

@@ -45,10 +45,42 @@ def run_config(tmp_path, variance_files):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.linalg is most of the import time and only the ridge solve needs it
+    # importing scipy would cost more than numpy itself; only the ridge solve
+    # needs scipy, and it opens scipy's LAPACK without importing a module
     code = "import distreg.cli, sys; assert 'scipy' not in sys.modules, sorted(sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_fit_leaves_scipy_linalg_unloaded(tmp_path, variance_files):
+    # the ridge solves call scipy's LAPACK Cholesky through ctypes
+    inst, tgt = variance_files
+    argv = ["fit", "--model", "kdr", "--instances", str(inst), "--targets", str(tgt),
+            "--out", str(tmp_path / "model.json")]
+    code = (
+        f"import sys; from distreg.cli import main; assert main({argv!r}) == 0; "
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'); "
+        "assert 'scipy.linalg' not in loaded, loaded"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+    assert (tmp_path / "model.json").exists()
+
+
+def test_lapack_without_cholesky_named(tmp_path, variance_files, capsys, monkeypatch):
+    from distreg import models
+
+    inst, tgt = variance_files
+    models._lapack.cache_clear()
+    monkeypatch.setattr(models, "_blas_symbols", lambda library, *names: (None, False))
+    assert run_cli("fit", "--model", "kdr", "--instances", inst, "--targets", tgt,
+                   "--out", tmp_path / "model.json", "--lam", "1e-3") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    path, _, rest = err.removeprefix("error: ").partition(": ")
+    assert os.path.isfile(path) and os.path.basename(path).startswith("_flapack"), err
+    assert "dpotrf" in rest
+    assert not (tmp_path / "model.json").exists()
 
 
 class TestSynth:
@@ -515,6 +547,22 @@ class TestFitPredict:
         assert warnings == [f"{flag} is not a hyperparameter of model kind {kind!r}; ignored"]
         assert run_cli(*fit, "--out", tmp_path / "without.json") == 0
         assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["kdr", "mdr"])
+    def test_fit_normalizes_each_source_once(self, tmp_path, monkeypatch, kind):
+        # the median heuristic and the fit share one normalization
+        from distreg import models
+
+        out = tmp_path / "ms"
+        run_cli("synth", "--kind", "multisource-task", "--out", out, "--bags", "8")
+        sources = [out / "source1_instances.csv", out / "source2_instances.csv"]
+        sources = sources if kind == "mdr" else sources[:1]
+        fitted = []
+        real = models.fit_normalizer
+        monkeypatch.setattr(models, "fit_normalizer", lambda data: fitted.append(data.dim) or real(data))
+        assert run_cli("fit", "--model", kind, *[a for src in sources for a in ("--instances", src)],
+                       "--targets", out / "targets.csv", "--out", tmp_path / "model.json") == 0
+        assert len(fitted) == len(sources)
 
     def test_predictions_read_back_with_input_ids(self, tmp_path, capsys):
         import csv

@@ -4,13 +4,14 @@
 ``scripts/golden.py`` writes the golden set (reports, CV tables, models,
 predictions and ``distreg mmd`` stdout) into a temporary directory and prints
 one SHA-256 line per file, after a first line naming what the bytes also
-depend on: the numpy, scipy and BLAS versions and the SIMD target of numpy's
-``exp``. It runs in the environment a user's ``distreg`` would, with
-``DISTREG_THREADS`` unset and any ``*_NUM_THREADS`` left as they are: the
-bytes do not depend on either. Where the first line differs from the recorded
-one, the comparison says nothing about the code, so the test skips and names
-the fields that differ. A deliberate change of outputs is re-recorded as
-described in ``scripts/golden.py``.
+depend on: the numpy and scipy versions, numpy's BLAS, the LAPACK that the
+ridge solves call and the SIMD target of numpy's ``exp``. It runs in the
+environment a user's ``distreg`` would, with ``DISTREG_THREADS`` unset and
+any ``*_NUM_THREADS`` left as they are: the bytes do not depend on either.
+Where the first line differs from the recorded one, the comparison says
+nothing about the code, so the test skips and names the fields that differ.
+A deliberate change of outputs is re-recorded as described in
+``scripts/golden.py``.
 """
 
 import os
@@ -25,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RECORDED = ROOT / "scripts" / "golden.sha256"
 FINGERPRINT = re.compile(
     r"# numpy (?P<numpy>\S+) scipy (?P<scipy>\S+) "
-    r"BLAS (?P<BLAS>.+) exp (?P<exp>\S+)"
+    r"BLAS (?P<BLAS>.+) LAPACK (?P<LAPACK>.+) exp (?P<exp>\S+)"
 )
 
 

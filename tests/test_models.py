@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distreg import (
     Bag,
@@ -27,7 +28,7 @@ from distreg import (
     stack_multisource,
 )
 from distreg.evaluate import compute_metrics, split_train_test
-from distreg.models import _fit, _predict, _solve_spd
+from distreg.models import _JITTERS, _fit, _predict, _solve_spd
 from conftest import HYPERS, oracle_krr, random_dataset
 
 
@@ -89,6 +90,51 @@ class TestSolveRidgeDual:
             solve_ridge_dual(np.eye(2), np.ones(2), 0.0)
         with pytest.raises(ValueError):
             solve_ridge_dual(np.eye(2), np.ones(2), -1.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 200),
+        shape=st.sampled_from(["spd", "near-singular", "indefinite"]),
+        lam=st.sampled_from([1e-300, 1e-8, 1e-3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_solve_bitwise_scipy_cholesky(self, n, shape, lam, seed):
+        # the ctypes LAPACK calls give scipy.linalg.cho_factor/cho_solve's bits
+        import scipy.linalg
+
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n if shape == "spd" else 1))
+        matrix = a @ a.T / n
+        if shape == "indefinite":  # a negative diagonal entry no jitter can lift
+            j = int(rng.integers(n))
+            matrix[j, j] = -1.0 - np.trace(matrix)
+        rhs = rng.standard_normal(n)
+
+        def cho(m):
+            factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
+            return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+        try:
+            got = _solve_spd(matrix, rhs, lam)  # first, so scipy's BLAS is on one thread
+        except IllConditionedError:
+            got = None
+        diag_unit = np.trace(matrix) / n
+        for eps in (0.0,) + _JITTERS:
+            shifted = matrix.copy()
+            shifted[np.diag_indices(n)] += lam + eps * diag_unit
+            try:
+                want = cho(shifted)
+                break
+            except np.linalg.LinAlgError:
+                want = None
+        assert (got is None) == (want is None) == (shape == "indefinite")
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape,rhs", [((3, 2), 3), ((2, 3), 2), ((3, 3), 2), ((3, 3), 4)])
+    def test_mismatched_shapes_rejected_before_lapack(self, shape, rhs):
+        with pytest.raises(ValueError, match="need a square matrix"):
+            _solve_spd(np.ones(shape), np.ones(rhs), 1.0)
 
 
 class TestKdr:
