@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python scripts/golden.py OUT
 
-writes 87 files under OUT and prints one ``sha256  path`` line per file,
+writes 96 files under OUT and prints one ``sha256  path`` line per file,
 with paths relative to OUT, sorted, after a first line that names what the
 bytes also depend on: the numpy and scipy versions, numpy's BLAS library and
 version, the LAPACK library and version that the ridge solves call (the one
@@ -36,6 +36,11 @@ The set:
   whose pooled rows exceed one tile (``distreg.kernels.TILE``), so that
   their Grams span several chunks, and for ``kdr`` on 6 bags of 1500 rows,
   each larger than one tile and so cut into tile-row pieces;
+- the ``grid_search_cv`` table of each of the nine kinds (params, mean and
+  fold RMSEs as ``repr``, error text, and the best point) on the 30-bag
+  variance or the 24-bag multisource task, over the kind's default grid
+  plus one point that fails its check, so that a change in the last digit
+  of any cell shows;
 - ``distreg mmd`` stdout for the four two-sample gallery scenarios (300
   samples each side), with the median-heuristic sigma and with ``--sigma``,
   and for scenario ``c`` at 700 samples each side with 1100 permutations,
@@ -56,6 +61,8 @@ import numpy as np
 import scipy
 
 from distreg.cli import main
+from distreg.data import align_sources, load_bags
+from distreg.evaluate import default_grid, grid_search_cv
 from distreg.models import MULTISOURCE_KINDS, SINGLE_SOURCE_KINDS
 from distreg.synth import GALLERY_SCENARIOS
 
@@ -73,6 +80,25 @@ def _cli(*argv) -> str:
     if rc != 0:
         raise SystemExit(f"distreg {' '.join(map(str, argv))} exited with {rc}")
     return stdout.getvalue()
+
+
+def _cv_table(path: Path, data, kind: str) -> None:
+    """Write the CV table of ``kind`` on ``data`` to ``path``: every cell of
+    its default grid, and of one point whose negative lambda fails its check,
+    with floats as ``repr``."""
+    grid = default_grid(kind, data, seed=3)
+    result = grid_search_cv(data, kind, [*grid, {**grid[0], "lam": -1.0}], k=3, seed=3)
+    table = [
+        {
+            "params": cell.params,
+            "mean_rmse": repr(cell.mean_rmse),
+            "fold_rmse": None if cell.fold_rmse is None else [repr(v) for v in cell.fold_rmse],
+            "error": cell.error,
+        }
+        for cell in result.table
+    ]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"best": result.best, "table": table}, indent=1) + "\n", encoding="utf-8")
 
 
 def write_golden(out: Path) -> list[Path]:
@@ -119,6 +145,12 @@ def write_golden(out: Path) -> list[Path]:
                 _cli("fit", "--model", kind, *sources, "--targets", targets, "--out", model, *extra)
                 _cli("predict", "--model-file", model, *sources, "--out", preds)
                 files += [model, preds]
+        datasets = [load_bags(path, targets) for path in instances]
+        data = align_sources(datasets) if len(datasets) > 1 else datasets[0]
+        for kind in kinds:
+            path = out / "cv" / f"{kind}.json"
+            _cv_table(path, data, kind)
+            files.append(path)
     # every `run` flag overrides its config key with a value of its own
     run_dir = out / "run" / "variance-flags"
     _cli("run", "--config", out / "config" / "variance-grid.json", "--model", "kdr", "--model", "lr",

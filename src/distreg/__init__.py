@@ -11,6 +11,7 @@ baselines, an evaluation protocol, and a CLI are included.
 from __future__ import annotations
 
 import concurrent.futures as _futures
+import logging as _logging
 import os as _os
 import threading as _threading
 from collections.abc import Callable as _Callable, Sequence as _Sequence
@@ -18,15 +19,20 @@ from collections.abc import Callable as _Callable, Sequence as _Sequence
 
 def _configure_threads() -> int:
     """Workers of ``_run_parts``: DISTREG_THREADS, never more than the usable
-    CPUs; 0 or unset gives every usable CPU. BLAS is not sized by it: it runs
-    on one thread at every setting (``_one_blas_thread``)."""
+    CPUs; 0, empty or unset gives every usable CPU, and so does any other
+    value that is not a count, with a warning. BLAS is not sized by it: it
+    runs on one thread at every setting (``_one_blas_thread``)."""
     if hasattr(_os, "sched_getaffinity"):
         cpus = len(_os.sched_getaffinity(0))
     else:  # no affinity masks on this platform
         cpus = _os.cpu_count() or 1
     raw = _os.environ.get("DISTREG_THREADS", "").strip()
-    if raw.isdigit() and raw != "0":
-        return min(int(raw), cpus)
+    if raw.isascii() and raw.isdigit():
+        return min(int(raw), cpus) or cpus
+    if raw:
+        _logging.getLogger(__name__).warning(
+            "DISTREG_THREADS=%r is not a thread count; using %d worker threads", raw, cpus
+        )
     return cpus
 
 
@@ -84,11 +90,9 @@ def _one_blas_thread(library, path: str) -> None:
         setter[0].argtypes, setter[0].restype = [ctypes.c_int], None
         setter[0](1)
         return
-    import logging
-
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(var, "1")
-    logging.getLogger(__name__).info(
+    _logging.getLogger(__name__).info(
         "no OpenBLAS thread setter behind %s: BLAS threads left to *_NUM_THREADS (1 where unset)", path
     )
 
@@ -155,83 +159,12 @@ def _run_parts(task: _Callable[..., None], parts: _Sequence[tuple]) -> None:
 # numpy's BLAS; the first ridge solve pins scipy's, whose LAPACK it calls
 _one_blas_thread(*_extension("numpy", "linalg/_umath_linalg"))
 
-from .data import (  # noqa: E402
-    Bag,
-    BagDataset,
-    DataFormatError,
-    MultiSourceDataset,
-    Normalizer,
-    align_sources,
-    apply_normalizer,
-    canonical_rows,
-    fit_normalizer,
-    load_bags,
-    load_sample,
-    pooled_instances,
-    save_bags,
-)
-from .kernels import (  # noqa: E402
-    BagGram,
-    MmdTestResult,
-    RbfParams,
-    bag_gram,
-    bag_mean_kernel_entry,
-    cross_bag_gram,
-    cross_gram,
-    median_heuristic,
-    median_heuristic_bags,
-    mmd_permutation_test,
-    mmd_squared,
-    multisource_bag_gram,
-    rbf_kernel,
-)
-from .rff import (  # noqa: E402
-    FourierBasis,
-    bag_feature_matrix,
-    bag_feature_sweep,
-    bag_mean_features,
-    feature_map,
-    feature_matrix,
-    sample_basis,
-)
-from .models import (  # noqa: E402
-    FittedModel,
-    HYPER_AXES,
-    IllConditionedError,
-    MODEL_KINDS,
-    MULTISOURCE_KINDS,
-    RidgeSolution,
-    SINGLE_SOURCE_KINDS,
-    STACK_MODES,
-    default_sigmas,
-    fit_model,
-    load_model,
-    predict_model,
-    save_model,
-    solve_ridge_dual,
-    stack_multisource,
-)
-from .evaluate import (  # noqa: E402
-    EvalReport,
-    GridSearchResult,
-    Metrics,
-    TrialResult,
-    compute_metrics,
-    default_grid,
-    grid_search_cv,
-    kfold_split,
-    render_table,
-    report_to_dict,
-    reports_to_csv,
-    run_protocol,
-    split_train_test,
-)
-from .synth import (  # noqa: E402
-    GALLERY_SCENARIOS,
-    make_mean_task,
-    make_multisource_task,
-    make_two_sample_pair,
-    make_variance_task,
-)
+# The public API: each module's ``__all__`` is the one list of its names.
+from .data import *  # noqa: E402,F401,F403
+from .kernels import *  # noqa: E402,F401,F403
+from .rff import *  # noqa: E402,F401,F403
+from .models import *  # noqa: E402,F401,F403
+from .evaluate import *  # noqa: E402,F401,F403
+from .synth import *  # noqa: E402,F401,F403
 
 __version__ = "0.1.0"

@@ -372,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -33,16 +33,18 @@ So a call holds its S x B x B' outputs plus two tiles, whatever the sigma
 count S and the worker count. These sums are bitwise those of whole-tile
 passes at every worker count: the gemm keeps its shape, the rest is
 elementwise, and ``np.add.reduceat`` sums each segment independently of the
-others. The MMD permutation test never holds the pooled (n+m) x (n+m) kernel
-matrix either: it builds it one block of TILE rows at a time, once per batch
-of up to TILE permutations, so its memory is O(TILE (n+m)). Each block's
-matrix-vector products, one per split, run over cache-sized row slices of
-the block, split across the worker threads; BLAS itself runs on one thread,
-and the slices start at multiples of 16 rows, so the products are bitwise
-those of the whole block, whatever the worker count. Entry sums rely on
-numpy's pairwise summation, which keeps the double-sum accurate enough for
-1e-12 comparisons against naive loops. All functions are pure and
-deterministic; a non-finite value in an input matrix or bag raises.
+others. One step, ``_sq_distances``, turns row products into squared distances
+for the engine, ``cross_gram`` and ``median_heuristic``; each forms its own
+products (syrk or gemm), which set its bits. The MMD permutation test never
+holds the pooled (n+m) x (n+m) kernel matrix either: it builds it one block of
+TILE rows at a time, once per batch of up to TILE permutations, so its memory
+is O(TILE (n+m)). Each block's matrix-vector products, one per split, run over
+cache-sized row slices of the block, split across the worker threads; BLAS
+itself runs on one thread, and the slices start at multiples of 16 rows, so
+the products are bitwise those of the whole block, whatever the worker count.
+Entry sums rely on numpy's pairwise summation, which keeps the double-sum
+accurate enough for 1e-12 comparisons against naive loops. All functions are
+pure and deterministic; a non-finite value in an input matrix or bag raises.
 """
 
 from __future__ import annotations
@@ -131,11 +133,12 @@ def _check_matrix(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
+def _check_pair(a: np.ndarray, b: np.ndarray, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """Two matrices, each checked by ``_check_matrix``, of the same width."""
+    a, b = _check_matrix(a, names[0]), _check_matrix(b, names[1])
     if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"feature dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
+        raise ValueError(f"feature dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    return a, b
 
 
 def rbf_kernel(x: np.ndarray, x_prime: np.ndarray, params: RbfParams) -> float:
@@ -148,25 +151,22 @@ def rbf_kernel(x: np.ndarray, x_prime: np.ndarray, params: RbfParams) -> float:
     return float(np.exp(-params.gamma * np.dot(diff, diff)))
 
 
-def _sq_distances(
-    a: np.ndarray, b: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances between two row sets, via the expanded form, plus a
-    scratch buffer of the same shape: the product term, no longer needed, in
-    which callers scale and exponentiate the distances."""
-    d2 = np.add.outer(a_sq, b_sq)
-    ab = a @ b.T
+def _sq_distances(a_sq: np.ndarray, b_sq: np.ndarray, ab: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared distances ``a_sq[i] + b_sq[j] - 2 ab[i, j]`` of two row sets,
+    clamped at 0, into ``out``, which must not overlap the row products
+    ``ab`` (doubled in place). The norm sum is copied, then added:
+    ``np.add.outer`` with ``out`` buffers, which is slower and takes memory."""
+    out[...] = a_sq[:, None]
+    out += b_sq
     ab *= 2.0
-    d2 -= ab
-    np.maximum(d2, 0.0, out=d2)  # guard tiny negatives from cancellation
-    return d2, ab
+    out -= ab
+    np.maximum(out, 0.0, out=out)  # guard tiny negatives from cancellation
+    return out
 
 
 def cross_gram(a: np.ndarray, b: np.ndarray, params: RbfParams) -> np.ndarray:
     """Full kernel matrix between the rows of ``a`` (n x d) and ``b`` (m x d)."""
-    a = _check_matrix(a, "a")
-    b = _check_matrix(b, "b")
-    _check_same_dim(a, b)
+    a, b = _check_pair(a, b, ("a", "b"))
     gamma = params.gamma
     a_sq = np.einsum("ij,ij->i", a, a)
     b_sq = np.einsum("ij,ij->i", b, b)
@@ -175,7 +175,8 @@ def cross_gram(a: np.ndarray, b: np.ndarray, params: RbfParams) -> np.ndarray:
         i1 = min(i0 + TILE, a.shape[0])
         for j0 in range(0, b.shape[0], TILE):
             j1 = min(j0 + TILE, b.shape[0])
-            d2, buf = _sq_distances(a[i0:i1], b[j0:j1], a_sq[i0:i1], b_sq[j0:j1])
+            buf = a[i0:i1] @ b[j0:j1].T  # syrk on a diagonal tile of cross_gram(x, x)
+            d2 = _sq_distances(a_sq[i0:i1], b_sq[j0:j1], buf, np.empty_like(buf))
             np.multiply(d2, -gamma, out=buf)
             out[i0:i1, j0:j1] = np.exp(buf, out=buf)
             del d2, buf  # before the next tile is allocated
@@ -267,12 +268,7 @@ def _add_pair_sums(out: np.ndarray, ca: _Chunk, cb: _Chunk, gammas: Sequence[flo
         for lo, hi in runs[first:last]:
             j0 = lo if diagonal else 0  # first bag column
             r0, r1, c0 = ca.starts[lo], ends[hi - 1], cb.starts[j0]
-            d2 = _band(dist, r0, r1, width - c0)
-            np.add.outer(ca.sq[r0:r1], cb.sq[c0:], out=d2)
-            ab = prod[r0:r1, c0:]
-            ab *= 2.0
-            d2 -= ab
-            np.maximum(d2, 0.0, out=d2)  # guard tiny negatives from cancellation
+            d2 = _sq_distances(ca.sq[r0:r1], cb.sq[c0:], prod[r0:r1, c0:], _band(dist, r0, r1, width - c0))
             scratch = _band(prod, r0, r1, width - c0)  # its products are used up
             rows = slice(ca.bags.start + lo, ca.bags.start + hi)
             cols = slice(cb.bags.start + j0, cb.bags.stop)
@@ -321,16 +317,12 @@ def _grams(a: BagDataset, b: BagDataset | None, gammas: Sequence[float]) -> np.n
     return out
 
 
-def _one_bag(bag: Bag) -> BagDataset:
-    return BagDataset((bag,), [0.0])
-
-
 def bag_mean_kernel_entry(bag_b: Bag, bag_bp: Bag, params: RbfParams) -> float:
     """Mean-embedding dot product between two bags.
 
     Returns (1 / (n_b n_b')) sum_i sum_j k(x_i, x_j').
     """
-    (entry,) = _grams(_one_bag(bag_b), _one_bag(bag_bp), (params.gamma,))
+    (entry,) = _grams(BagDataset((bag_b,), [0.0]), BagDataset((bag_bp,), [0.0]), (params.gamma,))
     return float(entry[0, 0])
 
 
@@ -378,14 +370,10 @@ def mmd_squared(
     Rows are summed in canonical order, so the value is exactly invariant to
     the row order of either sample, and ``mmd_squared(x, x)`` is exactly 0.
     """
-    x = _check_matrix(sample_x, "sample_x")
-    y = _check_matrix(sample_y, "sample_y")
-    _check_same_dim(x, y)
-    x, y = _one_bag(Bag("sample_x", x)), _one_bag(Bag("sample_y", y))
-    (kxx,), (kyy,), (kxy,) = (
-        _grams(a, b, (params.gamma,)) for a, b in ((x, x), (y, y), (x, y))
-    )
-    value = float(kxx[0, 0] + kyy[0, 0] - 2.0 * kxy[0, 0])
+    x, y = _check_pair(sample_x, sample_y, ("sample_x", "sample_y"))
+    x, y = Bag("sample_x", x), Bag("sample_y", y)
+    kxx, kyy, kxy = (bag_mean_kernel_entry(a, b, params) for a, b in ((x, x), (y, y), (x, y)))
+    value = kxx + kyy - 2.0 * kxy
     return 0.0 if -1e-12 <= value < 0.0 else value
 
 
@@ -456,9 +444,7 @@ def mmd_permutation_test(
     time is O((n+m)^2 (d ceil((P+1) / TILE) + P)). The p-value uses the standard
     add-one convention (1 + #{null >= observed}) / (1 + P).
     """
-    x = _check_matrix(sample_x, "sample_x")
-    y = _check_matrix(sample_y, "sample_y")
-    _check_same_dim(x, y)
+    x, y = _check_pair(sample_x, sample_y, ("sample_x", "sample_y"))
     if n_permutations < 1:
         raise ValueError("need at least one permutation")
     n, m = x.shape[0], y.shape[0]
@@ -521,16 +507,15 @@ def median_heuristic(
     sq = np.einsum("ij,ij->i", x, x)
     gram = x @ x.T  # one symmetric product; row blocks of it would round differently
     # Row i's upper distances go to the flat buffer's front, compacted: they
-    # end no later than row i does, so only rows already read are overwritten.
+    # end no later than row i does, so only rows already read are overwritten,
+    # and row i's own products, which they may overwrite, are passed as a copy.
     flat = gram.reshape(-1)
     start = 0
     for i in range(k - 1):
         stop = start + k - 1 - i
-        flat[start:stop] = sq[i] + sq[i + 1 :] - 2.0 * gram[i, i + 1 :]
+        _sq_distances(sq[i : i + 1], sq[i + 1 :], gram[i : i + 1, i + 1 :].copy(), flat[start:stop].reshape(1, -1))
         start = stop
-    upper = flat[:start]
-    np.maximum(upper, 0.0, out=upper)
-    med = float(np.sqrt(np.median(upper, overwrite_input=True)))
+    med = float(np.sqrt(np.median(flat[:start], overwrite_input=True)))
     return med if med > 0 else 1.0
 
 

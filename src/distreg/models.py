@@ -541,7 +541,9 @@ def _grid_values(key: str, values) -> list:
 def _check_point(kind: str, hyper: dict, data) -> dict:
     """The hyperparameters of ``kind`` at the point ``hyper`` on ``data``,
     checked and converted, an omitted optional one at its default; ``hyper``
-    is left as given. ValueError names a missing, unknown or invalid key."""
+    is left as given. The kind and ``data``'s type are checked first
+    (``_check_data``); ValueError names a missing, unknown or invalid key."""
+    _check_data(kind, data)
     keys = _axes(kind)
     for key in keys:
         if key not in hyper and not _AXES[key].optional:
@@ -623,18 +625,23 @@ def _normalize(data, normalizers=None):
     return (MultiSourceDataset(out) if multi else out[0]), normalizers
 
 
-def _stack(kind: str, data) -> tuple[BagDataset, ...]:
-    """The sources the base kind reads from ``data``: checked against the
-    kind's dataset type, and concatenated into one for ``stacked-*``."""
+def _check_data(kind: str, data) -> None:
+    """Reject an unknown kind, then data that is not the kind's dataset type."""
     _spec(kind)  # rejects unknown kinds
     multi = kind in MULTISOURCE_KINDS
     if not isinstance(data, MultiSourceDataset if multi else BagDataset):
         need = "a MultiSourceDataset" if multi else "a single-source BagDataset"
         raise TypeError(f"model kind {kind!r} needs {need}")
+
+
+def _stack(kind: str, data) -> tuple[BagDataset, ...]:
+    """The sources the base kind reads from ``data``: checked by
+    ``_check_data``, and concatenated into one for ``stacked-*``."""
+    _check_data(kind, data)
     base = _base(kind)
     if base != kind:
         return (stack_multisource(data, STACK_MODES[base]),)
-    return data.sources if multi else (data,)
+    return data.sources if kind in MULTISOURCE_KINDS else (data,)
 
 
 def _transform(kind: str, data) -> tuple[BagDataset, ...]:
@@ -677,8 +684,8 @@ def _median_sigmas(kind: str, normalized) -> dict:
 def _fit(kind: str, data, hyper: dict) -> FittedModel:
     """Fit ``kind`` on already-normalized data; ``fit_model`` calls this
     after normalizing."""
-    train = _transform(kind, data)
     point = _check_point(kind, hyper, data)
+    train = _transform(kind, data)
     state = _state(kind, train, point)
     [(rep, _)] = _spec(kind).matrices([state], train, None)
     stacked = _base(kind) != kind
@@ -712,9 +719,11 @@ def fit_model(kind: str, data: BagDataset | MultiSourceDataset, hyper: dict) -> 
     transform to new bags. Hyperparameters (``HYPER_AXES``): ``lam`` always;
     ``sigma`` for kr/kdr/rdr and the stacked variants; ``sigmas`` (one per
     source) for mdr; ``n_features`` and optional ``rff_seed`` for rdr variants.
-    ``hyper`` is checked against the axis table once, before any work: a
-    missing, unknown or out-of-domain key raises ValueError naming it.
+    Before any work, the kind is checked, then the dataset type, then
+    ``hyper`` against the axis table: a missing, unknown or out-of-domain key
+    raises ValueError naming it.
     """
+    _check_point(kind, hyper, data)
     normalized, norms = _normalize(data)
     return replace(_fit(kind, normalized, hyper), normalizers=norms)
 

@@ -165,10 +165,10 @@ def bag_mean_features(bag: Bag, basis: FourierBasis) -> np.ndarray:
     """Mean feature vector of a bag; its norm is at most 1.
 
     Dot products between bag mean features approximate the mean-embedding
-    dot products computed by the exact kernel path.
+    dot products computed by the exact kernel path. It is the row of
+    ``bag_feature_matrix`` on a dataset of this one bag.
     """
-    x = canonical_rows(bag.instances)
-    return _sweep_means(x, basis, 0, *_scratch(min(_ROW_CHUNK, x.shape[0]), basis))[0]
+    return bag_feature_matrix(BagDataset((bag,), [0.0]), basis)[0]
 
 
 def bag_feature_sweep(data: BagDataset, basis: FourierBasis, n_halvings: int) -> np.ndarray:

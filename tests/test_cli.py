@@ -52,6 +52,64 @@ def test_import_leaves_scipy_unloaded():
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
+def test_package_exports_every_module_name():
+    # each module's __all__ is the one list of the package's public names
+    import importlib
+
+    import distreg
+
+    for name in ("data", "kernels", "rff", "models", "evaluate", "synth"):
+        module = importlib.import_module(f"distreg.{name}")
+        for public in module.__all__:
+            assert getattr(distreg, public, None) is getattr(module, public), f"distreg.{public}"
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "²", None, "", "0", "1", "4096"])
+def test_thread_setting_that_is_not_a_count_is_named(value):
+    # a value that is not a count still gets every usable CPU, with one
+    # warning at import; unset, empty and 0 do silently, and a count is capped
+    env = {k: v for k, v in os.environ.items() if k != "DISTREG_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if value is not None:
+        env["DISTREG_THREADS"] = value
+    run = subprocess.run([sys.executable, "-c", "import distreg; print(distreg._WORKERS)"],
+                         capture_output=True, text=True, env=env, check=True)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert int(run.stdout) == (1 if value == "1" else cpus)
+    if value in ("abc", "-3", "²"):
+        assert run.stderr == (
+            f"DISTREG_THREADS={value!r} is not a thread count; using {cpus} worker threads\n"
+        )
+    else:
+        assert run.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["fit", "run", "mmd", "synth"])
+def test_allocation_failure_is_one_error_line(tmp_path, variance_files, capsys, command):
+    # sizes in PiB exceed any address space, so the allocation fails whatever
+    # the overcommit setting, before any memory is used
+    inst, tgt = variance_files
+    if command == "fit":
+        argv = ["fit", "--model", "rdr", "--instances", inst, "--targets", tgt,
+                "--out", tmp_path / "model.json", "--n-features", 10**14]
+    elif command == "run":
+        config = {"instances": [str(inst)], "targets": str(tgt), "models": ["rdr"], "trials": 1,
+                  "folds": 2, "out": str(tmp_path / "results"), "grid": {"n_features": [10**14]}}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = ["run", "--config", tmp_path / "config.json"]
+    elif command == "mmd":
+        for name in ("x.csv", "y.csv"):
+            (tmp_path / name).write_text("0.0,1.0\n1.0,0.5\n2.0,0.0\n", encoding="utf-8")
+        argv = ["mmd", tmp_path / "x.csv", tmp_path / "y.csv", "--permutations", 10**15]
+    else:
+        argv = ["synth", "--kind", "two-sample-gallery", "--out", tmp_path / "gallery", "--samples", 10**15]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate ") and err.count("\n") == 1, err
+    assert not (tmp_path / "model.json").exists() and not (tmp_path / "results").exists()
+
+
 def test_fit_leaves_scipy_linalg_unloaded(tmp_path, variance_files):
     # the ridge solves call scipy's LAPACK Cholesky through ctypes
     inst, tgt = variance_files

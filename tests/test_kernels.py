@@ -270,7 +270,11 @@ class TestSigmaSweep:
         whose block is added to the output, and its transpose too on an
         off-diagonal chunk pair of a symmetric Gram."""
         b_rows = cb.rows.copy() if cb is ca else cb.rows
-        d2, buf = kernels._sq_distances(ca.rows, b_rows, ca.sq, cb.sq)
+        d2 = np.add.outer(ca.sq, cb.sq)
+        buf = ca.rows @ b_rows.T
+        buf *= 2.0
+        d2 -= buf
+        np.maximum(d2, 0.0, out=d2)
         for total, gamma in zip(out, gammas):
             np.multiply(d2, -gamma, out=buf)
             tile = np.exp(buf, out=buf)

@@ -634,6 +634,30 @@ class TestFitModelValidation:
         assert str(info.value) == message
         assert hyper.keys() == given.keys()
 
+    def test_checked_before_any_work(self, monkeypatch):
+        # kind, dataset type, point, then normalization: a rejected call
+        # fits no normalizer and stacks no sources
+        from distreg import models
+
+        calls = []
+
+        def spy(name):
+            real = getattr(models, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+
+        for name in ("fit_normalizer", "stack_multisource"):
+            monkeypatch.setattr(models, name, spy(name))
+        ms = make_multisource_task(12)
+        with pytest.raises(ValueError, match="model kind 'stacked-kdr' needs hyperparameter 'sigma'"):
+            fit_model("stacked-kdr", ms, {"lam": 1e-3})
+        with pytest.raises(TypeError, match="model kind 'kdr' needs a single-source BagDataset"):
+            fit_model("kdr", ms, {"lam": -1.0})
+        assert calls == []
+
     def test_numpy_hyperparameters_accepted(self):
         rng = np.random.default_rng(38)
         data = random_dataset(rng, 5)
