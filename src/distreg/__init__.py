@@ -21,7 +21,8 @@ def _configure_threads() -> int:
     """Workers of ``_run_parts``: DISTREG_THREADS, never more than the usable
     CPUs; 0, empty or unset gives every usable CPU, and so does any other
     value that is not a count, with a warning. BLAS is not sized by it: it
-    runs on one thread at every setting (``_one_blas_thread``)."""
+    runs on one thread at every setting (``_one_blas_thread``). Called once,
+    by ``_workers``."""
     if hasattr(_os, "sched_getaffinity"):
         cpus = len(_os.sched_getaffinity(0))
     else:  # no affinity masks on this platform
@@ -97,21 +98,33 @@ def _one_blas_thread(library, path: str) -> None:
     )
 
 
-# Threads of the one worker pool, and the most parts ``_parts`` makes; read
-# at call time.
-_WORKERS = _configure_threads()
+def _workers() -> int:
+    """Threads of the one worker pool, and the most parts ``_parts`` makes:
+    ``_WORKERS``, set by ``_configure_threads`` on first use, so that the CLI
+    has configured logging before a warning of it is logged."""
+    global _WORKERS
+    if "_WORKERS" not in globals():
+        _WORKERS = _configure_threads()
+    return _WORKERS
+
+
+def __getattr__(name: str):
+    if name == "_WORKERS":  # read before first use
+        return _workers()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _pool: _futures.ThreadPoolExecutor | None = None
 _pool_lock = _threading.Lock()
 
 
 def _executor() -> _futures.ThreadPoolExecutor:
-    """The process's worker pool, created on first use with ``_WORKERS``
+    """The process's worker pool, created on first use with ``_workers()``
     threads (``concurrent.futures`` imports its thread module only then)."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = _futures.ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="distreg")
+            _pool = _futures.ThreadPoolExecutor(max_workers=_workers(), thread_name_prefix="distreg")
         return _pool
 
 
@@ -126,12 +139,12 @@ if hasattr(_os, "register_at_fork"):
 
 
 def _parts(sizes: _Sequence[int]) -> list[tuple[int, int]]:
-    """At most ``_WORKERS`` contiguous, non-empty runs [lo, hi) of items of
+    """At most ``_workers()`` contiguous, non-empty runs [lo, hi) of items of
     the given sizes, each of about an equal share of their total: an item
     belongs to the share its middle falls in."""
-    total, done, owners = sum(sizes), 0, []
+    total, done, owners, workers = sum(sizes), 0, [], _workers()
     for size in sizes:
-        owners.append(int(_WORKERS * (done + size / 2) / total))
+        owners.append(int(workers * (done + size / 2) / total))
         done += size
     cuts = [i for i in range(1, len(sizes)) if owners[i] != owners[i - 1]]
     return list(zip([0, *cuts], [*cuts, len(sizes)]))

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _workers
 from .data import _read_json, align_sources, load_bags, load_sample, save_bags
 from .evaluate import render_table, report_to_dict, reports_to_csv, run_protocol
 from .kernels import RbfParams, median_heuristic, mmd_permutation_test
@@ -188,18 +189,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _integer(args.seed, 0, "--seed")
     if not 0 <= args.noise <= sys.float_info.max:
         raise ValueError(f"--noise must be a finite real ≥ 0, got {args.noise!r}")
+    # every sample is generated before --out is created
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "variance-task":
         data = make_variance_task(args.bags, args.bag_size, args.dim, args.seed)
-        save_bags(data, out_dir / "instances.csv", out_dir / "targets.csv")
-        print(f"wrote {out_dir / 'instances.csv'} and {out_dir / 'targets.csv'}")
     elif args.kind == "mean-task":
         data = make_mean_task(args.bags, args.bag_size, args.dim, args.noise, args.seed)
+    elif args.kind == "multisource-task":
+        data = make_multisource_task(args.bags, seed=args.seed)
+    else:
+        pairs = [(scenario, make_two_sample_pair(scenario, args.samples, args.seed)) for scenario in GALLERY_SCENARIOS]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.kind in ("variance-task", "mean-task"):
         save_bags(data, out_dir / "instances.csv", out_dir / "targets.csv")
         print(f"wrote {out_dir / 'instances.csv'} and {out_dir / 'targets.csv'}")
     elif args.kind == "multisource-task":
-        data = make_multisource_task(args.bags, seed=args.seed)
         save_bags(data.sources[0], out_dir / "source1_instances.csv", out_dir / "targets.csv")
         save_bags(data.sources[1], out_dir / "source2_instances.csv", out_dir / "targets.csv")
         print(
@@ -207,9 +211,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"{out_dir / 'source2_instances.csv'} and {out_dir / 'targets.csv'}"
         )
     else:
-        for scenario in GALLERY_SCENARIOS:
-            x, y = make_two_sample_pair(scenario, args.samples, args.seed)
-            for name, sample in (("x", x), ("y", y)):
+        for scenario, pair in pairs:
+            for name, sample in zip("xy", pair):
                 text = "\n".join(",".join(repr(float(v)) for v in row) for row in sample) + "\n"
                 _write_text(out_dir / f"gallery_{scenario}_{name}.csv", text)
         print(f"wrote gallery_[{'|'.join(GALLERY_SCENARIOS)}]_[x|y].csv under {out_dir}")
@@ -232,11 +235,12 @@ def cmd_mmd(args: argparse.Namespace) -> int:
             f"feature dimension mismatch: {args.sample_x} has d={x.shape[1]}, "
             f"{args.sample_y} has d={y.shape[1]}"
         )
-    if params is None:
-        params = RbfParams(median_heuristic(np.vstack([x, y])))
-    result = mmd_permutation_test(
-        x, y, params, n_permutations=args.permutations, seed=args.seed
-    )
+    try:  # samples whose squared distances overflow
+        if params is None:
+            params = RbfParams(median_heuristic(np.vstack([x, y])))
+        result = mmd_permutation_test(x, y, params, n_permutations=args.permutations, seed=args.seed)
+    except ValueError as exc:
+        raise ValueError(f"{args.sample_x}, {args.sample_y}: {exc}") from None
     print(f"sigma: {params.sigma!r}")
     print(f"mmd2: {result.statistic!r}")
     print(f"null_q95: {result.null_q95!r}")
@@ -367,6 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    _workers()  # a DISTREG_THREADS that is not a count is named in the common form
     try:
         return args.func(args)
     except (OSError, ValueError, RuntimeError) as exc:
@@ -375,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # numpy's names the size it could not allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, the shell's convention
 
 
 if __name__ == "__main__":

@@ -34,27 +34,37 @@ count S and the worker count. These sums are bitwise those of whole-tile
 passes at every worker count: the gemm keeps its shape, the rest is
 elementwise, and ``np.add.reduceat`` sums each segment independently of the
 others. One step, ``_sq_distances``, turns row products into squared distances
-for the engine, ``cross_gram`` and ``median_heuristic``; each forms its own
-products (syrk or gemm), which set its bits. The MMD permutation test never
-holds the pooled (n+m) x (n+m) kernel matrix either: it builds it one block of
-TILE rows at a time, once per batch of up to TILE permutations, so its memory
-is O(TILE (n+m)). Each block's matrix-vector products, one per split, run over
-cache-sized row slices of the block, split across the worker threads; BLAS
-itself runs on one thread, and the slices start at multiples of 16 rows, so
-the products are bitwise those of the whole block, whatever the worker count.
-Entry sums rely on numpy's pairwise summation, which keeps the double-sum
-accurate enough for 1e-12 comparisons against naive loops. All functions are
-pure and deterministic; a non-finite value in an input matrix or bag raises.
+for the engine, ``cross_gram``, the MMD test and ``median_heuristic``; each
+forms its own products (syrk or gemm), which set its bits. The median
+heuristic calls numpy's own BLAS ``syrk`` through ``ctypes`` for the upper
+triangle alone, turns it into distances a band of rows at a time, and selects
+the median in one partition, bitwise ``np.median`` of ``x @ x.T``'s
+distances. The MMD permutation test never holds the pooled (n+m) x (n+m)
+kernel matrix either: it builds it one block of TILE rows at a time, once per
+batch of up to TILE permutations, so its memory is O(TILE (n+m)). The calling
+thread forms a block's row products in ``cross_gram``'s tiles; cache-sized row
+slices of the block are then split across the worker threads, which turn them
+into kernel values and compute the row sums and one matrix-vector product per
+split while each slice is in cache. BLAS itself runs on one thread, and the
+slices start at multiples of 16 rows, so everything is bitwise that of
+``cross_gram``'s whole block, whatever the worker count. Entry sums rely on
+numpy's pairwise summation, which keeps the double-sum accurate enough for
+1e-12 comparisons against naive loops. All functions are pure and
+deterministic; a non-finite value in an input matrix or bag raises, and so do
+samples whose squared distances overflow in the MMD test and the median
+heuristic.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import _parts, _run_parts
+from . import _blas_symbols, _extension, _parts, _run_parts
 from .data import Bag, BagDataset, MultiSourceDataset, canonical_rows, pooled_instances
 
 __all__ = [
@@ -139,6 +149,19 @@ def _check_pair(a: np.ndarray, b: np.ndarray, names: tuple[str, str]) -> tuple[n
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"feature dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     return a, b
+
+
+def _row_norms(x: np.ndarray, name: str) -> np.ndarray:
+    """Squared norms of the rows of ``x``. Raises ValueError where a squared
+    distance between two rows could overflow: it is at most twice the sum of
+    their squared norms, so four times the largest must be finite."""
+    sq = np.einsum("ij,ij->i", x, x)
+    if not sq.max() <= np.finfo(float).max / 4:
+        raise ValueError(
+            f"{name} are too large: their squared distances overflow "
+            f"(largest squared row norm {float(sq.max())!r})"
+        )
+    return sq
 
 
 def rbf_kernel(x: np.ndarray, x_prime: np.ndarray, params: RbfParams) -> float:
@@ -407,21 +430,49 @@ def _row_slices(rows: int, cols: int) -> list[tuple[int, int]]:
     return list(zip([0, *cuts], [*cuts, rows]))
 
 
-def _split_products(block: np.ndarray, ax: np.ndarray, gx: np.ndarray) -> None:
-    """``gx[s] = block @ ax[s]`` for every split s, bitwise, one row slice at
-    a time: each slice serves every split while it is in cache. Contiguous
-    runs of slices go to the worker pool; ``np.dot`` releases the
-    interpreter lock (``@`` does not at these sizes). One product per split
-    and slice: a batched one rounds differently."""
-    slices = _row_slices(*block.shape)
+def _kernel_rows(
+    block: np.ndarray,
+    sq_rows: np.ndarray,
+    sq: np.ndarray,
+    gamma: float,
+    ax: np.ndarray,
+    gx: np.ndarray,
+    row_sums: np.ndarray | None,
+) -> None:
+    """Turn ``block``, the row products of some pooled rows (squared norms
+    ``sq_rows``) with every pooled row (``sq``), into kernel values in place;
+    then ``gx[s] = block @ ax[s]`` for every split s and, where given, the
+    block's ``row_sums``.
 
-    def products(lo: int, hi: int) -> None:
+    Contiguous runs of row slices go to the worker pool. A slice's squared
+    distances are built a band at a time in its run's scratch of at most one
+    tile, then scaled and exponentiated in the block, whose products they
+    have used up, and the slice serves every split while it is in cache. The
+    calling thread allocates the scratches, because memory that a worker
+    thread frees stays in its own allocator arena. Everything but the
+    products is elementwise or a per-row sum, so the block is bitwise
+    ``cross_gram``'s. ``np.dot`` releases the interpreter lock (``@`` does
+    not at these sizes). One product per split and slice: a batched one
+    rounds differently."""
+    slices = _row_slices(*block.shape)
+    cols = block.shape[1]
+    band = max(1, min(slices[0][1], TILE * TILE // cols))
+    parts = _parts([r1 - r0 for r0, r1 in slices])
+    scratches = np.empty((len(parts), band, cols))
+
+    def rows(lo: int, hi: int, scratch: np.ndarray) -> None:
         for r0, r1 in slices[lo:hi]:
-            part = block[r0:r1]
+            for b0 in range(r0, r1, band):
+                b1 = min(b0 + band, r1)
+                d2 = _sq_distances(sq_rows[b0:b1], sq, block[b0:b1], scratch[: b1 - b0])
+                np.multiply(d2, -gamma, out=block[b0:b1])
+            part = np.exp(block[r0:r1], out=block[r0:r1])
+            if row_sums is not None:
+                row_sums[r0:r1] = part.sum(axis=1)
             for a, g in zip(ax, gx):
                 np.dot(part, a, out=g[r0:r1])
 
-    _run_parts(products, _parts([r1 - r0 for r0, r1 in slices]))
+    _run_parts(rows, [(lo, hi, scratch) for (lo, hi), scratch in zip(parts, scratches)])
 
 
 def mmd_permutation_test(
@@ -435,24 +486,28 @@ def mmd_permutation_test(
 
     The pooled (n+m) x (n+m) kernel matrix is never held whole. The observed
     split and the permutations are taken in batches of up to TILE; for each
-    batch, the pooled rows are swept in blocks of TILE rows, and each block of
-    the kernel matrix serves one matrix-vector product per split of the batch.
-    The products read the block in row slices of about 1 MB, each used by
-    every split while it is in cache, and the slices are shared out among the
-    worker threads; the result is bitwise that of whole-block products,
-    whatever the worker count. Memory is O(TILE (n+m)) whatever P is, and
-    time is O((n+m)^2 (d ceil((P+1) / TILE) + P)). The p-value uses the standard
-    add-one convention (1 + #{null >= observed}) / (1 + P).
+    batch, the pooled rows are swept in blocks of TILE rows. The calling
+    thread forms a block's row products in ``cross_gram``'s TILE x TILE tiles;
+    the worker threads then turn row slices of about 1 MB into kernel values
+    and compute, while each is in cache, one matrix-vector product per split
+    of the batch (``_kernel_rows``). The results are bitwise those of
+    ``cross_gram``'s whole-block products, whatever the worker count. Memory
+    is O(TILE (n+m)) whatever P is, and time is
+    O((n+m)^2 (d ceil((P+1) / TILE) + P)). The p-value uses the standard
+    add-one convention (1 + #{null >= observed}) / (1 + P). Raises ValueError
+    where the squared distances of the pooled rows overflow.
     """
     x, y = _check_pair(sample_x, sample_y, ("sample_x", "sample_y"))
     if n_permutations < 1:
         raise ValueError("need at least one permutation")
     n, m = x.shape[0], y.shape[0]
     pooled = np.concatenate([x, y], axis=0)
+    sq = _row_norms(pooled, "samples")
     rng = np.random.default_rng(seed)
     row_sums = np.empty(n + m)  # filled by the first batch's sweep
     # split 0 is the observed one, split s > 0 the s-th permutation
     stats = np.empty(n_permutations + 1)
+    block = np.empty((min(TILE, n + m), n + m))
     for s0 in range(0, n_permutations + 1, TILE):
         s1 = min(s0 + TILE, n_permutations + 1)
         ax = np.zeros((s1 - s0, n + m))  # 0/1 membership in sample x, one row per split
@@ -461,11 +516,13 @@ def mmd_permutation_test(
         gx = np.empty_like(ax)
         for i0 in range(0, n + m, TILE):
             i1 = min(i0 + TILE, n + m)
-            block = cross_gram(pooled[i0:i1], pooled, params)
-            if s0 == 0:
-                row_sums[i0:i1] = block.sum(axis=1)
-            _split_products(block, ax, gx[:, i0:i1])
-            del block  # before the next block is allocated
+            rows = block[: i1 - i0]
+            for j0 in range(0, n + m, TILE):
+                j1 = min(j0 + TILE, n + m)
+                # cross_gram's tile: syrk on a diagonal one, gemm elsewhere
+                np.matmul(pooled[i0:i1], pooled[j0:j1].T, out=rows[:, j0:j1])
+            sums = row_sums[i0:i1] if s0 == 0 else None
+            _kernel_rows(rows, sq[i0:i1], sq, params.gamma, ax, gx[:, i0:i1], sums)
         total = float(row_sums.sum())
         for s, (a, g) in enumerate(zip(ax, gx), start=s0):
             sxx = float(a @ g)
@@ -486,6 +543,39 @@ def mmd_permutation_test(
     )
 
 
+@functools.cache
+def _syrk():
+    """``cblas_dsyrk`` of numpy's OpenBLAS (the one ``_one_blas_thread``
+    pinned at import), ready to call through ``ctypes``; None where it is not
+    found."""
+    library, _ = _extension("numpy", "linalg/_umath_linalg")
+    found, wide = _blas_symbols(library, "cblas_dsyrk") if library is not None else (None, False)
+    if found is None:
+        return None
+    integer = ctypes.c_int64 if wide else ctypes.c_int
+    (syrk,) = found
+    syrk.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, integer, integer, ctypes.c_double,
+                     ctypes.c_void_p, integer, ctypes.c_double, ctypes.c_void_p, integer]
+    syrk.restype = None
+    return syrk
+
+
+def _upper_products(x: np.ndarray) -> np.ndarray:
+    """A k x k array whose upper triangle holds ``x @ x.T``'s, bitwise, for
+    the k rows of ``x``: numpy's own syrk call (row-major, upper, no
+    transpose) without the copy of the triangle that numpy then makes. The
+    lower triangle holds zeros. Falls back to ``x @ x.T`` where the symbol is
+    not found or ``x`` (float64) is not C-contiguous and aligned, which
+    numpy would not pass to BLAS this way."""
+    syrk = _syrk()
+    if syrk is None or not (x.flags.c_contiguous and x.flags.aligned):
+        return x @ x.T
+    k, d = x.shape
+    gram = np.zeros((k, k))
+    syrk(101, 121, 111, k, d, 1.0, x.ctypes.data, d, 0.0, gram.ctypes.data, k)
+    return gram
+
+
 def median_heuristic(
     instances: np.ndarray, max_points: int = 2000, seed: int = 0
 ) -> float:
@@ -493,9 +583,12 @@ def median_heuristic(
 
     The usual default length-scale for the RBF kernel. Falls back to 1.0 when
     the median is zero (all points identical) or undefined (a single point).
-    Memory is 8 k^2 bytes for the k points used: their k x k inner-product
-    matrix, whose buffer then holds the k (k-1) / 2 squared distances of its
-    upper triangle, which the median partitions in place.
+    Raises ValueError where the squared distances overflow. Memory is 8 k^2
+    bytes for the k points used, plus a band of about 128 KB: their inner
+    products (``_upper_products``), whose buffer then holds the k (k-1) / 2
+    squared distances of its upper triangle, which one selection partitions
+    in place. The value is bitwise ``np.median`` of the distances of
+    ``x @ x.T``'s upper triangle.
     """
     x = _check_matrix(instances, "instances")
     if x.shape[0] > max_points:
@@ -504,18 +597,31 @@ def median_heuristic(
     k = x.shape[0]
     if k < 2:
         return 1.0
-    sq = np.einsum("ij,ij->i", x, x)
-    gram = x @ x.T  # one symmetric product; row blocks of it would round differently
-    # Row i's upper distances go to the flat buffer's front, compacted: they
-    # end no later than row i does, so only rows already read are overwritten,
-    # and row i's own products, which they may overwrite, are passed as a copy.
+    sq = _row_norms(x, "instances")
+    gram = _upper_products(x)
+    # A band's upper distances go to the flat buffer's front, row by row,
+    # compacted: they end no later than the band's rows do, so only rows
+    # already read are overwritten. A band of 128 KB costs about 10 % more
+    # time than one of 512 KB at k = 2000, but the allocator keeps less of
+    # it once freed.
     flat = gram.reshape(-1)
+    height = max(1, _SLICE // 8 // k)
+    scratch = np.empty(min(height, k - 1) * (k - 1))
     start = 0
-    for i in range(k - 1):
-        stop = start + k - 1 - i
-        _sq_distances(sq[i : i + 1], sq[i + 1 :], gram[i : i + 1, i + 1 :].copy(), flat[start:stop].reshape(1, -1))
-        start = stop
-    med = float(np.sqrt(np.median(flat[:start], overwrite_input=True)))
+    for r0 in range(0, k - 1, height):
+        r1 = min(r0 + height, k - 1)
+        band = scratch[: (r1 - r0) * (k - 1 - r0)].reshape(r1 - r0, k - 1 - r0)
+        _sq_distances(sq[r0:r1], sq[r0 + 1 :], gram[r0:r1, r0 + 1 :], band)
+        for i in range(r0, r1):
+            stop = start + k - 1 - i
+            flat[start:stop] = band[i - r0, i - r0 :]
+            start = stop
+    # np.median's value from one selection: the upper middle, and for an even
+    # count the mean with the largest value below it
+    dist, mid = flat[:start], start // 2
+    dist.partition(mid)
+    med2 = dist[mid] if start % 2 else (dist[:mid].max() + dist[mid]) / 2.0
+    med = float(np.sqrt(med2))
     return med if med > 0 else 1.0
 
 

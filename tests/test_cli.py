@@ -4,11 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distreg.kernels as kernels
+from conftest import with_workers
 from distreg import load_bags
 from distreg.cli import main
 
@@ -67,7 +71,8 @@ def test_package_exports_every_module_name():
 @pytest.mark.parametrize("value", ["abc", "-3", "²", None, "", "0", "1", "4096"])
 def test_thread_setting_that_is_not_a_count_is_named(value):
     # a value that is not a count still gets every usable CPU, with one
-    # warning at import; unset, empty and 0 do silently, and a count is capped
+    # warning when the count is first read; unset, empty and 0 do silently,
+    # and a count is capped
     env = {k: v for k, v in os.environ.items() if k != "DISTREG_THREADS"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     if value is not None:
@@ -82,6 +87,50 @@ def test_thread_setting_that_is_not_a_count_is_named(value):
         )
     else:
         assert run.stderr == ""
+
+
+def test_thread_setting_that_is_not_a_count_is_named_once_by_the_cli(tmp_path):
+    # the CLI configures logging before the worker count is first read, so
+    # the warning comes once, in the form of every other CLI warning
+    env = {**os.environ, "DISTREG_THREADS": "abc"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["synth", "--kind", "mean-task", "--bags", "2", "--out", str(tmp_path / "out")]
+    run = subprocess.run([sys.executable, "-m", "distreg.cli", *argv], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert run.stderr == (
+        f"WARNING distreg: DISTREG_THREADS='abc' is not a thread count; using {cpus} worker threads\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["fit", "mmd"])
+def test_interrupt_is_one_error_line(tmp_path, variance_files, capsys, monkeypatch, command):
+    # Ctrl-C on a worker thread of the tile engine (fit) or of the MMD's
+    # pooled block work (mmd) ends the command with one line and code 130
+    inst, tgt = variance_files
+    if command == "fit":
+        argv = ["fit", "--model", "kdr", "--instances", inst, "--targets", tgt, "--sigma", "1",
+                "--out", tmp_path / "model.json"]
+        monkeypatch.setattr(kernels, "_SLICE", 64)  # bag row blocks in several parts
+    else:
+        x = np.random.default_rng(3).standard_normal((40, 2))
+        np.savetxt(tmp_path / "x.csv", x[:20], delimiter=",")
+        np.savetxt(tmp_path / "y.csv", x[20:], delimiter=",")
+        argv = ["mmd", tmp_path / "x.csv", tmp_path / "y.csv", "--sigma", "1"]
+        monkeypatch.setattr(kernels, "_SLICE", 16 * 40)  # row slices of 16 rows
+    calls = []
+
+    def interrupted_on_a_worker(*args):
+        calls.append(threading.current_thread().name)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(kernels, "_sq_distances", interrupted_on_a_worker)
+    capsys.readouterr()
+    assert with_workers(2, run_cli, *argv) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n" and captured.out == ""
+    assert any(name.startswith("distreg") for name in calls), calls
+    assert not (tmp_path / "model.json").exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "run", "mmd", "synth"])
@@ -108,6 +157,7 @@ def test_allocation_failure_is_one_error_line(tmp_path, variance_files, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate ") and err.count("\n") == 1, err
     assert not (tmp_path / "model.json").exists() and not (tmp_path / "results").exists()
+    assert not (tmp_path / "gallery").exists()  # synth creates --out after generating
 
 
 def test_fit_leaves_scipy_linalg_unloaded(tmp_path, variance_files):
@@ -383,6 +433,25 @@ class TestRun:
 
 
 class TestMmd:
+    @pytest.mark.parametrize("sigma", [None, "1.0"])
+    def test_overflowing_samples_named(self, tmp_path, capsys, sigma):
+        # squared distances of values around 1e200 overflow: one error line
+        # naming both files, no numpy warning, and no mmd2 of nan
+        rng = np.random.default_rng(8)
+        for name in ("x.csv", "y.csv"):
+            np.savetxt(tmp_path / name, 1e200 * rng.standard_normal((50, 2)), delimiter=",")
+        argv = ["mmd", tmp_path / "x.csv", tmp_path / "y.csv"] + (["--sigma", sigma] if sigma else [])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {tmp_path / 'x.csv'}, {tmp_path / 'y.csv'}: "
+        ) and captured.err.count("\n") == 1, captured.err
+        assert "are too large: their squared distances overflow (largest squared row norm inf)" in captured.err
+
     def test_negative_seed_named(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         np.savetxt(path, np.zeros((5, 1)), delimiter=",")

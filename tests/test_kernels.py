@@ -611,10 +611,11 @@ class TestBlockedMmdTest:
         x = rng.standard_normal((n, d))
         y = 1.2 * rng.standard_normal((m, d)) + 0.2
         params = RbfParams(median_heuristic(np.vstack([x, y])))
-        got = mmd_permutation_test(x, y, params, n_permutations=n_permutations, seed=4)
         want = unblocked_mmd_test(x, y, params, n_permutations, seed=4)
-        assert (got.statistic, got.p_value, got.null_q95, got.null_q99) == want
-        assert got.n_permutations == n_permutations
+        for workers in (1, 2, 3):
+            got = with_workers(workers, mmd_permutation_test, x, y, params, n_permutations=n_permutations, seed=4)
+            assert (got.statistic, got.p_value, got.null_q95, got.null_q99) == want, workers
+            assert got.n_permutations == n_permutations
 
     def test_memory_bounded_by_tile(self, monkeypatch):
         tile, rows = 64, 3000
@@ -731,8 +732,10 @@ SLICED = settings(max_examples=25, deadline=None, derandomize=True, database=Non
 
 
 class TestSlicedSplitProducts:
-    """Each kernel block's split products run over row slices shared out among
-    the worker threads; every product is bitwise the whole block's."""
+    """Each kernel block's row slices are shared out among the worker
+    threads, which turn its row products into kernel values and compute the
+    split products; the block and every product are bitwise those of
+    ``cross_gram``'s whole block."""
 
     @SLICED
     @given(
@@ -751,17 +754,27 @@ class TestSlicedSplitProducts:
         # last slice may be short, and 1, 2 or 3 rows past a group of 4
         rows = max(1, max(16, slice_rows) * full + extra)
         rng = np.random.default_rng(seed)
-        block = np.exp(-3.0 * rng.random((rows, cols)))
+        a, b = rng.standard_normal((rows, 3)), rng.standard_normal((cols, 3))
+        params = RbfParams(1.3)
+        want = cross_gram(a, b, params)  # one tile: the gemm a @ b.T
+        block = a @ b.T
         ax = (rng.random((n_splits, cols)) < 0.5).astype(float)
         gx = np.full((n_splits, cols + rows + 5), np.nan)
+        sums = np.full(rows + 4, np.nan)
         out = gx[:, 3 : 3 + rows]  # a column range of a wider array, as in the test
+        norms = [np.einsum("ij,ij->i", v, v) for v in (a, b)]
         with pytest.MonkeyPatch.context() as mp:
-            # a short slice budget: several slices per block, the last one short
+            # a short slice budget: several slices per block, the last one
+            # short; a 16-row tile: distance bands of one to 256 // cols rows
             mp.setattr(kernels, "_SLICE", slice_rows * cols)
-            with_workers(workers, kernels._split_products, block, ax, out)
+            mp.setattr(kernels, "TILE", 16)
+            with_workers(workers, kernels._kernel_rows, block, *norms, params.gamma, ax, out, sums[2 : 2 + rows])
+        assert block.tobytes() == want.tobytes()
+        assert sums[2 : 2 + rows].tobytes() == want.sum(axis=1).tobytes()
         for a, g in zip(ax, out):
-            assert g.tobytes() == (block @ a).tobytes()
+            assert g.tobytes() == (want @ a).tobytes()
         assert np.isnan(gx[:, :3]).all() and np.isnan(gx[:, 3 + rows :]).all()
+        assert np.isnan(sums[:2]).all() and np.isnan(sums[2 + rows :]).all()
 
     @SLICED
     @given(
@@ -831,6 +844,48 @@ class TestMedianHeuristic:
         for seed in (0, 5):
             got = median_heuristic(x, max_points=max_points, seed=seed)
             assert got == triu_median_heuristic(x, max_points=max_points, seed=seed)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(2, 2600),
+        d=st.integers(1, 8),
+        scale=st.floats(1e-3, 1e3),
+        rows=st.sampled_from(["distinct", "duplicated", "tied"]),
+        layout=st.sampled_from(["c", "fortran", "strided"]),
+        found=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(k=2600, d=3, scale=1.0, rows="distinct", layout="c", found=True, seed=0)
+    @example(k=1999, d=8, scale=1e3, rows="tied", layout="strided", found=True, seed=1)
+    @example(k=2000, d=1, scale=1e-3, rows="duplicated", layout="c", found=False, seed=2)
+    def test_bitwise_equal_to_triu_formula_property(self, k, d, scale, rows, layout, found, seed):
+        # syrk's upper triangle, band distances and one selection against the
+        # full matrix, its triu_indices and np.median; also on the x @ x.T
+        # fallback, taken for a non-contiguous input or a BLAS without syrk
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal((k, d))
+        if rows == "duplicated":
+            x[rng.integers(0, k, k // 2)] = x[0]
+        elif rows == "tied":
+            x = np.round(x / scale, 1) * scale  # many equal distances
+        if layout == "fortran":
+            x = np.asfortranarray(x)
+        elif layout == "strided":
+            x = np.repeat(x, 2, axis=1)[:, ::2]
+        with pytest.MonkeyPatch.context() as mp:
+            if not found:
+                mp.setattr(kernels, "_syrk", lambda: None)
+            got = median_heuristic(x, seed=seed)
+        assert got == triu_median_heuristic(x, seed=seed)
+
+    def test_syrk_upper_triangle_is_numpys(self):
+        assert kernels._syrk() is not None  # numpy's OpenBLAS exports it
+        for k, d in [(2, 1), (7, 2), (300, 5), (1000, 3)]:
+            x = np.random.default_rng(k).standard_normal((k, d))
+            upper = np.triu_indices(k)
+            got = kernels._upper_products(x)
+            assert got[upper].tobytes() == (x @ x.T)[upper].tobytes()
+            assert not np.tril(got, -1).any()
 
     def test_memory(self):
         k = 1000
