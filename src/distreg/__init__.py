@@ -98,20 +98,17 @@ def _one_blas_thread(library, path: str) -> None:
     )
 
 
+# Threads of the one worker pool, and the most parts ``_parts`` makes; set by
+# ``_workers`` on first use, so that the CLI has configured logging before a
+# warning of ``_configure_threads`` is logged.
+_WORKERS: int | None = None
+
+
 def _workers() -> int:
-    """Threads of the one worker pool, and the most parts ``_parts`` makes:
-    ``_WORKERS``, set by ``_configure_threads`` on first use, so that the CLI
-    has configured logging before a warning of it is logged."""
     global _WORKERS
-    if "_WORKERS" not in globals():
+    if _WORKERS is None:
         _WORKERS = _configure_threads()
     return _WORKERS
-
-
-def __getattr__(name: str):
-    if name == "_WORKERS":  # read before first use
-        return _workers()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _pool: _futures.ThreadPoolExecutor | None = None

@@ -189,7 +189,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _integer(args.seed, 0, "--seed")
     if not 0 <= args.noise <= sys.float_info.max:
         raise ValueError(f"--noise must be a finite real ≥ 0, got {args.noise!r}")
-    # every sample is generated before --out is created
+    # the data (or its first part) is generated before --out is created
     out_dir = Path(args.out)
     if args.kind == "variance-task":
         data = make_variance_task(args.bags, args.bag_size, args.dim, args.seed)
@@ -197,8 +197,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         data = make_mean_task(args.bags, args.bag_size, args.dim, args.noise, args.seed)
     elif args.kind == "multisource-task":
         data = make_multisource_task(args.bags, seed=args.seed)
-    else:
-        pairs = [(scenario, make_two_sample_pair(scenario, args.samples, args.seed)) for scenario in GALLERY_SCENARIOS]
+    else:  # one pair at a time: the first before --out is created
+        pair = make_two_sample_pair(GALLERY_SCENARIOS[0], args.samples, args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind in ("variance-task", "mean-task"):
         save_bags(data, out_dir / "instances.csv", out_dir / "targets.csv")
@@ -211,7 +211,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"{out_dir / 'source2_instances.csv'} and {out_dir / 'targets.csv'}"
         )
     else:
-        for scenario, pair in pairs:
+        for scenario in GALLERY_SCENARIOS:
+            if scenario != GALLERY_SCENARIOS[0]:
+                pair = make_two_sample_pair(scenario, args.samples, args.seed)
             for name, sample in zip("xy", pair):
                 text = "\n".join(",".join(repr(float(v)) for v in row) for row in sample) + "\n"
                 _write_text(out_dir / f"gallery_{scenario}_{name}.csv", text)

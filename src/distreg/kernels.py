@@ -36,10 +36,9 @@ elementwise, and ``np.add.reduceat`` sums each segment independently of the
 others. One step, ``_sq_distances``, turns row products into squared distances
 for the engine, ``cross_gram``, the MMD test and ``median_heuristic``; each
 forms its own products (syrk or gemm), which set its bits. The median
-heuristic calls numpy's own BLAS ``syrk`` through ``ctypes`` for the upper
-triangle alone, turns it into distances a band of rows at a time, and selects
-the median in one partition, bitwise ``np.median`` of ``x @ x.T``'s
-distances. The MMD permutation test never holds the pooled (n+m) x (n+m)
+heuristic turns the upper triangle of ``x @ x.T`` into distances a band of
+rows at a time, inside the product's own buffer, and selects the median in
+one partition, bitwise ``np.median`` of those distances. The MMD permutation test never holds the pooled (n+m) x (n+m)
 kernel matrix either: it builds it one block of TILE rows at a time, once per
 batch of up to TILE permutations, so its memory is O(TILE (n+m)). The calling
 thread forms a block's row products in ``cross_gram``'s tiles; cache-sized row
@@ -57,14 +56,13 @@ heuristic.
 
 from __future__ import annotations
 
-import ctypes
-import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import _blas_symbols, _extension, _parts, _run_parts
+from . import _parts, _run_parts
 from .data import Bag, BagDataset, MultiSourceDataset, canonical_rows, pooled_instances
 
 __all__ = [
@@ -543,39 +541,6 @@ def mmd_permutation_test(
     )
 
 
-@functools.cache
-def _syrk():
-    """``cblas_dsyrk`` of numpy's OpenBLAS (the one ``_one_blas_thread``
-    pinned at import), ready to call through ``ctypes``; None where it is not
-    found."""
-    library, _ = _extension("numpy", "linalg/_umath_linalg")
-    found, wide = _blas_symbols(library, "cblas_dsyrk") if library is not None else (None, False)
-    if found is None:
-        return None
-    integer = ctypes.c_int64 if wide else ctypes.c_int
-    (syrk,) = found
-    syrk.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, integer, integer, ctypes.c_double,
-                     ctypes.c_void_p, integer, ctypes.c_double, ctypes.c_void_p, integer]
-    syrk.restype = None
-    return syrk
-
-
-def _upper_products(x: np.ndarray) -> np.ndarray:
-    """A k x k array whose upper triangle holds ``x @ x.T``'s, bitwise, for
-    the k rows of ``x``: numpy's own syrk call (row-major, upper, no
-    transpose) without the copy of the triangle that numpy then makes. The
-    lower triangle holds zeros. Falls back to ``x @ x.T`` where the symbol is
-    not found or ``x`` (float64) is not C-contiguous and aligned, which
-    numpy would not pass to BLAS this way."""
-    syrk = _syrk()
-    if syrk is None or not (x.flags.c_contiguous and x.flags.aligned):
-        return x @ x.T
-    k, d = x.shape
-    gram = np.zeros((k, k))
-    syrk(101, 121, 111, k, d, 1.0, x.ctypes.data, d, 0.0, gram.ctypes.data, k)
-    return gram
-
-
 def median_heuristic(
     instances: np.ndarray, max_points: int = 2000, seed: int = 0
 ) -> float:
@@ -584,11 +549,10 @@ def median_heuristic(
     The usual default length-scale for the RBF kernel. Falls back to 1.0 when
     the median is zero (all points identical) or undefined (a single point).
     Raises ValueError where the squared distances overflow. Memory is 8 k^2
-    bytes for the k points used, plus a band of about 128 KB: their inner
-    products (``_upper_products``), whose buffer then holds the k (k-1) / 2
-    squared distances of its upper triangle, which one selection partitions
-    in place. The value is bitwise ``np.median`` of the distances of
-    ``x @ x.T``'s upper triangle.
+    bytes for the k points used: their k x k inner-product matrix, whose
+    buffer then holds the k (k-1) / 2 squared distances of its upper
+    triangle, which one selection partitions in place. The value is bitwise
+    ``np.median`` of those distances.
     """
     x = _check_matrix(instances, "instances")
     if x.shape[0] > max_points:
@@ -598,29 +562,28 @@ def median_heuristic(
     if k < 2:
         return 1.0
     sq = _row_norms(x, "instances")
-    gram = _upper_products(x)
-    # A band's upper distances go to the flat buffer's front, row by row,
-    # compacted: they end no later than the band's rows do, so only rows
-    # already read are overwritten. A band of 128 KB costs about 10 % more
-    # time than one of 512 KB at k = 2000, but the allocator keeps less of
-    # it once freed.
+    gram = x @ x.T  # one symmetric product; row blocks of it would round differently
+    # Bands of rows go from the bottom up. A band's distances are built in
+    # the rows below it, whose products are used up, and its rows' upper
+    # distances are packed at the back of the buffer, in front of those of
+    # the rows below. A band of at most sqrt((k + 2) / 4) rows ends before
+    # its packed distances begin, so nothing still to be read is overwritten.
     flat = gram.reshape(-1)
-    height = max(1, _SLICE // 8 // k)
-    scratch = np.empty(min(height, k - 1) * (k - 1))
-    start = 0
-    for r0 in range(0, k - 1, height):
+    height = max(1, min(_SLICE // k, math.isqrt((k + 2) // 4)))
+    end = k * k
+    for r0 in reversed(range(0, k - 1, height)):
         r1 = min(r0 + height, k - 1)
-        band = scratch[: (r1 - r0) * (k - 1 - r0)].reshape(r1 - r0, k - 1 - r0)
+        band = flat[r1 * k : r1 * k + (r1 - r0) * (k - 1 - r0)].reshape(r1 - r0, k - 1 - r0)
         _sq_distances(sq[r0:r1], sq[r0 + 1 :], gram[r0:r1, r0 + 1 :], band)
-        for i in range(r0, r1):
-            stop = start + k - 1 - i
-            flat[start:stop] = band[i - r0, i - r0 :]
-            start = stop
+        for i in reversed(range(r0, r1)):
+            flat[end - (k - 1 - i) : end] = band[i - r0, i - r0 :]
+            end -= k - 1 - i
     # np.median's value from one selection: the upper middle, and for an even
     # count the mean with the largest value below it
-    dist, mid = flat[:start], start // 2
+    dist = flat[end:]
+    mid = dist.size // 2
     dist.partition(mid)
-    med2 = dist[mid] if start % 2 else (dist[:mid].max() + dist[mid]) / 2.0
+    med2 = dist[mid] if dist.size % 2 else (dist[:mid].max() + dist[mid]) / 2.0
     med = float(np.sqrt(med2))
     return med if med > 0 else 1.0
 

@@ -77,7 +77,7 @@ def test_thread_setting_that_is_not_a_count_is_named(value):
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     if value is not None:
         env["DISTREG_THREADS"] = value
-    run = subprocess.run([sys.executable, "-c", "import distreg; print(distreg._WORKERS)"],
+    run = subprocess.run([sys.executable, "-c", "import distreg; print(distreg._workers())"],
                          capture_output=True, text=True, env=env, check=True)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     assert int(run.stdout) == (1 if value == "1" else cpus)
