@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _workers
-from .data import _read_json, align_sources, load_bags, load_sample, save_bags
+from .data import _atomic_write, _read_json, align_sources, load_bags, load_sample, save_bags
 from .evaluate import render_table, report_to_dict, reports_to_csv, run_protocol
 from .kernels import RbfParams, median_heuristic, mmd_permutation_test
 from .models import (
@@ -105,7 +105,8 @@ def _load_config(path) -> dict:
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with _atomic_write(path) as fh:
+        fh.write(text)
 
 
 def _csv_field(value: str) -> str:

@@ -1,5 +1,5 @@
-"""Bag-structured datasets: reading every input file (CSV and JSON), feature
-normalization, multisource alignment.
+"""Bag-structured datasets: reading every input file (CSV and JSON), replacing
+each output file whole, feature normalization, multisource alignment.
 
 A *bag* is a group of instance feature vectors that share one scalar target
 (all pixels in a county, all readings at a site, ...). Supervision lives at
@@ -10,12 +10,14 @@ threads.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -416,22 +418,44 @@ def load_sample(path: str | Path) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+@contextlib.contextmanager
+def _atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """A UTF-8 text file whose content replaces the file at ``path`` when the
+    block ends: it is a new file in the same directory, which ``os.replace``
+    then moves into place (``rename(2)``, atomic on POSIX). Where the block
+    or a write fails, that file is removed and ``path`` keeps its bytes, or
+    stays absent."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", newline=newline, encoding="utf-8")
+    except OSError as exc:  # named by the file it stands in for
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_bags(
     data: BagDataset, instances_path: str | Path, targets_path: str | Path
 ) -> None:
     """Write a dataset back to the instances/targets CSV pair.
 
     Floats are written with ``repr`` so a load/save round trip reproduces the
-    exact same values.
+    exact same values. Each file replaces its old version only once it is
+    whole (``_atomic_write``).
     """
-    inst_path = Path(instances_path)
-    with open(inst_path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_write(instances_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bag_id"] + [f"f{j + 1}" for j in range(data.dim)])
         for bag in data.bags:
             for row in bag.instances:
                 writer.writerow([bag.id] + [repr(float(v)) for v in row])
-    with open(targets_path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_write(targets_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "y"])
         for bag, y in zip(data.bags, data.targets):

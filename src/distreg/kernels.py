@@ -40,18 +40,19 @@ heuristic turns the upper triangle of ``x @ x.T`` into distances a band of
 rows at a time, inside the product's own buffer, and selects the median in
 one partition, bitwise ``np.median`` of those distances. The MMD permutation test never holds the pooled (n+m) x (n+m)
 kernel matrix either: it builds it one block of TILE rows at a time, once per
-batch of up to TILE permutations, so its memory is O(TILE (n+m)). The calling
-thread forms a block's row products in ``cross_gram``'s tiles; cache-sized row
-slices of the block are then split across the worker threads, which turn them
-into kernel values and compute the row sums and one matrix-vector product per
-split while each slice is in cache. BLAS itself runs on one thread, and the
-slices start at multiples of 16 rows, so everything is bitwise that of
-``cross_gram``'s whole block, whatever the worker count. Entry sums rely on
-numpy's pairwise summation, which keeps the double-sum accurate enough for
-1e-12 comparisons against naive loops. All functions are pure and
-deterministic; a non-finite value in an input matrix or bag raises, and so do
-samples whose squared distances overflow in the MMD test and the median
-heuristic.
+batch of up to TILE permutations, so its memory is O(TILE (n+m)). The worker
+threads form a block's row products, ``cross_gram``'s tiles shared out among
+them; cache-sized row slices of the block are then split across the worker
+threads, which turn them into kernel values and compute the row sums and, in
+one call, one matrix-vector product per split while each slice is in cache.
+BLAS itself runs on one thread, and the slices start at multiples of 16 rows,
+so everything is bitwise that of ``cross_gram``'s whole block, whatever the
+worker count. Entry sums rely on numpy's pairwise summation, which keeps the
+double-sum accurate enough for 1e-12 comparisons against naive loops. All
+functions are pure and deterministic; a non-finite value in an input matrix or
+bag raises, and so do rows whose squared distances overflow, on every path. A
+kernel value whose exponent overflows to -inf (a tiny sigma against ordinary
+distances) is exp(-inf) = 0, without a numpy warning.
 """
 
 from __future__ import annotations
@@ -189,8 +190,7 @@ def cross_gram(a: np.ndarray, b: np.ndarray, params: RbfParams) -> np.ndarray:
     """Full kernel matrix between the rows of ``a`` (n x d) and ``b`` (m x d)."""
     a, b = _check_pair(a, b, ("a", "b"))
     gamma = params.gamma
-    a_sq = np.einsum("ij,ij->i", a, a)
-    b_sq = np.einsum("ij,ij->i", b, b)
+    a_sq, b_sq = _row_norms(a, "the rows of a"), _row_norms(b, "the rows of b")
     out = np.empty((a.shape[0], b.shape[0]))
     for i0 in range(0, a.shape[0], TILE):
         i1 = min(i0 + TILE, a.shape[0])
@@ -198,7 +198,8 @@ def cross_gram(a: np.ndarray, b: np.ndarray, params: RbfParams) -> np.ndarray:
             j1 = min(j0 + TILE, b.shape[0])
             buf = a[i0:i1] @ b[j0:j1].T  # syrk on a diagonal tile of cross_gram(x, x)
             d2 = _sq_distances(a_sq[i0:i1], b_sq[j0:j1], buf, np.empty_like(buf))
-            np.multiply(d2, -gamma, out=buf)
+            with np.errstate(over="ignore"):  # -inf, whose exp is 0
+                np.multiply(d2, -gamma, out=buf)
             out[i0:i1, j0:j1] = np.exp(buf, out=buf)
             del d2, buf  # before the next tile is allocated
     return out
@@ -240,7 +241,7 @@ def _chunks(data: BagDataset) -> list[_Chunk]:
             bags=slice(group[0][0], group[-1][0] + 1),
             starts=np.cumsum([0] + [piece.shape[0] for _, piece in group[:-1]]),
             rows=rows,
-            sq=np.einsum("ij,ij->i", rows, rows),
+            sq=_row_norms(rows, "instances"),
         ))
     return chunks
 
@@ -286,23 +287,26 @@ def _add_pair_sums(out: np.ndarray, ca: _Chunk, cb: _Chunk, gammas: Sequence[flo
             lo = hi
 
     def sums(first: int, last: int) -> None:
-        for lo, hi in runs[first:last]:
-            j0 = lo if diagonal else 0  # first bag column
-            r0, r1, c0 = ca.starts[lo], ends[hi - 1], cb.starts[j0]
-            d2 = _sq_distances(ca.sq[r0:r1], cb.sq[c0:], prod[r0:r1, c0:], _band(dist, r0, r1, width - c0))
-            scratch = _band(prod, r0, r1, width - c0)  # its products are used up
-            rows = slice(ca.bags.start + lo, ca.bags.start + hi)
-            cols = slice(cb.bags.start + j0, cb.bags.stop)
-            for total, gamma in zip(out, gammas):
-                np.multiply(d2, -gamma, out=scratch)
-                np.exp(scratch, out=scratch)
-                # reduceat sums each segment on its own, so a run gets the
-                # bits of a whole tile; sum(axis=0) would round differently
-                block = np.add.reduceat(scratch, ca.starts[lo:hi] - r0, axis=0)
-                block = np.add.reduceat(block, cb.starts[j0:] - c0, axis=1)
-                total[rows, cols] += block
-                if mirror and rows.stop - 1 == cb.bags.start:
-                    total[cb.bags.start, cb.bags.start] += block[-1, 0]
+        # numpy's error state is per thread, so each task sets its own: a
+        # distance times -gamma may overflow to -inf, whose exp is 0
+        with np.errstate(over="ignore"):
+            for lo, hi in runs[first:last]:
+                j0 = lo if diagonal else 0  # first bag column
+                r0, r1, c0 = ca.starts[lo], ends[hi - 1], cb.starts[j0]
+                d2 = _sq_distances(ca.sq[r0:r1], cb.sq[c0:], prod[r0:r1, c0:], _band(dist, r0, r1, width - c0))
+                scratch = _band(prod, r0, r1, width - c0)  # its products are used up
+                rows = slice(ca.bags.start + lo, ca.bags.start + hi)
+                cols = slice(cb.bags.start + j0, cb.bags.stop)
+                for total, gamma in zip(out, gammas):
+                    np.multiply(d2, -gamma, out=scratch)
+                    np.exp(scratch, out=scratch)
+                    # reduceat sums each segment on its own, so a run gets the
+                    # bits of a whole tile; sum(axis=0) would round differently
+                    block = np.add.reduceat(scratch, ca.starts[lo:hi] - r0, axis=0)
+                    block = np.add.reduceat(block, cb.starts[j0:] - c0, axis=1)
+                    total[rows, cols] += block
+                    if mirror and rows.stop - 1 == cb.bags.start:
+                        total[cb.bags.start, cb.bags.start] += block[-1, 0]
 
     entries = [(ends[hi - 1] - ca.starts[lo]) * (width - cb.starts[lo if diagonal else 0]) for lo, hi in runs]
     _run_parts(sums, _parts(entries))
@@ -449,9 +453,10 @@ def _kernel_rows(
     calling thread allocates the scratches, because memory that a worker
     thread frees stays in its own allocator arena. Everything but the
     products is elementwise or a per-row sum, so the block is bitwise
-    ``cross_gram``'s. ``np.dot`` releases the interpreter lock (``@`` does
-    not at these sizes). One product per split and slice: a batched one
-    rounds differently."""
+    ``cross_gram``'s. A slice's split products come from one ``np.matmul``
+    call, without the interpreter lock: numpy's loop calls one BLAS gemv per
+    split with the arguments ``np.dot`` passes, so each rounds as ``np.dot``
+    does. One gemm over all splits would round differently."""
     slices = _row_slices(*block.shape)
     cols = block.shape[1]
     band = max(1, min(slices[0][1], TILE * TILE // cols))
@@ -459,16 +464,16 @@ def _kernel_rows(
     scratches = np.empty((len(parts), band, cols))
 
     def rows(lo: int, hi: int, scratch: np.ndarray) -> None:
-        for r0, r1 in slices[lo:hi]:
-            for b0 in range(r0, r1, band):
-                b1 = min(b0 + band, r1)
-                d2 = _sq_distances(sq_rows[b0:b1], sq, block[b0:b1], scratch[: b1 - b0])
-                np.multiply(d2, -gamma, out=block[b0:b1])
-            part = np.exp(block[r0:r1], out=block[r0:r1])
-            if row_sums is not None:
-                row_sums[r0:r1] = part.sum(axis=1)
-            for a, g in zip(ax, gx):
-                np.dot(part, a, out=g[r0:r1])
+        with np.errstate(over="ignore"):  # per thread, as in _add_pair_sums
+            for r0, r1 in slices[lo:hi]:
+                for b0 in range(r0, r1, band):
+                    b1 = min(b0 + band, r1)
+                    d2 = _sq_distances(sq_rows[b0:b1], sq, block[b0:b1], scratch[: b1 - b0])
+                    np.multiply(d2, -gamma, out=block[b0:b1])
+                part = np.exp(block[r0:r1], out=block[r0:r1])
+                if row_sums is not None:
+                    row_sums[r0:r1] = part.sum(axis=1)
+                np.matmul(part, ax[:, :, None], out=gx[:, r0:r1, None])
 
     _run_parts(rows, [(lo, hi, scratch) for (lo, hi), scratch in zip(parts, scratches)])
 
@@ -484,11 +489,11 @@ def mmd_permutation_test(
 
     The pooled (n+m) x (n+m) kernel matrix is never held whole. The observed
     split and the permutations are taken in batches of up to TILE; for each
-    batch, the pooled rows are swept in blocks of TILE rows. The calling
-    thread forms a block's row products in ``cross_gram``'s TILE x TILE tiles;
-    the worker threads then turn row slices of about 1 MB into kernel values
-    and compute, while each is in cache, one matrix-vector product per split
-    of the batch (``_kernel_rows``). The results are bitwise those of
+    batch, the pooled rows are swept in blocks of TILE rows. The worker
+    threads share out a block's row products, ``cross_gram``'s TILE x TILE
+    tiles, then turn row slices of about 1 MB into kernel values and compute,
+    while each is in cache, one matrix-vector product per split of the batch
+    (``_kernel_rows``). The results are bitwise those of
     ``cross_gram``'s whole-block products, whatever the worker count. Memory
     is O(TILE (n+m)) whatever P is, and time is
     O((n+m)^2 (d ceil((P+1) / TILE) + P)). The p-value uses the standard
@@ -506,6 +511,14 @@ def mmd_permutation_test(
     # split 0 is the observed one, split s > 0 the s-th permutation
     stats = np.empty(n_permutations + 1)
     block = np.empty((min(TILE, n + m), n + m))
+    tiles = [(j0, min(j0 + TILE, n + m)) for j0 in range(0, n + m, TILE)]
+    tile_parts = _parts([j1 - j0 for j0, j1 in tiles])
+
+    def products(i0: int, i1: int, lo: int, hi: int) -> None:
+        for j0, j1 in tiles[lo:hi]:
+            # cross_gram's tile: syrk on a diagonal one, gemm elsewhere
+            np.matmul(pooled[i0:i1], pooled[j0:j1].T, out=block[: i1 - i0, j0:j1])
+
     for s0 in range(0, n_permutations + 1, TILE):
         s1 = min(s0 + TILE, n_permutations + 1)
         ax = np.zeros((s1 - s0, n + m))  # 0/1 membership in sample x, one row per split
@@ -514,13 +527,9 @@ def mmd_permutation_test(
         gx = np.empty_like(ax)
         for i0 in range(0, n + m, TILE):
             i1 = min(i0 + TILE, n + m)
-            rows = block[: i1 - i0]
-            for j0 in range(0, n + m, TILE):
-                j1 = min(j0 + TILE, n + m)
-                # cross_gram's tile: syrk on a diagonal one, gemm elsewhere
-                np.matmul(pooled[i0:i1], pooled[j0:j1].T, out=rows[:, j0:j1])
+            _run_parts(products, [(i0, i1, lo, hi) for lo, hi in tile_parts])
             sums = row_sums[i0:i1] if s0 == 0 else None
-            _kernel_rows(rows, sq[i0:i1], sq, params.gamma, ax, gx[:, i0:i1], sums)
+            _kernel_rows(block[: i1 - i0], sq[i0:i1], sq, params.gamma, ax, gx[:, i0:i1], sums)
         total = float(row_sums.sum())
         for s, (a, g) in enumerate(zip(ax, gx), start=s0):
             sxx = float(a @ g)

@@ -54,6 +54,7 @@ from .data import (
     BagDataset,
     MultiSourceDataset,
     Normalizer,
+    _atomic_write,
     _read_json,
     apply_normalizer,
     canonical_rows,
@@ -804,13 +805,15 @@ _CODECS = {
 
 
 def save_model(model: FittedModel, path: str | Path) -> None:
-    """Write a fitted model to a self-describing JSON file."""
+    """Write a fitted model to a self-describing JSON file, which replaces
+    an old one only once it is whole."""
     doc = {"format": _FORMAT, "version": _VERSION}
     for name, (encode, _) in _CODECS.items():
         value = getattr(model, name)
         doc[name] = None if value is None else encode(value)
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with _atomic_write(path) as fh:
+        fh.write(text + "\n")
 
 
 def _decode_field(path, doc: dict, name: str, decode):

@@ -160,6 +160,56 @@ def test_allocation_failure_is_one_error_line(tmp_path, variance_files, capsys, 
     assert not (tmp_path / "gallery").exists()  # synth creates --out after generating
 
 
+@pytest.mark.parametrize("command", ["fit", "predict", "synth"])
+def test_failed_write_keeps_the_old_file(tmp_path, variance_files, capsys, command):
+    # a file size limit makes each output write fail partway through, with
+    # EFBIG (SIGXFSZ ignored): the model (save_model), the predictions
+    # (_write_text) and the synthetic CSVs (save_bags) keep their old bytes,
+    # and no other file is left beside them
+    resource = pytest.importorskip("resource")
+    import signal
+
+    inst, tgt = variance_files
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "fit":
+        names = ["model.json"]
+        argv = ["fit", "--model", "kdr", "--instances", inst, "--targets", tgt, "--sigma", "1",
+                "--out", out / names[0]]
+    elif command == "predict":
+        names = ["predictions.csv"]
+        model = tmp_path / "model.json"
+        assert run_cli("fit", "--model", "kdr", "--instances", inst, "--targets", tgt, "--out", model) == 0
+        argv = ["predict", "--model-file", model, "--instances", inst, "--out", out / names[0]]
+    else:
+        names = ["instances.csv", "targets.csv"]
+        argv = ["synth", "--kind", "variance-task", "--out", out, "--bags", "30", "--bag-size", "8"]
+    for name in names:
+        (out / name).write_bytes(b"old bytes\n")
+    capsys.readouterr()
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (256, limits[1]))
+    try:
+        code = run_cli(*argv)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+        signal.signal(signal.SIGXFSZ, handler)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: [Errno 27] ") and captured.err.count("\n") == 1, captured.err
+    assert sorted(os.listdir(out)) == names
+    assert all((out / name).read_bytes() == b"old bytes\n" for name in names)
+
+
+def test_model_file_in_missing_directory_named(tmp_path, variance_files, capsys):
+    inst, tgt = variance_files
+    out = tmp_path / "missing" / "model.json"
+    assert run_cli("fit", "--model", "lr", "--instances", inst, "--targets", tgt, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert not out.parent.exists()
+
+
 def test_fit_leaves_scipy_linalg_unloaded(tmp_path, variance_files):
     # the ridge solves call scipy's LAPACK Cholesky through ctypes
     inst, tgt = variance_files
@@ -451,6 +501,21 @@ class TestMmd:
             f"error: {tmp_path / 'x.csv'}, {tmp_path / 'y.csv'}: "
         ) and captured.err.count("\n") == 1, captured.err
         assert "are too large: their squared distances overflow (largest squared row norm inf)" in captured.err
+
+    def test_tiny_sigma_prints_only_the_result(self, tmp_path, capsys):
+        # distances times 1 / (2 sigma^2) overflow to -inf, whose exp is 0:
+        # the kernel values are right, and numpy must not warn about them
+        rng = np.random.default_rng(9)
+        for name, shift in (("x.csv", 0), ("y.csv", 2)):
+            np.savetxt(tmp_path / name, 1e5 * (rng.standard_normal((600, 2)) + shift), delimiter=",")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("mmd", tmp_path / "x.csv", tmp_path / "y.csv", "--sigma", "1e-150",
+                           "--permutations", "20") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("sigma: 1e-150\nmmd2: ")
 
     def test_negative_seed_named(self, tmp_path, capsys):
         path = tmp_path / "x.csv"

@@ -1,6 +1,7 @@
 """Kernel evaluation, bag Gram assembly, and MMD against independent oracles."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -742,11 +743,13 @@ class TestSlicedSplitProducts:
         full=st.integers(0, 4),
         extra=st.integers(0, 17),
         cols=st.integers(1, 300),
-        n_splits=st.integers(1, 6),
+        n_splits=st.integers(1, 40),
         slice_rows=st.sampled_from([1, 16, 32, 48]),
         workers=st.integers(1, 4),
         seed=st.integers(0, 2**16),
     )
+    # a one-row block, whose split products are dot products, for many splits
+    @example(full=0, extra=1, cols=257, n_splits=40, slice_rows=16, workers=2, seed=3)
     def test_bitwise_equal_to_whole_block(
         self, full, extra, cols, n_splits, slice_rows, workers, seed
     ):
@@ -787,6 +790,10 @@ class TestSlicedSplitProducts:
         workers=st.integers(1, 4),
         seed=st.integers(0, 2**16),
     )
+    # 200 pooled rows: each block's row products span four tiles, shared
+    # out among the workers
+    @example(tile=64, n=100, m=100, d=3, n_permutations=40, slice_rows=16, workers=2, seed=7)
+    @example(tile=64, n=120, m=80, d=2, n_permutations=40, slice_rows=16, workers=3, seed=8)
     def test_bitwise_equal_to_unblocked(
         self, tile, n, m, d, n_permutations, slice_rows, workers, seed
     ):
@@ -896,3 +903,58 @@ class TestNonFiniteInput:
             mmd_squared(y, x, p)
         with pytest.raises(ValueError, match="sample_x holds a non-finite value"):
             mmd_permutation_test(x, y, p, n_permutations=5)
+
+
+class TestExtremeScales:
+    """A kernel value whose exponent overflows to -inf is 0, with no numpy
+    warning on any thread; rows whose squared distances overflow are refused
+    by every entry point."""
+
+    def test_tiny_sigma_gives_zeros_without_warning(self, monkeypatch):
+        # integer multiples of 1e5: every product, norm and distance is
+        # exact, so a kernel value is 1 on equal rows and 0 elsewhere, where
+        # the distance times gamma = 5e299 overflows to -inf
+        rng = np.random.default_rng(31)
+        x = 1e5 * rng.integers(0, 4, (50, 2))
+        y = 1e5 * rng.integers(10, 14, (40, 2))
+        pooled = np.vstack([x, y])
+        params = RbfParams(1e-150)
+        data = BagDataset((Bag("x", x), Bag("y", y)), np.zeros(2))
+        want = (pooled[:, None] == pooled[None]).all(axis=2).astype(float)
+        # several row slices in the MMD test, so that they run on the pool
+        monkeypatch.setattr(kernels, "_SLICE", 16 * pooled.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gram = cross_gram(pooled, pooled, params)
+            for workers in (1, 2):
+                bags = with_workers(workers, bag_gram, data, params).values
+                np.testing.assert_array_equal(bags, [[want[:50, :50].mean(), 0.0], [0.0, want[50:, 50:].mean()]])
+                got = with_workers(workers, mmd_permutation_test, x, y, params, n_permutations=9)
+                assert (got.statistic, got.p_value, got.null_q95, got.null_q99) == unblocked_mmd_test(
+                    x, y, params, 9, seed=0
+                )
+        assert gram.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["cross_gram", "bag_gram", "cross_bag_gram", "bag_mean_kernel_entry", "multisource_bag_gram", "mmd_squared"],
+    )
+    def test_overflowing_rows_refused(self, entry):
+        rng = np.random.default_rng(33)
+        big, small = 1e200 * rng.standard_normal((5, 2)), rng.standard_normal((4, 2))
+        p = RbfParams(1.0)
+        data = BagDataset((Bag("small", small), Bag("big", big)), np.zeros(2))
+        calls = {
+            "cross_gram": [(lambda: cross_gram(big, small, p), "the rows of a"),
+                           (lambda: cross_gram(small, big, p), "the rows of b")],
+            "bag_gram": [(lambda: bag_gram(data, p), "instances")],
+            "cross_bag_gram": [(lambda: cross_bag_gram(BagDataset((Bag("t", small),), [0.0]), data, p), "instances")],
+            "bag_mean_kernel_entry": [(lambda: bag_mean_kernel_entry(Bag("s", small), Bag("b", big), p), "instances")],
+            "multisource_bag_gram": [(lambda: multisource_bag_gram(MultiSourceDataset((data, data)), [p, p]), "instances")],
+            "mmd_squared": [(lambda: mmd_squared(small, big, p), "instances")],
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call, name in calls[entry]:
+                with pytest.raises(ValueError, match=f"^{name} are too large: their squared distances overflow"):
+                    call()
