@@ -19,19 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from . import _workers
-from .data import _atomic_write, _read_json, align_sources, load_bags, load_sample, save_bags
+from .data import _DOMAINS, _atomic_write, _check, _read_json, align_sources, load_bags, load_sample, save_bags
 from .evaluate import render_table, report_to_dict, reports_to_csv, run_protocol
-from .kernels import RbfParams, median_heuristic, mmd_permutation_test
+from .kernels import RbfParams, _length_scale, median_heuristic, mmd_permutation_test
 from .models import (
     _AXES,
-    _DOMAINS,
     HYPER_AXES,
     MODEL_KINDS,
     MULTISOURCE_KINDS,
     _grid_values,
     _SourceError,
     _fit,
-    _integer,
     _median_sigmas,
     _normalize,
     _spec,
@@ -52,55 +50,45 @@ logger = logging.getLogger("distreg.cli")
 SYNTH_KINDS = ("variance-task", "mean-task", "multisource-task", "two-sample-gallery")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    return _is_number(value) and isinstance(value, int)
-
-
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(s, str) for s in value)
-
-
 _REQUIRED = object()
-# Each key of a ``run`` config: (what it must hold, its check, its default or
-# _REQUIRED); a lone string counts as a list of strings of one. A key with a
-# scalar default is also a ``run`` flag that overrides it. A config plus its
-# data files reproduces a run byte-for-byte.
+# Each key of a ``run`` config: (its domain in ``_DOMAINS``, its default or
+# _REQUIRED). A key with a scalar default is also a ``run`` flag that
+# overrides it. A config plus its data files reproduces a run byte-for-byte.
 _RUN_KEYS = {
-    "instances": ("a list of strings", _is_strings, _REQUIRED),
-    "targets": ("a string", lambda v: isinstance(v, str), _REQUIRED),
-    "models": ("a list of strings", _is_strings, _REQUIRED),
-    "test_fraction": ("a number", _is_number, 0.25),
-    "trials": ("an integer", _is_integer, 10),
-    "folds": ("an integer", _is_integer, 5),
-    "seed": ("an integer", _is_integer, 0),
-    "out": ("a string", lambda v: isinstance(v, str), "results"),
-    "grid": ("an object", lambda v: v is None or isinstance(v, dict), None),
+    "instances": ("strs", _REQUIRED),
+    "targets": ("str", _REQUIRED),
+    "models": ("strs", _REQUIRED),
+    "test_fraction": ("real(0,1)", 0.25),
+    "trials": ("int>=1", 10),
+    "folds": ("int>=2", 5),
+    "seed": ("int>=0", 0),
+    "out": ("str", "results"),
+    "grid": ("object", None),
 }
 
 
 def _load_config(path) -> dict:
-    """The ``run`` config at ``path``, each key checked against ``_RUN_KEYS``
-    and every key it omits at its default."""
+    """The ``run`` config at ``path``, each key checked against its domain
+    (and each grid key's values against their axis), every key it omits at
+    its default."""
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     unknown = set(raw) - set(_RUN_KEYS)
     if unknown:
         raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
-    missing = [key for key, (_, _, default) in _RUN_KEYS.items() if default is _REQUIRED and key not in raw]
+    missing = [key for key, (_, default) in _RUN_KEYS.items() if default is _REQUIRED and key not in raw]
     if missing:
         raise ValueError(f"config {path}: missing required key {missing[0]!r}")
-    for key, value in raw.items():
-        what, check, _ = _RUN_KEYS[key]
-        if check is _is_strings and isinstance(value, str):
-            raw[key] = value = [value]
-        if not check(value):
-            raise ValueError(f"config {path}: key {key!r} must be {what}, got {json.dumps(value)}")
-    return {key: raw.get(key, default) for key, (_, _, default) in _RUN_KEYS.items()}
+    config = {
+        key: _check(domain, raw[key], f"config {path}: key {key!r}") if key in raw else default
+        for key, (domain, default) in _RUN_KEYS.items()
+    }
+    try:
+        config["grid"] = {key: _grid_values(key, values) for key, values in (config["grid"] or {}).items()}
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
+    return config
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -146,37 +134,24 @@ def _check_kind(kind: str, n_files: int) -> None:
     _check_source_count(f"model kind {kind!r}", n_files, None if kind in MULTISOURCE_KINDS else 1)
 
 
-def _grid_options(config_grid: dict | None, path) -> dict | None:
-    """The config's grid overrides, each checked against its axis."""
-    try:
-        return {key: _grid_values(key, value) for key, value in config_grid.items()} if config_grid else None
-    except ValueError as exc:
-        raise ValueError(f"config {path}: {exc}") from None
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     config.update((key, value) for key, value in vars(args).items() if key in _RUN_KEYS and value is not None)
-    if not config["models"]:
-        raise ValueError(f"config {args.config}: key 'models' names no model kind")
-
-    grid_options = _grid_options(config["grid"], args.config)
     for kind in config["models"]:
         _check_kind(kind, len(config["instances"]))
     data = _load_dataset(config["instances"], config["targets"], len(config["instances"]) > 1)
 
-    out_dir = Path(config["out"])
     reports = []
     for kind in config["models"]:
         logger.info("running protocol for %s", kind)
         with _naming_sources(config["instances"]):
-            report = run_protocol(data, kind, test_fraction=config["test_fraction"], trials=config["trials"],
-                                  k=config["folds"], seed=config["seed"], grid_options=grid_options)
-        reports.append(report)
-        _write_text(
-            out_dir / f"report_{kind}.json",
-            json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":")) + "\n",
-        )
+            reports.append(run_protocol(data, kind, test_fraction=config["test_fraction"], trials=config["trials"],
+                                        k=config["folds"], seed=config["seed"], grid_options=config["grid"] or None))
+    # written once every kind has run, so that a failed run leaves --out as it was
+    out_dir = Path(config["out"])
+    for report in reports:
+        text = json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":"))
+        _write_text(out_dir / f"report_{report.kind}.json", text + "\n")
     table = render_table(reports)
     _write_text(out_dir / "table.txt", table + "\n")
     _write_text(out_dir / "table.csv", reports_to_csv(reports))
@@ -185,11 +160,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    for name in ("bags", "bag_size", "dim", "samples"):
-        _integer(getattr(args, name), 1, "--" + name.replace("_", "-"))
-    _integer(args.seed, 0, "--seed")
-    if not 0 <= args.noise <= sys.float_info.max:
-        raise ValueError(f"--noise must be a finite real ≥ 0, got {args.noise!r}")
     # the data (or its first part) is generated before --out is created
     out_dir = Path(args.out)
     if args.kind == "variance-task":
@@ -223,14 +193,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_mmd(args: argparse.Namespace) -> int:
-    _integer(args.seed, 0, "--seed")
-    _integer(args.permutations, 1, "--permutations")
-    params = None
-    if args.sigma is not None:
-        try:
-            params = RbfParams(args.sigma)
-        except ValueError as exc:
-            raise ValueError(f"--sigma: {exc}") from None
+    params = None if args.sigma is None else RbfParams(_length_scale(args.sigma, "--sigma"))
     x = load_sample(args.sample_x)
     y = load_sample(args.sample_y)
     if x.shape[1] != y.shape[1]:
@@ -261,22 +224,14 @@ def _hyper_from_args(args: argparse.Namespace, kind: str) -> dict:
     keys = ("lam",) + HYPER_AXES[kind]
     hyper = {}
     for key, axis in _AXES.items():
-        text = getattr(args, key)
-        if text is None:
+        value = getattr(args, key)
+        if value is None:
             if key in keys and axis.default is not None:
                 hyper[key] = axis.default
         elif key not in keys:
             logger.warning("%s is not a hyperparameter of model kind %r; ignored", axis.flag, kind)
         else:
-            parse = float if axis.domain in ("real", "reals") else int
-            try:
-                value = [parse(part) for part in text.split(",")] if axis.domain == "reals" else parse(text)
-            except ValueError:
-                value = text  # rejected by the check, which names the domain
-            try:
-                hyper[key] = axis.check(key, value, len(args.instances))
-            except ValueError as exc:
-                raise ValueError(f"{axis.flag}: {exc}") from None
+            hyper[key] = axis.check(value, axis.flag, len(args.instances))
     return hyper
 
 
@@ -311,6 +266,25 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _flag(parser: argparse.ArgumentParser, flag: str, domain: str, help: str, **kwargs) -> None:
+    """Add ``flag`` to ``parser``: a value of ``domain``, whose text is read
+    as the int or float, or for one value per source the comma-separated
+    floats, that the domain holds (text that does not read stays text).
+    ``main`` checks it (``_check``, naming the flag) before the command
+    runs, and its help opens with the domain's text."""
+    number = int if domain.startswith("int") else float
+
+    def read(text: str):
+        try:
+            return [number(part) for part in text.split(",")] if domain == "reals>0" else number(text)
+        except ValueError:
+            return text
+
+    action = parser.add_argument(flag, type=str if domain == "str" else read,
+                                 help=f"{_DOMAINS[domain][0]}; {help}", **kwargs)
+    parser.set_defaults(checks={**(parser.get_default("checks") or {}), action.dest: (flag, domain)})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distreg",
@@ -321,10 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the evaluation protocol from a config file")
     p_run.add_argument("--config", required=True, help="JSON experiment config")
-    for key, (what, _, default) in _RUN_KEYS.items():
+    for key, (domain, default) in _RUN_KEYS.items():
         if isinstance(default, (int, float, str)):
-            p_run.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
-                               help=f"{what}; overrides the config's {key!r} (default: {default})")
+            _flag(p_run, "--" + key.replace("_", "-"), domain, f"overrides the config's {key!r} (default: {default})",
+                  dest=key)
     p_run.add_argument("--model", dest="models", action="append", metavar="KIND",
                        help=f"model kind to run (repeatable); one of {', '.join(MODEL_KINDS)}")
     p_run.set_defaults(func=cmd_run)
@@ -332,20 +306,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate synthetic datasets")
     p_synth.add_argument("--kind", required=True, choices=SYNTH_KINDS)
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--bags", type=int, default=120)
-    p_synth.add_argument("--bag-size", type=int, default=50)
-    p_synth.add_argument("--dim", type=int, default=3)
-    p_synth.add_argument("--noise", type=float, default=0.0)
-    p_synth.add_argument("--samples", type=int, default=2000, help="two-sample gallery size")
+    _flag(p_synth, "--seed", "int>=0", "default: 0", default=0)
+    _flag(p_synth, "--bags", "int>=1", "default: 120", default=120)
+    _flag(p_synth, "--bag-size", "int>=1", "default: 50", default=50)
+    _flag(p_synth, "--dim", "int>=1", "default: 3", default=3)
+    _flag(p_synth, "--noise", "real>=0", "default: 0.0", default=0.0)
+    _flag(p_synth, "--samples", "int>=1", "two-sample gallery size (default: 2000)", default=2000)
     p_synth.set_defaults(func=cmd_synth)
 
     p_mmd = sub.add_parser("mmd", help="two-sample permutation test on instance CSVs")
     p_mmd.add_argument("sample_x", help="headerless CSV of instances")
     p_mmd.add_argument("sample_y", help="headerless CSV of instances")
-    p_mmd.add_argument("--sigma", type=float, default=None, help="RBF length-scale (default: median heuristic)")
-    p_mmd.add_argument("--permutations", type=int, default=200)
-    p_mmd.add_argument("--seed", type=int, default=0)
+    _flag(p_mmd, "--sigma", "real>0", "RBF length-scale (default: median heuristic)")
+    _flag(p_mmd, "--permutations", "int>=1", "default: 200", default=200)
+    _flag(p_mmd, "--seed", "int>=0", "default: 0", default=0)
     p_mmd.set_defaults(func=cmd_mmd)
 
     p_fit = sub.add_parser("fit", help="fit one model and save it")
@@ -354,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--targets", required=True)
     p_fit.add_argument("--out", required=True, help="model file to write")
     for key, axis in _AXES.items():
-        what = _DOMAINS[axis.domain] + (", comma-separated" if axis.domain == "reals" else "")
+        note = ", comma-separated" if axis.domain == "reals>0" else ""
         default = "median heuristic" if axis.default is None else axis.default
-        p_fit.add_argument(axis.flag, dest=key, help=f"{key}: {what} (default: {default})")
+        _flag(p_fit, axis.flag, axis.domain, f"hyperparameter {key!r}{note} (default: {default})", dest=key)
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="predict with a saved model")
@@ -376,6 +350,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     _workers()  # a DISTREG_THREADS that is not a count is named in the common form
     try:
+        for dest, (flag, domain) in getattr(args, "checks", {}).items():
+            if getattr(args, dest) is not None:
+                setattr(args, dest, _check(domain, getattr(args, dest), flag))
         return args.func(args)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

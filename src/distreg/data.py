@@ -1,5 +1,6 @@
-"""Bag-structured datasets: reading every input file (CSV and JSON), replacing
-each output file whole, feature normalization, multisource alignment.
+"""Bag-structured datasets: reading every input file (CSV and JSON), the one
+domain table that checks every value a user gives (``_DOMAINS``, ``_check``),
+replacing each output file whole, feature normalization, multisource alignment.
 
 A *bag* is a group of instance feature vectors that share one scalar target
 (all pixels in a county, all readings at a site, ...). Supervision lives at
@@ -14,6 +15,7 @@ import contextlib
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -296,6 +298,54 @@ def _parse_float(value: str, path: str | Path, line: int, bag: str | None) -> fl
 
 def _of(bag: str | None) -> str:
     return "" if bag is None else f" for bag {bag!r}"
+
+
+def _domain(kinds, convert=lambda value: value, ok=lambda value: True):
+    """Check-and-convert of the values of ``kinds`` (a type, an ABC or a
+    tuple of them; bools are never numbers) for which ``ok`` holds once
+    ``convert`` has converted them."""
+
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise TypeError
+        value = convert(value)  # float() raises OverflowError on an int beyond its range
+        if not ok(value):
+            raise ValueError
+        return value
+
+    return check
+
+
+_LISTS = (list, tuple, np.ndarray)
+_positive = _domain(numbers.Real, float, lambda x: 0 < x < math.inf)
+# Every value a user gives (config key, flag, hyperparameter or library
+# argument) is in one of these domains: name -> (what it must be, its
+# check-and-convert). numpy's integers and reals count as numbers.
+_DOMAINS = {
+    "real>0": ("positive and finite", _positive),
+    "reals>0": ("a list of positive and finite reals, one per source",
+                _domain(_LISTS, lambda v: tuple(map(_positive, v)))),
+    "real(0,1)": ("a real in (0, 1)", _domain(numbers.Real, float, lambda x: 0 < x < 1)),
+    "real>=0": ("a finite real ≥ 0", _domain(numbers.Real, float, lambda x: 0 <= x < math.inf)),
+    "int>=0": ("an integer ≥ 0", _domain(numbers.Integral, int, lambda n: n >= 0)),
+    "int>=1": ("an integer ≥ 1", _domain(numbers.Integral, int, lambda n: n >= 1)),
+    "int>=2": ("an integer ≥ 2", _domain(numbers.Integral, int, lambda n: n >= 2)),
+    "str": ("a string", _domain(str)),
+    # a lone string is a list of one
+    "strs": ("a non-empty list of strings", _domain((str, list), lambda v: [v] if isinstance(v, str) else v,
+                                                    lambda v: v and all(isinstance(s, str) for s in v))),
+    "object": ("an object or null", _domain((dict, type(None)))),
+}
+
+
+def _check(domain: str, value, name: str):
+    """``value`` checked against ``domain`` (a key of ``_DOMAINS``) and
+    converted; outside it, ValueError ``<name> must be <what>, got <value>``."""
+    what, convert = _DOMAINS[domain]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be {what}, got {value!r}") from None
 
 
 def _not_utf8(path: str | Path) -> DataFormatError:

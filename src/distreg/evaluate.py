@@ -18,14 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import BagDataset, MultiSourceDataset
+from .data import BagDataset, MultiSourceDataset, _check
 from .models import (
     _AXES,
     IllConditionedError,
     _axes,
     _check_point,
     _grid_values,
-    _integer,
     _normalize,
     _spec,
     _state,
@@ -89,8 +88,7 @@ def compute_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
 
 def kfold_split(n_bags: int, k: int, seed: int) -> list[np.ndarray]:
     """Random partition of ``range(n_bags)`` into k folds of near-equal size."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k, seed = _check("int>=1", k, "k"), _check("int>=0", seed, "seed")
     if k > n_bags:
         raise ValueError(f"cannot split {n_bags} bags into {k} folds")
     perm = np.random.default_rng(seed).permutation(n_bags)
@@ -99,8 +97,8 @@ def kfold_split(n_bags: int, k: int, seed: int) -> list[np.ndarray]:
 
 def split_train_test(n_bags: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Random bag-level train/test split; both index arrays come back sorted."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    test_fraction = _check("real(0,1)", test_fraction, "test_fraction")
+    seed = _check("int>=0", seed, "seed")
     if n_bags < 2:
         raise ValueError("need at least two bags to split")
     n_test = int(round(n_bags * test_fraction))
@@ -157,11 +155,10 @@ def grid_search_cv(
     1e-9 relative at ill-conditioned cells.
     """
     _spec(kind)  # rejects unknown kinds
+    k = _check("int>=2", k, "k")
     grid = [dict(p) for p in grid]
     if not grid:
         raise ValueError("grid must contain at least one point")
-    if k < 2:
-        raise ValueError("cross-validation needs k >= 2")
     folds = kfold_split(data.n_bags, k, seed)
     all_idx = np.arange(data.n_bags)
     rmse = np.full((len(grid), len(folds)), np.nan)
@@ -249,7 +246,7 @@ def default_grid(
     for key in keys:
         axis = _AXES[key]
         if axis.grid_key is None:
-            columns.append([axis.check(key, seed)])
+            columns.append([axis.check(seed, "seed")])
             continue
         values = given.get(axis.grid_key, axis.grid)
         if key in center:
@@ -320,14 +317,16 @@ def run_protocol(
     with k-fold CV, refit the winner on the full training split, score on the
     held-out bags. When ``grid`` is None a fresh default grid is built from
     each trial's training split (``grid_options`` forwards axis overrides to
-    ``default_grid``); giving both is an error.
+    ``default_grid``); giving both is an error. ``trials``, ``k``, ``seed``
+    and ``test_fraction`` are checked against their domains before the
+    first split.
     """
     if grid is not None and grid_options is not None:
         raise ValueError("give grid or grid_options, not both: grid_options only shape the default grid")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _integer(seed, 0, "seed")
-    n_train = len(split_train_test(data.n_bags, test_fraction, seed)[0])  # checks test_fraction
+    trials, k = _check("int>=1", trials, "trials"), _check("int>=2", k, "k")
+    seed = _check("int>=0", seed, "seed")
+    test_fraction = _check("real(0,1)", test_fraction, "test_fraction")
+    n_train = len(split_train_test(data.n_bags, test_fraction, seed)[0])
     if n_train < k:
         raise ValueError(
             f"insufficient bags: {data.n_bags} bags with test_fraction={test_fraction} "
@@ -355,7 +354,7 @@ def run_protocol(
             kind, t, results[-1].metrics.rmse, results[-1].metrics.r2, search.best,
             t1 - t0, t2 - t1, t3 - t2,
         )
-    return EvalReport(kind, float(test_fraction), int(k), int(seed), tuple(results))
+    return EvalReport(kind, test_fraction, k, seed, tuple(results))
 
 
 def _json_float(value: float):

@@ -64,7 +64,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _parts, _run_parts
-from .data import Bag, BagDataset, MultiSourceDataset, canonical_rows, pooled_instances
+from .data import Bag, BagDataset, MultiSourceDataset, _check, canonical_rows, pooled_instances
 
 __all__ = [
     "BagGram",
@@ -91,6 +91,15 @@ TILE = 1024
 _SLICE = 2**17
 
 
+def _length_scale(value, name: str) -> float:
+    """``value`` as a sigma (``_check`` domain ``real>0``) whose
+    1 / (2 sigma^2) is finite; ValueError naming ``name`` otherwise."""
+    sigma = _check("real>0", value, name)
+    if not 2.0 * sigma * sigma > 1.0 / np.finfo(float).max:
+        raise ValueError(f"{name} {sigma!r} is too small: 1 / (2 sigma^2) overflows")
+    return sigma
+
+
 @dataclass(frozen=True)
 class RbfParams:
     """Gaussian RBF length-scale; k(x, x') = exp(-||x - x'||^2 / (2 sigma^2))."""
@@ -98,12 +107,7 @@ class RbfParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        sigma = float(self.sigma)
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
-        if not 2.0 * sigma * sigma > 1.0 / np.finfo(float).max:
-            raise ValueError(f"sigma {sigma!r} is too small: 1 / (2 sigma^2) overflows")
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _length_scale(self.sigma, "sigma"))
 
     @property
     def gamma(self) -> float:
@@ -169,8 +173,11 @@ def rbf_kernel(x: np.ndarray, x_prime: np.ndarray, params: RbfParams) -> float:
     x_prime = np.asarray(x_prime, dtype=float).ravel()
     if x.shape != x_prime.shape:
         raise ValueError(f"vector length mismatch: {x.shape[0]} vs {x_prime.shape[0]}")
+    pair = _check_matrix(np.stack([x, x_prime]), "the pair x, x_prime")
+    _row_norms(pair, "x and x_prime")
     diff = x - x_prime
-    return float(np.exp(-params.gamma * np.dot(diff, diff)))
+    with np.errstate(over="ignore"):  # -inf, whose exp is 0
+        return float(np.exp(-params.gamma * np.dot(diff, diff)))
 
 
 def _sq_distances(a_sq: np.ndarray, b_sq: np.ndarray, ab: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -501,8 +508,8 @@ def mmd_permutation_test(
     where the squared distances of the pooled rows overflow.
     """
     x, y = _check_pair(sample_x, sample_y, ("sample_x", "sample_y"))
-    if n_permutations < 1:
-        raise ValueError("need at least one permutation")
+    n_permutations = _check("int>=1", n_permutations, "n_permutations")
+    seed = _check("int>=0", seed, "seed")
     n, m = x.shape[0], y.shape[0]
     pooled = np.concatenate([x, y], axis=0)
     sq = _row_norms(pooled, "samples")
@@ -564,6 +571,7 @@ def median_heuristic(
     ``np.median`` of those distances.
     """
     x = _check_matrix(instances, "instances")
+    max_points, seed = _check("int>=2", max_points, "max_points"), _check("int>=0", seed, "seed")
     if x.shape[0] > max_points:
         idx = np.random.default_rng(seed).choice(x.shape[0], max_points, replace=False)
         x = x[np.sort(idx)]

@@ -40,8 +40,6 @@ import ctypes
 import functools
 import json
 import logging
-import math
-import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -54,7 +52,9 @@ from .data import (
     BagDataset,
     MultiSourceDataset,
     Normalizer,
+    _LISTS,
     _atomic_write,
+    _check,
     _read_json,
     apply_normalizer,
     canonical_rows,
@@ -65,6 +65,7 @@ from .kernels import (
     BagGram,
     RbfParams,
     _grams,
+    _length_scale,
     cross_gram,
     median_heuristic_bags,
 )
@@ -195,7 +196,7 @@ def solve_ridge_dual(gram: BagGram | np.ndarray, y: np.ndarray, lam: float) -> R
     No centering happens here; callers that want an intercept center ``y``
     themselves and record the offset.
     """
-    lam = _AXES["lam"].check("lam", lam)
+    lam = _check("real>0", lam, "lambda")
     k = gram.values if isinstance(gram, BagGram) else np.asarray(gram, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -436,80 +437,42 @@ def _spec(kind: str) -> _Spec:
 # and the CLI read their defaults, grid keys and ``distreg fit`` flags from it.
 
 
-def _integer(value, low: int, name: str) -> int:
-    """``value`` as an int if it is an integer (numpy ones too, bools not) >= ``low``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer ≥ {low}, got {value!r}")
-    return int(value)
-
-
-def _positive(value, name: str, noun: str) -> float:
-    """``value`` as a float if it is a finite real > 0 (bools are not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a finite real > 0, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not 0 < number < math.inf:
-        raise ValueError(f"{noun} must be positive and finite, got {value!r}")
-    return number
-
-
-_LISTS = (list, tuple, np.ndarray)
-_DOMAINS = {
-    "real": "a finite real > 0",
-    "reals": "a list of finite reals > 0, one per source",
-    "count": "an integer ≥ 1",
-    "index": "an integer ≥ 0",
-}
-
-
 @dataclass(frozen=True)
 class _Axis:
     """One hyperparameter (see ``_AXES``)."""
 
     kinds: tuple[str, ...]  # base kinds that have it
-    domain: str  # a key of _DOMAINS
+    domain: str  # a key of data._DOMAINS
     flag: str  # its ``distreg fit`` flag
     default: float | int | None  # the flag's default; None: the median heuristic on the data
     grid_key: str | None  # its ``default_grid`` and config grid key; None: the grid holds the seed
     grid: tuple = ()  # default grid values; scales of the median when ``default`` is None
     prefer: int = 0  # on equal CV RMSE, +1 prefers the larger value (or sum), -1 the smaller
     optional: bool = False  # a point may omit it and then holds ``default``
-    noun: str = ""  # what the error calls a real outside (0, inf)
 
-    def check(self, key: str, value, n_sources: int = 1):
-        """``value`` as a float, a tuple of ``n_sources`` floats or an int;
-        ValueError naming ``key`` if it is outside the domain."""
-        name = f"hyperparameter {key!r}"
-        if self.domain == "real":
-            return self._real(value, name)
-        if self.domain != "reals":
-            return _integer(value, 1 if self.domain == "count" else 0, name)
-        if not isinstance(value, _LISTS):
-            raise ValueError(f"{name} must be {_DOMAINS['reals']}, got {value!r}")
-        values = tuple(self._real(v, f"each value of {name}") for v in value)
-        if len(values) != n_sources:
-            raise ValueError(f"{name} needs one RbfParams per source: got {len(values)} for {n_sources} sources")
-        return values
-
-    def _real(self, value, name: str) -> float:
-        number = _positive(value, name, self.noun)
-        # a sigma must also pass ``RbfParams``, which rejects one too small to square
-        return RbfParams(number).sigma if self.noun == "sigma" else number
+    def check(self, value, name: str, n_sources: int = 1):
+        """``value`` in the axis' domain (``_check``), converted; one value
+        per source, each a sigma that ``RbfParams`` takes on the sigma axes.
+        ValueError naming ``name`` otherwise."""
+        value = _check(self.domain, value, name)
+        if self.domain == "reals>0" and len(value) != n_sources:
+            raise ValueError(f"{name} needs one RbfParams per source: got {len(value)} for {n_sources} sources")
+        if self.grid_key == "sigma_scales":  # its values are length-scales, or scales of one
+            for sigma in value if isinstance(value, tuple) else (value,):
+                _length_scale(sigma, name)
+        return value
 
 
 _SCALES = tuple(float(v) for v in 2.0 ** np.arange(-3, 4))
 # lam: every kind; sigma(s): RBF length-scale(s), one per source for mdr;
 # n_features and rff_seed: the random Fourier basis of rdr
 _AXES = {
-    "lam": _Axis(tuple(_SPECS), "real", "--lam", 1e-3, "lams", tuple(float(v) for v in np.logspace(-6, 2, 9)),
-                 prefer=1, noun="lambda"),
-    "sigma": _Axis(("kr", "kdr", "rdr"), "real", "--sigma", None, "sigma_scales", _SCALES, prefer=1, noun="sigma"),
-    "sigmas": _Axis(("mdr",), "reals", "--sigmas", None, "sigma_scales", _SCALES, prefer=1, noun="sigma"),
-    "n_features": _Axis(("rdr",), "count", "--n-features", 512, "n_features", (128, 512, 2048), prefer=-1),
-    "rff_seed": _Axis(("rdr",), "index", "--seed", 0, None, optional=True),
+    "lam": _Axis(tuple(_SPECS), "real>0", "--lam", 1e-3, "lams", tuple(float(v) for v in np.logspace(-6, 2, 9)),
+                 prefer=1),
+    "sigma": _Axis(("kr", "kdr", "rdr"), "real>0", "--sigma", None, "sigma_scales", _SCALES, prefer=1),
+    "sigmas": _Axis(("mdr",), "reals>0", "--sigmas", None, "sigma_scales", _SCALES, prefer=1),
+    "n_features": _Axis(("rdr",), "int>=1", "--n-features", 512, "n_features", (128, 512, 2048), prefer=-1),
+    "rff_seed": _Axis(("rdr",), "int>=0", "--seed", 0, None, optional=True),
 }
 
 
@@ -526,17 +489,13 @@ HYPER_AXES = {kind: _axes(kind)[1:] for kind in MODEL_KINDS}
 def _grid_values(key: str, values) -> list:
     """The values of the grid key ``key``, each checked against the first
     axis with that key and converted."""
-    axes = [(k, a) for k, a in _AXES.items() if a.grid_key == key]
+    axes = [a for a in _AXES.values() if a.grid_key == key]
     if not axes:
         allowed = sorted({a.grid_key for a in _AXES.values() if a.grid_key})
         raise ValueError(f"unknown grid key {key!r} (allowed: {allowed})")
-    (name, axis), *_ = axes
     if not isinstance(values, _LISTS) or len(values) == 0:
         raise ValueError(f"grid key {key!r} must be a non-empty list, got {values!r}")
-    try:
-        return [axis.check(name, v) for v in values]
-    except ValueError as exc:
-        raise ValueError(f"grid key {key!r}: {exc}") from None
+    return [axes[0].check(v, f"each value of grid key {key!r}") for v in values]
 
 
 def _check_point(kind: str, hyper: dict, data) -> dict:
@@ -553,7 +512,11 @@ def _check_point(kind: str, hyper: dict, data) -> dict:
         if key not in keys:
             raise ValueError(f"model kind {kind!r} has no hyperparameter {key!r}")
     n_sources = data.n_sources if isinstance(data, MultiSourceDataset) else 1
-    return {k: _AXES[k].check(k, hyper[k], n_sources) if k in hyper else _AXES[k].default for k in keys}
+    # lam is named lambda, as in the paper
+    return {
+        k: _AXES[k].check(hyper[k], "lambda" if k == "lam" else k, n_sources) if k in hyper else _AXES[k].default
+        for k in keys
+    }
 
 
 def _bag_means(data: BagDataset) -> np.ndarray:
@@ -679,7 +642,7 @@ def _median_sigmas(kind: str, normalized) -> dict:
     if not axes:
         return {}
     meds = [median_heuristic_bags(src) for src in _stack(kind, normalized)]
-    return {a: meds if _AXES[a].domain == "reals" else meds[0] for a in axes}
+    return {a: meds if _AXES[a].domain == "reals>0" else meds[0] for a in axes}
 
 
 def _fit(kind: str, data, hyper: dict) -> FittedModel:

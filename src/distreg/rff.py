@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _parts, _run_parts
-from .data import Bag, BagDataset, canonical_rows
+from .data import Bag, BagDataset, _check, canonical_rows
 
 __all__ = [
     "FourierBasis",
@@ -81,13 +81,11 @@ def sample_basis(dim: int, n_components: int, sigma: float, seed: int) -> Fourie
     so the same seed yields the same basis regardless of how the surrounding
     code is parallelized.
     """
-    if dim < 1 or n_components < 1:
-        raise ValueError("dim and n_components must be >= 1")
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    dim, n_components = _check("int>=1", dim, "dim"), _check("int>=1", n_components, "n_components")
+    sigma, seed = _check("real>0", sigma, "sigma"), _check("int>=0", seed, "seed")
     rng = np.random.Generator(np.random.Philox(seed))
     weights = rng.standard_normal((dim, n_components)) / sigma
-    return FourierBasis(weights=weights, sigma=float(sigma), seed=int(seed))
+    return FourierBasis(weights=weights, sigma=sigma, seed=seed)
 
 
 def _check_input(x: np.ndarray, basis: FourierBasis) -> None:
@@ -181,8 +179,7 @@ def bag_feature_sweep(data: BagDataset, basis: FourierBasis, n_halvings: int) ->
     double-angle steps instead of trig and agrees with direct evaluation to
     a few ulps times 2^k. One trig pass per bag thus serves the whole sweep.
     """
-    if n_halvings < 0:
-        raise ValueError(f"n_halvings must be >= 0, got {n_halvings}")
+    n_halvings = _check("int>=0", n_halvings, "n_halvings")
     out = np.empty((n_halvings + 1, data.n_bags, basis.feature_dim))
     # sorted here, so that the workers call no public function: the spans of
     # perfbench/tracer.py, which wraps those, sit on one stack for all threads

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import distreg.cli as cli
 import distreg.kernels as kernels
 from conftest import with_workers
 from distreg import load_bags
-from distreg.cli import main
+from distreg.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -46,6 +47,41 @@ def run_config(tmp_path, variance_files):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path, Path(config["out"])
+
+
+# Every flag that ``main`` checks against a domain, and a command line that
+# reaches the check without any input file.
+_CHECKED_FLAGS = {
+    "run": ({"--test-fraction", "--trials", "--folds", "--seed", "--out"}, ["--config", "missing.json"]),
+    "fit": ({"--lam", "--sigma", "--sigmas", "--n-features", "--seed"},
+            ["--model", "rdr", "--instances", "missing.csv", "--targets", "missing.csv", "--out", "m.json"]),
+    "synth": ({"--seed", "--bags", "--bag-size", "--dim", "--noise", "--samples"},
+              ["--kind", "mean-task", "--out", "missing/out"]),
+    "mmd": ({"--sigma", "--permutations", "--seed"}, ["missing.csv", "missing.csv"]),
+}
+
+
+def test_help_shows_each_checked_flag_domain(tmp_path, capsys, monkeypatch):
+    # help and check both come from the domain table: the help names the
+    # domain whose text the check's message gives
+    from distreg.data import _DOMAINS
+
+    monkeypatch.chdir(tmp_path)
+    (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+    for command, (flags, argv) in _CHECKED_FLAGS.items():
+        checks = commands[command].get_default("checks")
+        assert {flag for flag, _ in checks.values()} == flags
+        for action in commands[command]._actions:
+            if action.dest in checks:
+                flag, domain = checks[action.dest]
+                what = _DOMAINS[domain][0]
+                assert action.help.startswith(what + "; "), (command, flag, action.help)
+                if domain != "str":
+                    assert run_cli(command, *argv, f"{flag}=x") == 1
+                    assert capsys.readouterr().err == f"error: {flag} must be {what}, got 'x'\n"
+    folds = [a for a in commands["run"]._actions if a.dest == "folds"]
+    assert folds[0].help.startswith("an integer ≥ 2; ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_import_leaves_scipy_unloaded():
@@ -330,6 +366,24 @@ class TestRun:
         assert (out_dir / "report_lr.json").exists()
         assert not (out_dir / "report_kdr.json").exists()
 
+    def test_failed_run_leaves_out_as_it_was(self, run_config, monkeypatch, capsys):
+        # the reports and tables are written once every kind has run
+        config, out_dir = run_config
+        assert run_cli("run", "--config", config, "--model", "lr", "--model", "kr") == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        real = cli.run_protocol
+
+        def second_kind_fails(data, kind, **options):
+            if kind == "kr":
+                raise ValueError("kr failed")
+            return real(data, kind, **options)
+
+        monkeypatch.setattr(cli, "run_protocol", second_kind_fails)
+        capsys.readouterr()
+        assert run_cli("run", "--config", config, "--model", "lr", "--model", "kr", "--seed", "2") == 1
+        assert capsys.readouterr().err == "error: kr failed\n"
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
     @pytest.mark.parametrize(
         "flag,value",
         [("--trials", 1), ("--folds", 2), ("--seed", 4), ("--test-fraction", 0.4), ("--out", "elsewhere"),
@@ -436,9 +490,9 @@ class TestRun:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (["--test-fraction", "1e308"], "error: test_fraction must be in (0, 1), got 1e+308"),
-            (["--test-fraction", "nan"], "error: test_fraction must be in (0, 1), got nan"),
-            (["--seed", "-1"], "error: seed must be an integer ≥ 0, got -1"),
+            (["--test-fraction", "1e308"], "error: --test-fraction must be a real in (0, 1), got 1e+308"),
+            (["--test-fraction", "nan"], "error: --test-fraction must be a real in (0, 1), got nan"),
+            (["--seed", "-1"], "error: --seed must be an integer ≥ 0, got -1"),
         ],
         ids=["huge-test-fraction", "nan-test-fraction", "negative-seed"],
     )
@@ -544,7 +598,7 @@ class TestMmd:
         np.savetxt(path, np.zeros((5, 1)), delimiter=",")
         assert run_cli("mmd", path, path, "--sigma", value) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: --sigma: {message}\n"
+        assert captured.err == f"error: --{message}\n"  # the flag's name leads the message
         assert captured.out == ""
 
     def test_identical_samples(self, tmp_path, capsys):
@@ -692,21 +746,20 @@ class TestFitPredict:
     @pytest.mark.parametrize(
         "kind,flags,message",
         [
-            ("mdr", ["--sigmas=1,"], "--sigmas: hyperparameter 'sigmas' must be a list of finite "
-             "reals > 0, one per source, got '1,'"),
-            ("mdr", ["--sigmas=1,,2"], "--sigmas: hyperparameter 'sigmas' must be a list of finite "
-             "reals > 0, one per source, got '1,,2'"),
-            ("mdr", ["--sigmas=a"], "--sigmas: hyperparameter 'sigmas' must be a list of finite "
-             "reals > 0, one per source, got 'a'"),
-            ("mdr", ["--sigmas=1"],
-             "--sigmas: hyperparameter 'sigmas' needs one RbfParams per source: got 1 for 2 sources"),
-            ("mdr", ["--sigmas=1,-2"], "--sigmas: sigma must be positive and finite, got -2.0"),
-            ("kdr", ["--sigma=1e-200"], "--sigma: sigma 1e-200 is too small: 1 / (2 sigma^2) overflows"),
-            ("kdr", ["--lam=0"], "--lam: lambda must be positive and finite, got 0.0"),
-            ("kdr", ["--lam=x"], "--lam: hyperparameter 'lam' must be a finite real > 0, got 'x'"),
-            ("rdr", ["--n-features=1.5"],
-             "--n-features: hyperparameter 'n_features' must be an integer ≥ 1, got '1.5'"),
-            ("rdr", ["--seed=-1"], "--seed: hyperparameter 'rff_seed' must be an integer ≥ 0, got -1"),
+            ("mdr", ["--sigmas=1,"], "--sigmas must be a list of positive and finite reals, one per source, "
+             "got '1,'"),
+            ("mdr", ["--sigmas=1,,2"], "--sigmas must be a list of positive and finite reals, one per source, "
+             "got '1,,2'"),
+            ("mdr", ["--sigmas=a"], "--sigmas must be a list of positive and finite reals, one per source, "
+             "got 'a'"),
+            ("mdr", ["--sigmas=1"], "--sigmas needs one RbfParams per source: got 1 for 2 sources"),
+            ("mdr", ["--sigmas=1,-2"], "--sigmas must be a list of positive and finite reals, one per source, "
+             "got [1.0, -2.0]"),
+            ("kdr", ["--sigma=1e-200"], "--sigma 1e-200 is too small: 1 / (2 sigma^2) overflows"),
+            ("kdr", ["--lam=0"], "--lam must be positive and finite, got 0.0"),
+            ("kdr", ["--lam=x"], "--lam must be positive and finite, got 'x'"),
+            ("rdr", ["--n-features=1.5"], "--n-features must be an integer ≥ 1, got '1.5'"),
+            ("rdr", ["--seed=-1"], "--seed must be an integer ≥ 0, got -1"),
         ],
         ids=["sigmas-trailing-comma", "sigmas-empty-field", "sigmas-word", "sigmas-count",
              "sigmas-negative", "sigma-underflowing", "lam-zero", "lam-word",

@@ -342,3 +342,60 @@ class TestValidation:
         sub = data.subset([3, 1])
         assert sub.bag_ids == ("b3", "b1")
         np.testing.assert_array_equal(sub.targets, [3.0, 1.0])
+
+
+def _library_calls():
+    """(call, argument name, value, its domain's text) for library arguments
+    outside their domain."""
+    from distreg import (
+        RbfParams,
+        bag_feature_sweep,
+        grid_search_cv,
+        kfold_split,
+        median_heuristic,
+        mmd_permutation_test,
+        run_protocol,
+        sample_basis,
+        split_train_test,
+    )
+
+    rng = np.random.default_rng(5)
+    data = BagDataset(tuple(Bag(f"b{i}", rng.standard_normal((3, 2))) for i in range(12)), rng.standard_normal(12))
+    x, y = rng.standard_normal((2, 10, 2))
+    basis = sample_basis(2, 4, 1.0, 0)
+    count, index, two = "an integer ≥ 1", "an integer ≥ 0", "an integer ≥ 2"
+    positive, fraction = "positive and finite", "a real in (0, 1)"
+    return {
+        "run_protocol-k": (lambda: run_protocol(data, "lr", trials=1, k=2.5), "k", 2.5, two),
+        "run_protocol-trials": (lambda: run_protocol(data, "lr", trials=1.5), "trials", 1.5, count),
+        "run_protocol-seed": (lambda: run_protocol(data, "lr", trials=1, seed=True), "seed", True, index),
+        "run_protocol-test_fraction": (lambda: run_protocol(data, "lr", trials=1, test_fraction="0.3"),
+                                       "test_fraction", "0.3", fraction),
+        "kfold_split-k": (lambda: kfold_split(10, 2.5, 0), "k", 2.5, count),
+        "kfold_split-seed": (lambda: kfold_split(10, 2, -1), "seed", -1, index),
+        "split_train_test-test_fraction": (lambda: split_train_test(10, "0.3", 0), "test_fraction", "0.3", fraction),
+        "split_train_test-seed": (lambda: split_train_test(10, 0.3, 0.5), "seed", 0.5, index),
+        "grid_search_cv-k": (lambda: grid_search_cv(data, "lr", [{"lam": 1.0}], k=1, seed=0), "k", 1, two),
+        "RbfParams-bool": (lambda: RbfParams(True), "sigma", True, positive),
+        "RbfParams-string": (lambda: RbfParams("2"), "sigma", "2", positive),
+        "sample_basis-sigma": (lambda: sample_basis(2, 3, True, 0), "sigma", True, positive),
+        "sample_basis-n_components": (lambda: sample_basis(3, 2.5, 1.0, 0), "n_components", 2.5, count),
+        "sample_basis-dim": (lambda: sample_basis(0, 2, 1.0, 0), "dim", 0, count),
+        "sample_basis-seed": (lambda: sample_basis(2, 3, 1.0, -1), "seed", -1, index),
+        "mmd_permutation_test-n_permutations": (
+            lambda: mmd_permutation_test(x, y, RbfParams(1.0), n_permutations=True), "n_permutations", True, count),
+        "mmd_permutation_test-seed": (lambda: mmd_permutation_test(x, y, RbfParams(1.0), seed=-1), "seed", -1, index),
+        "median_heuristic-max_points": (lambda: median_heuristic(x, max_points=0), "max_points", 0, two),
+        "median_heuristic-seed": (lambda: median_heuristic(x, seed=1.0), "seed", 1.0, index),
+        "bag_feature_sweep-n_halvings": (lambda: bag_feature_sweep(data, basis, 1.5), "n_halvings", 1.5, index),
+    }
+
+
+@pytest.mark.parametrize("case", list(_library_calls()))
+def test_library_argument_outside_its_domain_named(case):
+    # each is accepted, or fails with a TypeError or numpy's own message, unless
+    # the argument is checked against its domain
+    call, name, value, what = _library_calls()[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"{name} must be {what}, got {value!r}"

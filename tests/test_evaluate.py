@@ -180,22 +180,21 @@ class TestGridSearch:
             ("kdr", {"lam": 1e-3, "sigma": 1.0}, {"sigma": 1.0},
              "fold 0: model kind 'kdr' needs hyperparameter 'lam'"),
             ("mdr", {"lam": 1e-3, "sigmas": [1.0, 1.0]}, {"lam": 1e-3, "sigmas": 1.0},
-             "fold 0: hyperparameter 'sigmas' must be a list of finite reals > 0, one per source, "
-             "got 1.0"),
+             "fold 0: sigmas must be a list of positive and finite reals, one per source, got 1.0"),
             ("mdr", {"lam": 1e-3, "sigmas": [1.0, 1.0]}, {"lam": 1e-3, "sigmas": [1.0]},
-             "fold 0: hyperparameter 'sigmas' needs one RbfParams per source: got 1 for 2 sources"),
+             "fold 0: sigmas needs one RbfParams per source: got 1 for 2 sources"),
             ("kdr", {"lam": 1e-3, "sigma": 1.0}, {"lam": 1e-3, "sigma": [1.0]},
-             "fold 0: hyperparameter 'sigma' must be a finite real > 0, got [1.0]"),
+             "fold 0: sigma must be positive and finite, got [1.0]"),
             ("rdr", {"lam": 1e-3, "sigma": 1.0, "n_features": 16},
              {"lam": 1e-3, "sigma": 1.0, "n_features": 1.5},
-             "fold 0: hyperparameter 'n_features' must be an integer ≥ 1, got 1.5"),
+             "fold 0: n_features must be an integer ≥ 1, got 1.5"),
             ("rdr", {"lam": 1e-3, "sigma": 1.0, "n_features": 16},
              {"lam": 1e-3, "sigma": 1.0, "n_features": 16, "rff_seed": -1},
-             "fold 0: hyperparameter 'rff_seed' must be an integer ≥ 0, got -1"),
+             "fold 0: rff_seed must be an integer ≥ 0, got -1"),
             ("kdr", {"lam": 1e-3, "sigma": 1.0}, {"lam": "1e-3", "sigma": 1.0},
-             "fold 0: hyperparameter 'lam' must be a finite real > 0, got '1e-3'"),
+             "fold 0: lambda must be positive and finite, got '1e-3'"),
             ("kdr", {"lam": 1e-3, "sigma": 1.0}, {"lam": True, "sigma": 1.0},
-             "fold 0: hyperparameter 'lam' must be a finite real > 0, got True"),
+             "fold 0: lambda must be positive and finite, got True"),
             ("kdr", {"lam": 1e-3, "sigma": 1.0}, {"lam": 1e-3, "sigma": 1.0, "n_features": 16},
              "fold 0: model kind 'kdr' has no hyperparameter 'n_features'"),
             ("kdr", {"lam": 1e-3, "sigma": 1.0}, {"lam": 1e-3, "sigma": 1e-200},
@@ -392,7 +391,9 @@ class TestGridSearch:
         clean = grid_search_cv(data, "mdr", grid, k=3, seed=1)
         cells = list(result.table)
         failed = cells.pop(6)
-        assert failed.error == "fold 0: sigma must be positive and finite, got -1.0"
+        assert failed.error == (
+            "fold 0: sigmas must be a list of positive and finite reals, one per source, got [-1.0, 0.5]"
+        )
         assert failed.fold_rmse is None
         assert [c.fold_rmse for c in cells] == [c.fold_rmse for c in clean.table]
         assert result.best == clean.best
@@ -496,10 +497,10 @@ class TestDefaultGrid:
         "override,message",
         [
             ({"n_features": [1.5]},
-             "grid key 'n_features': hyperparameter 'n_features' must be an integer ≥ 1, got 1.5"),
-            ({"lams": [1e-3, 0.0]}, "grid key 'lams': lambda must be positive and finite, got 0.0"),
+             "each value of grid key 'n_features' must be an integer ≥ 1, got 1.5"),
+            ({"lams": [1e-3, 0.0]}, "each value of grid key 'lams' must be positive and finite, got 0.0"),
             ({"sigma_scales": []}, "grid key 'sigma_scales' must be a non-empty list, got []"),
-            ({"seed": -1}, "hyperparameter 'rff_seed' must be an integer ≥ 0, got -1"),
+            ({"seed": -1}, "seed must be an integer ≥ 0, got -1"),
             ({"nfeatures": [8]}, "unknown grid key 'nfeatures' (allowed: ['lams', 'n_features', 'sigma_scales'])"),
         ],
         ids=["n_features-fraction", "lams-zero", "sigma_scales-empty", "negative-seed", "unknown-key"],
@@ -564,8 +565,8 @@ class TestRunProtocol:
     @pytest.mark.parametrize(
         "option,message",
         [
-            ({"test_fraction": 1e308}, "test_fraction must be in (0, 1), got 1e+308"),
-            ({"test_fraction": float("nan")}, "test_fraction must be in (0, 1), got nan"),
+            ({"test_fraction": 1e308}, "test_fraction must be a real in (0, 1), got 1e+308"),
+            ({"test_fraction": float("nan")}, "test_fraction must be a real in (0, 1), got nan"),
             ({"seed": -1}, "seed must be an integer ≥ 0, got -1"),
             # grid_options only shape the default grid, so with a grid they would be dropped
             ({"grid_options": {"lams": [-5.0, "x"]}},

@@ -58,6 +58,18 @@ class TestRbfKernel:
         with pytest.raises(ValueError, match="length mismatch"):
             rbf_kernel([1.0], [1.0, 2.0], RbfParams(1.0))
 
+    def test_tiny_sigma_gives_zero_without_warning(self):
+        # the distance times 1 / (2 sigma^2) overflows to -inf, whose exp is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rbf_kernel([0.0, 0.0], [1e5, 1e5], RbfParams(1e-150)) == 0.0
+
+    def test_overflowing_distance_refused_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x and x_prime are too large: their squared distances overflow"):
+                rbf_kernel([1e200], [-1e200], RbfParams(1.0))
+
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             RbfParams(0.0)

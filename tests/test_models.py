@@ -618,11 +618,11 @@ class TestFitModelValidation:
             ("kdr", {"lam": 1e-3, "sigma": 1.0, "n_features": 8},
              "model kind 'kdr' has no hyperparameter 'n_features'"),
             ("kdr", {"lam": 1e-3, "sigma": np.array([1.0])},
-             "hyperparameter 'sigma' must be a finite real > 0, got array([1.])"),
+             "sigma must be positive and finite, got array([1.])"),
             ("rdr", {"lam": 1e-3, "sigma": 1.0, "n_features": np.int64(0)},
-             "hyperparameter 'n_features' must be an integer ≥ 1, got np.int64(0)"),
+             "n_features must be an integer ≥ 1, got np.int64(0)"),
             ("rdr", {"lam": 1e-3, "sigma": 1.0, "n_features": 8, "rff_seed": 1.0},
-             "hyperparameter 'rff_seed' must be an integer ≥ 0, got 1.0"),
+             "rff_seed must be an integer ≥ 0, got 1.0"),
         ],
         ids=["unknown-key", "array-sigma", "zero-n_features", "float-rff_seed"],
     )

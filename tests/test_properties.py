@@ -7,15 +7,18 @@ Models: the predictions of every kind are invariant to instance order,
 instance duplication and per-feature affine maps of the input, and follow
 the order of the bags. CLI: ``distreg.cli.main`` on generated configs, grid
 overrides, ``fit`` flags and CSV rows exits 0 or reports an ``error:`` line,
-never an uncaught exception; on input files with generated bytes spliced in it
-prints the error of the file's reader, which names the file. Number texts load
-alike in instance files and ``mmd`` samples. Runs are derandomized so the
-suite stays reproducible.
+never an uncaught exception; a config value or flag outside its domain is
+named before any input file is read; on input files with generated bytes
+spliced in it prints the error of the file's reader, which names the file.
+Number texts load alike in instance files and ``mmd`` samples. Runs are
+derandomized so the suite stays reproducible.
 """
 
 import contextlib
 import io
 import json
+import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -401,6 +404,153 @@ def test_cli_fit_flags_never_raise(cli_data, kind, n_sources, flags):
             instances = [a for src in sources for a in ("--instances", src)]
             assert _assert_clean_exit("predict", "--model-file", model, *instances,
                                       "--out", Path(tmp) / "p.csv") == 0
+
+
+# ---------------------------------------------------------------------------
+# Values outside their domain: each ``run`` config key and each flag of
+# ``run``, ``synth``, ``mmd`` and ``fit`` is checked before any input file is
+# read. ``main`` then exits 1 with one ``error:`` line that names the key, with
+# the config's path, or the flag, and the line is the same when the input
+# files exist. A value inside its domain gets as far as the missing input
+# file. The domains are restated here, apart from the library's table.
+
+
+def _reads(text, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        return None
+
+
+def _strings(v):
+    return isinstance(v, str) or (isinstance(v, list) and v != [] and all(isinstance(s, str) for s in v))
+
+
+def _integer_text(low):
+    return lambda text: _reads(text, int) is not None and _reads(text, int) >= low
+
+
+def _sigma(x):
+    # a length-scale: finite, > 0, and 1 / (2 sigma^2) finite
+    return x is not None and 0 < x < math.inf and 2.0 * x * x > 1.0 / sys.float_info.max
+
+
+# config key -> whether a JSON value is in its domain (bools are not numbers)
+_KEY_DOMAINS = {
+    "instances": _strings,
+    "targets": lambda v: isinstance(v, str),
+    "models": _strings,
+    "test_fraction": lambda v: type(v) in (int, float) and 0 < v < 1,
+    "trials": lambda v: type(v) is int and v >= 1,
+    "folds": lambda v: type(v) is int and v >= 2,
+    "seed": lambda v: type(v) is int and v >= 0,
+    "out": lambda v: isinstance(v, str),
+    "grid": lambda v: v is None or isinstance(v, dict),
+}
+# (command, flag) -> whether its text is in its domain
+_FLAG_DOMAINS = {
+    ("run", "--test-fraction"): lambda t: _reads(t, float) is not None and 0 < _reads(t, float) < 1,
+    ("run", "--trials"): _integer_text(1),
+    ("run", "--folds"): _integer_text(2),
+    ("run", "--seed"): _integer_text(0),
+    ("run", "--out"): lambda t: True,
+    ("synth", "--seed"): _integer_text(0),
+    ("synth", "--bags"): _integer_text(1),
+    ("synth", "--bag-size"): _integer_text(1),
+    ("synth", "--dim"): _integer_text(1),
+    ("synth", "--noise"): lambda t: _reads(t, float) is not None and 0 <= _reads(t, float) < math.inf,
+    ("synth", "--samples"): _integer_text(1),
+    ("mmd", "--sigma"): lambda t: _sigma(_reads(t, float)),
+    ("mmd", "--permutations"): _integer_text(1),
+    ("mmd", "--seed"): _integer_text(0),
+    ("fit", "--lam"): lambda t: _reads(t, float) is not None and 0 < _reads(t, float) < math.inf,
+    ("fit", "--sigma"): lambda t: _sigma(_reads(t, float)),
+    ("fit", "--sigmas"): lambda t: len(t.split(",")) == 2 and all(_sigma(_reads(p, float)) for p in t.split(",")),
+    ("fit", "--n-features"): _integer_text(1),
+    ("fit", "--seed"): _integer_text(0),
+}
+_BASE_CONFIG = {"targets": "t.csv", "models": ["lr"], "test_fraction": 0.25, "trials": 1, "folds": 2, "seed": 0,
+                "out": "out", "grid": {"lams": [1e-3]}}
+
+
+def _command(command, flag, text, instances):
+    """The argv of ``command`` with ``flag`` set to ``text``, reading the
+    instances files ``instances`` (``synth`` reads none: its output directory
+    cannot be created)."""
+    if command == "run":
+        Path("c.json").write_text(json.dumps({**_BASE_CONFIG, "instances": instances[:1]}), encoding="utf-8")
+        argv = ["run", "--config", "c.json"]
+    elif command == "synth":
+        argv = ["synth", "--kind", "two-sample-gallery" if flag == "--samples" else "mean-task", "--out", "t.csv/x"]
+    elif command == "mmd":
+        argv = ["mmd", instances[2], instances[2]]
+    else:
+        sources = instances[:2] if flag == "--sigmas" else instances[:1]
+        argv = ["fit", "--model", "mdr" if flag == "--sigmas" else "rdr", "--targets", "t.csv", "--out", "m.json",
+                *[a for src in sources for a in ("--instances", src)]]
+    return argv + [f"{flag}={text}"]
+
+
+@pytest.fixture(scope="module")
+def domain_dir(cli_data, tmp_path_factory):
+    """A directory holding the targets (``t.csv``) and an ``mmd`` sample
+    (``s.csv``), and the instances files of both sources and that sample."""
+    root = tmp_path_factory.mktemp("domains")
+    (root / "t.csv").write_bytes(cli_data["targets"].read_bytes())
+    (root / "s.csv").write_text("0.5,1.0\n-1.0,2.0\n0.0,0.3\n", encoding="utf-8")
+    return root, [str(cli_data["one"]), str(cli_data["two"]), "s.csv"]
+
+
+DOMAIN_PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("key", sorted(_KEY_DOMAINS))
+@DOMAIN_PROPERTY
+@given(_JSON | st.integers(-2, 12) | st.floats(0.0, 1.0) | st.lists(st.text("ab.", max_size=2), max_size=2))
+@example(0)
+@example(1)
+@example(True)
+@example([])
+def test_config_value_outside_its_domain_named_before_reading(domain_dir, key, value):
+    root, inputs = domain_dir
+    with contextlib.chdir(root):
+        _check_config_value(key, value, root / "c.json", inputs)
+
+
+def _check_config_value(key, value, path, inputs):
+    path.write_text(json.dumps({**_BASE_CONFIG, "instances": ["missing.csv"], key: value}), encoding="utf-8")
+    rc, err = _run_main("run", "--config", path)
+    assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    if _KEY_DOMAINS[key](value):
+        assert f"key {key!r}" not in err
+        return
+    assert err.startswith(f"error: config {path}: key {key!r} must be "), err
+    if key != "instances":
+        path.write_text(json.dumps({**_BASE_CONFIG, "instances": inputs[:1], key: value}), encoding="utf-8")
+        assert _run_main("run", "--config", path) == (rc, err)
+
+
+@pytest.mark.parametrize("command,flag", sorted(_FLAG_DOMAINS))
+@DOMAIN_PROPERTY
+@given(_FLAG_TEXTS | st.sampled_from(["0.3", "1", "2", "1e-3", "x", ""]))
+@example("0")
+@example("1")
+@example("1.5")
+@example("1e-200")
+def test_flag_outside_its_domain_named_before_reading(domain_dir, command, flag, text):
+    root, inputs = domain_dir
+    with contextlib.chdir(root):
+        _check_flag_text(command, flag, text, inputs)
+
+
+def _check_flag_text(command, flag, text, inputs):
+    rc, err = _run_main(*_command(command, flag, text, ["missing.csv", "missing.csv", "missing.csv"]))
+    assert rc == 1 and "Traceback" not in err, err
+    if _FLAG_DOMAINS[command, flag](text):
+        assert flag not in err
+        return
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, err
+    assert _run_main(*_command(command, flag, text, inputs)) == (rc, err)
 
 
 _CSV_FIELDS = st.floats(-5.0, 5.0).map(repr) | st.sampled_from(["", "x", "nan", "1e400", " 3", "b1"])
