@@ -29,6 +29,7 @@ from .models import (
     MULTISOURCE_KINDS,
     _grid_values,
     _SourceError,
+    _centred,
     _fit,
     _median_sigmas,
     _normalize,
@@ -107,6 +108,10 @@ def _csv_field(value: str) -> str:
 
 def _load_dataset(instance_paths: list[str], targets_path: str | None, multi: bool):
     datasets = [load_bags(p, targets_path) for p in instance_paths]
+    try:  # targets that no fit can centre
+        _centred(datasets[0].targets)
+    except ValueError as exc:
+        raise ValueError(f"{targets_path}: {exc}") from None
     return align_sources(datasets) if multi else datasets[0]
 
 
@@ -147,14 +152,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         with _naming_sources(config["instances"]):
             reports.append(run_protocol(data, kind, test_fraction=config["test_fraction"], trials=config["trials"],
                                         k=config["folds"], seed=config["seed"], grid_options=config["grid"] or None))
-    # written once every kind has run, so that a failed run leaves --out as it was
-    out_dir = Path(config["out"])
-    for report in reports:
-        text = json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":"))
-        _write_text(out_dir / f"report_{report.kind}.json", text + "\n")
-    table = render_table(reports)
-    _write_text(out_dir / "table.txt", table + "\n")
-    _write_text(out_dir / "table.csv", reports_to_csv(reports))
+    # moved into place once every kind has run and every file is whole: a failed run leaves --out as it was
+    out_dir, table = Path(config["out"]), render_table(reports)
+    texts = {f"report_{r.kind}.json": json.dumps(report_to_dict(r), sort_keys=True, separators=(",", ":")) + "\n"
+             for r in reports} | {"table.txt": table + "\n", "table.csv": reports_to_csv(reports)}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with contextlib.ExitStack() as files:
+        for name, text in texts.items():
+            files.enter_context(_atomic_write(out_dir / name)).write(text)
     print(table)
     return 0
 
@@ -165,7 +170,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.kind == "variance-task":
         data = make_variance_task(args.bags, args.bag_size, args.dim, args.seed)
     elif args.kind == "mean-task":
-        data = make_mean_task(args.bags, args.bag_size, args.dim, args.noise, args.seed)
+        try:
+            data = make_mean_task(args.bags, args.bag_size, args.dim, args.noise, args.seed)
+        except ValueError as exc:  # the noise that makes the targets overflow
+            raise ValueError(f"--{exc}") from None
     elif args.kind == "multisource-task":
         data = make_multisource_task(args.bags, seed=args.seed)
     else:  # one pair at a time: the first before --out is created

@@ -484,7 +484,10 @@ def _atomic_write(path: str | Path, newline: str | None = None) -> Iterator[Text
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

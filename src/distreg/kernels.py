@@ -28,31 +28,27 @@ and adds its per-bag sums straight into its own output rows, so no two
 threads write the same memory. A chunk paired with itself computes only the
 bag blocks on and above its diagonal, which are all that the symmetric Gram
 reads (there each block is a run of its own); the upper triangle is then
-mirrored in place.
-So a call holds its S x B x B' outputs plus two tiles, whatever the sigma
-count S and the worker count. These sums are bitwise those of whole-tile
-passes at every worker count: the gemm keeps its shape, the rest is
-elementwise, and ``np.add.reduceat`` sums each segment independently of the
-others. One step, ``_sq_distances``, turns row products into squared distances
-for the engine, ``cross_gram``, the MMD test and ``median_heuristic``; each
-forms its own products (syrk or gemm), which set its bits. The median
-heuristic turns the upper triangle of ``x @ x.T`` into distances a band of
-rows at a time, inside the product's own buffer, and selects the median in
-one partition, bitwise ``np.median`` of those distances. The MMD permutation test never holds the pooled (n+m) x (n+m)
-kernel matrix either: it builds it one block of TILE rows at a time, once per
-batch of up to TILE permutations, so its memory is O(TILE (n+m)). The worker
-threads form a block's row products, ``cross_gram``'s tiles shared out among
-them; cache-sized row slices of the block are then split across the worker
-threads, which turn them into kernel values and compute the row sums and, in
-one call, one matrix-vector product per split while each slice is in cache.
-BLAS itself runs on one thread, and the slices start at multiples of 16 rows,
-so everything is bitwise that of ``cross_gram``'s whole block, whatever the
-worker count. Entry sums rely on numpy's pairwise summation, which keeps the
-double-sum accurate enough for 1e-12 comparisons against naive loops. All
-functions are pure and deterministic; a non-finite value in an input matrix or
-bag raises, and so do rows whose squared distances overflow, on every path. A
-kernel value whose exponent overflows to -inf (a tiny sigma against ordinary
-distances) is exp(-inf) = 0, without a numpy warning.
+mirrored in place. So a call holds its S x B x B' outputs plus two tiles,
+whatever the sigma count S and the worker count. These sums are bitwise
+those of whole-tile passes at every worker count: the gemm keeps its shape,
+the rest is elementwise, and ``np.add.reduceat`` sums each segment
+independently of the others.
+
+``cross_gram`` and the MMD permutation test build kernel values a block of
+TILE rows at a time in one function, ``_kernel_rows``, on the worker
+threads; for the MMD test, each cache-sized row slice also serves one
+matrix-vector product per split, so that test never holds the pooled
+(n+m) x (n+m) kernel matrix. One step, ``_sq_distances``, turns row products
+into squared distances there, in the engine and in ``median_heuristic``;
+each forms its own products (syrk or gemm), which set its bits. The median
+heuristic builds its distances inside its product's own buffer and selects
+the median in one partition, bitwise ``np.median``. Entry sums rely on
+numpy's pairwise summation, which keeps the double-sum accurate enough for
+1e-12 comparisons against naive loops. All functions are pure and
+deterministic; a non-finite value in an input matrix or bag raises, and so
+do rows whose squared distances overflow, on every path. A kernel value
+whose exponent overflows to -inf (a tiny sigma against ordinary distances)
+is exp(-inf) = 0, without a numpy warning.
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _parts, _run_parts
+from . import _run_parts
 from .data import Bag, BagDataset, MultiSourceDataset, _check, canonical_rows, pooled_instances
 
 __all__ = [
@@ -194,21 +190,13 @@ def _sq_distances(a_sq: np.ndarray, b_sq: np.ndarray, ab: np.ndarray, out: np.nd
 
 
 def cross_gram(a: np.ndarray, b: np.ndarray, params: RbfParams) -> np.ndarray:
-    """Full kernel matrix between the rows of ``a`` (n x d) and ``b`` (m x d)."""
+    """Full kernel matrix between the rows of ``a`` (n x d) and ``b`` (m x d),
+    built a block of TILE rows at a time (``_kernel_rows``)."""
     a, b = _check_pair(a, b, ("a", "b"))
-    gamma = params.gamma
     a_sq, b_sq = _row_norms(a, "the rows of a"), _row_norms(b, "the rows of b")
     out = np.empty((a.shape[0], b.shape[0]))
     for i0 in range(0, a.shape[0], TILE):
-        i1 = min(i0 + TILE, a.shape[0])
-        for j0 in range(0, b.shape[0], TILE):
-            j1 = min(j0 + TILE, b.shape[0])
-            buf = a[i0:i1] @ b[j0:j1].T  # syrk on a diagonal tile of cross_gram(x, x)
-            d2 = _sq_distances(a_sq[i0:i1], b_sq[j0:j1], buf, np.empty_like(buf))
-            with np.errstate(over="ignore"):  # -inf, whose exp is 0
-                np.multiply(d2, -gamma, out=buf)
-            out[i0:i1, j0:j1] = np.exp(buf, out=buf)
-            del d2, buf  # before the next tile is allocated
+        _kernel_rows(out[i0 : i0 + TILE], a[i0 : i0 + TILE], b, a_sq[i0 : i0 + TILE], b_sq, params.gamma)
     return out
 
 
@@ -271,17 +259,13 @@ def _band(tile: np.ndarray, r0: int, r1: int, cols: int) -> np.ndarray:
 
 def _add_pair_sums(out: np.ndarray, ca: _Chunk, cb: _Chunk, gammas: Sequence[float], mirror: bool) -> None:
     """Add the per-bag-pair kernel sums between two chunks into
-    ``out[g, ca.bags, cb.bags]`` for each gamma g, from one distance pass.
-
-    The calling thread does the chunk pair's one gemm. The bag row blocks
-    then run on the worker pool in runs of consecutive blocks of about
-    ``_SLICE`` entries; each run works in its own row band of the two tiles
-    and writes only its own output rows. A chunk paired with itself computes
-    only the bag blocks on and above the diagonal, so there each block, which
-    starts at its own bag's column, is a run of one. ``mirror`` marks an
-    off-diagonal chunk pair of a symmetric Gram: a bag cut across both chunks
-    adds its cross-piece sum to its diagonal entry twice, once for each
-    orientation.
+    ``out[g, ca.bags, cb.bags]`` for each gamma g, from one distance pass:
+    the calling thread's gemm, then runs of bag row blocks of about
+    ``_SLICE`` entries on the worker pool, a run per item, each in its own
+    row band of the two tiles. On a chunk paired with itself, each block from
+    the diagonal on is a run of its own. ``mirror`` marks an off-diagonal
+    chunk pair of a symmetric Gram: a bag cut across both chunks adds its
+    cross-piece sum to its diagonal entry twice, once for each orientation.
     """
     prod, dist = _pair_product(ca, cb)
     width = prod.shape[1]
@@ -293,30 +277,29 @@ def _add_pair_sums(out: np.ndarray, ca: _Chunk, cb: _Chunk, gammas: Sequence[flo
             runs.append((lo, hi))
             lo = hi
 
-    def sums(first: int, last: int) -> None:
-        # numpy's error state is per thread, so each task sets its own: a
+    def sums(run: int) -> None:
+        lo, hi = runs[run]
+        j0 = lo if diagonal else 0  # first bag column
+        r0, r1, c0 = ca.starts[lo], ends[hi - 1], cb.starts[j0]
+        d2 = _sq_distances(ca.sq[r0:r1], cb.sq[c0:], prod[r0:r1, c0:], _band(dist, r0, r1, width - c0))
+        scratch = _band(prod, r0, r1, width - c0)  # its products are used up
+        rows = slice(ca.bags.start + lo, ca.bags.start + hi)
+        cols = slice(cb.bags.start + j0, cb.bags.stop)
+        # numpy's error state is per thread, so each item sets its own: a
         # distance times -gamma may overflow to -inf, whose exp is 0
         with np.errstate(over="ignore"):
-            for lo, hi in runs[first:last]:
-                j0 = lo if diagonal else 0  # first bag column
-                r0, r1, c0 = ca.starts[lo], ends[hi - 1], cb.starts[j0]
-                d2 = _sq_distances(ca.sq[r0:r1], cb.sq[c0:], prod[r0:r1, c0:], _band(dist, r0, r1, width - c0))
-                scratch = _band(prod, r0, r1, width - c0)  # its products are used up
-                rows = slice(ca.bags.start + lo, ca.bags.start + hi)
-                cols = slice(cb.bags.start + j0, cb.bags.stop)
-                for total, gamma in zip(out, gammas):
-                    np.multiply(d2, -gamma, out=scratch)
-                    np.exp(scratch, out=scratch)
-                    # reduceat sums each segment on its own, so a run gets the
-                    # bits of a whole tile; sum(axis=0) would round differently
-                    block = np.add.reduceat(scratch, ca.starts[lo:hi] - r0, axis=0)
-                    block = np.add.reduceat(block, cb.starts[j0:] - c0, axis=1)
-                    total[rows, cols] += block
-                    if mirror and rows.stop - 1 == cb.bags.start:
-                        total[cb.bags.start, cb.bags.start] += block[-1, 0]
+            for total, gamma in zip(out, gammas):
+                np.multiply(d2, -gamma, out=scratch)
+                np.exp(scratch, out=scratch)
+                # reduceat sums each segment on its own, so a run gets the
+                # bits of a whole tile; sum(axis=0) would round differently
+                block = np.add.reduceat(scratch, ca.starts[lo:hi] - r0, axis=0)
+                block = np.add.reduceat(block, cb.starts[j0:] - c0, axis=1)
+                total[rows, cols] += block
+                if mirror and rows.stop - 1 == cb.bags.start:
+                    total[cb.bags.start, cb.bags.start] += block[-1, 0]
 
-    entries = [(ends[hi - 1] - ca.starts[lo]) * (width - cb.starts[lo if diagonal else 0]) for lo, hi in runs]
-    _run_parts(sums, _parts(entries))
+    _run_parts(sums, [(ends[hi - 1] - ca.starts[lo]) * (width - cb.starts[lo if diagonal else 0]) for lo, hi in runs])
 
 
 def _bag_sizes(data: BagDataset) -> np.ndarray:
@@ -440,49 +423,46 @@ def _row_slices(rows: int, cols: int) -> list[tuple[int, int]]:
 
 
 def _kernel_rows(
-    block: np.ndarray,
-    sq_rows: np.ndarray,
-    sq: np.ndarray,
-    gamma: float,
-    ax: np.ndarray,
-    gx: np.ndarray,
-    row_sums: np.ndarray | None,
+    block: np.ndarray, a: np.ndarray, b: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray, gamma: float,
+    splits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> None:
-    """Turn ``block``, the row products of some pooled rows (squared norms
-    ``sq_rows``) with every pooled row (``sq``), into kernel values in place;
-    then ``gx[s] = block @ ax[s]`` for every split s and, where given, the
-    block's ``row_sums``.
+    """Write the kernel values between the rows of ``a`` (at most TILE, of
+    squared norms ``a_sq``) and of ``b`` (``b_sq``) into ``block``; given
+    ``splits = (ax, gx, row_sums)``, also ``gx[s] = block @ ax[s]`` for every
+    split s and the block's ``row_sums``.
 
-    Contiguous runs of row slices go to the worker pool. A slice's squared
-    distances are built a band at a time in its run's scratch of at most one
-    tile, then scaled and exponentiated in the block, whose products they
-    have used up, and the slice serves every split while it is in cache. The
-    calling thread allocates the scratches, because memory that a worker
-    thread frees stays in its own allocator arena. Everything but the
-    products is elementwise or a per-row sum, so the block is bitwise
-    ``cross_gram``'s. A slice's split products come from one ``np.matmul``
-    call, without the interpreter lock: numpy's loop calls one BLAS gemv per
-    split with the arguments ``np.dot`` passes, so each rounds as ``np.dot``
-    does. One gemm over all splits would round differently."""
-    slices = _row_slices(*block.shape)
-    cols = block.shape[1]
+    The worker pool forms the row products, a TILE-column tile per item (syrk
+    on a diagonal tile of one array, gemm elsewhere), then turns them into
+    kernel values, a row slice per item, a band at a time through its share's
+    scratch of at most one tile; the slice serves every split while in cache.
+    All but the products is elementwise or a per-row sum, so the bits do not
+    depend on the worker count. A slice's split products come from one
+    ``np.matmul`` call, which makes the BLAS gemv calls ``np.dot`` would make
+    for each split; one gemm over all splits would round differently."""
+    tiles = range(0, b.shape[0], TILE)
+
+    def products(t: int) -> None:
+        cols = slice(tiles[t], tiles[t] + TILE)
+        np.matmul(a, b[cols].T, out=block[:, cols])
+
+    _run_parts(products, [min(TILE, b.shape[0] - j0) for j0 in tiles])
+    slices, cols = _row_slices(*block.shape), block.shape[1]
     band = max(1, min(slices[0][1], TILE * TILE // cols))
-    parts = _parts([r1 - r0 for r0, r1 in slices])
-    scratches = np.empty((len(parts), band, cols))
 
-    def rows(lo: int, hi: int, scratch: np.ndarray) -> None:
+    def kernel(s: int, scratch: np.ndarray) -> None:
+        r0, r1 = slices[s]
         with np.errstate(over="ignore"):  # per thread, as in _add_pair_sums
-            for r0, r1 in slices[lo:hi]:
-                for b0 in range(r0, r1, band):
-                    b1 = min(b0 + band, r1)
-                    d2 = _sq_distances(sq_rows[b0:b1], sq, block[b0:b1], scratch[: b1 - b0])
-                    np.multiply(d2, -gamma, out=block[b0:b1])
-                part = np.exp(block[r0:r1], out=block[r0:r1])
-                if row_sums is not None:
-                    row_sums[r0:r1] = part.sum(axis=1)
-                np.matmul(part, ax[:, :, None], out=gx[:, r0:r1, None])
+            for b0 in range(r0, r1, band):
+                b1 = min(b0 + band, r1)
+                d2 = _sq_distances(a_sq[b0:b1], b_sq, block[b0:b1], scratch[: b1 - b0])
+                np.multiply(d2, -gamma, out=block[b0:b1])
+        part = np.exp(block[r0:r1], out=block[r0:r1])
+        if splits is not None:
+            ax, gx, row_sums = splits
+            row_sums[r0:r1] = part.sum(axis=1)
+            np.matmul(part, ax[:, :, None], out=gx[:, r0:r1, None])
 
-    _run_parts(rows, [(lo, hi, scratch) for (lo, hi), scratch in zip(parts, scratches)])
+    _run_parts(kernel, [r1 - r0 for r0, r1 in slices], lambda: np.empty((band, cols)))
 
 
 def mmd_permutation_test(
@@ -496,13 +476,10 @@ def mmd_permutation_test(
 
     The pooled (n+m) x (n+m) kernel matrix is never held whole. The observed
     split and the permutations are taken in batches of up to TILE; for each
-    batch, the pooled rows are swept in blocks of TILE rows. The worker
-    threads share out a block's row products, ``cross_gram``'s TILE x TILE
-    tiles, then turn row slices of about 1 MB into kernel values and compute,
-    while each is in cache, one matrix-vector product per split of the batch
-    (``_kernel_rows``). The results are bitwise those of
-    ``cross_gram``'s whole-block products, whatever the worker count. Memory
-    is O(TILE (n+m)) whatever P is, and time is
+    batch, the pooled rows are swept in blocks of TILE rows by ``cross_gram``'s
+    ``_kernel_rows``, which also computes one matrix-vector product per split
+    of the batch while each row slice is in cache. The results do not depend
+    on the worker count. Memory is O(TILE (n+m)) whatever P is, and time is
     O((n+m)^2 (d ceil((P+1) / TILE) + P)). The p-value uses the standard
     add-one convention (1 + #{null >= observed}) / (1 + P). Raises ValueError
     where the squared distances of the pooled rows overflow.
@@ -514,18 +491,10 @@ def mmd_permutation_test(
     pooled = np.concatenate([x, y], axis=0)
     sq = _row_norms(pooled, "samples")
     rng = np.random.default_rng(seed)
-    row_sums = np.empty(n + m)  # filled by the first batch's sweep
+    row_sums = np.empty(n + m)
     # split 0 is the observed one, split s > 0 the s-th permutation
     stats = np.empty(n_permutations + 1)
     block = np.empty((min(TILE, n + m), n + m))
-    tiles = [(j0, min(j0 + TILE, n + m)) for j0 in range(0, n + m, TILE)]
-    tile_parts = _parts([j1 - j0 for j0, j1 in tiles])
-
-    def products(i0: int, i1: int, lo: int, hi: int) -> None:
-        for j0, j1 in tiles[lo:hi]:
-            # cross_gram's tile: syrk on a diagonal one, gemm elsewhere
-            np.matmul(pooled[i0:i1], pooled[j0:j1].T, out=block[: i1 - i0, j0:j1])
-
     for s0 in range(0, n_permutations + 1, TILE):
         s1 = min(s0 + TILE, n_permutations + 1)
         ax = np.zeros((s1 - s0, n + m))  # 0/1 membership in sample x, one row per split
@@ -533,10 +502,9 @@ def mmd_permutation_test(
             ax[s - s0, rng.permutation(n + m)[:n] if s else slice(0, n)] = 1.0
         gx = np.empty_like(ax)
         for i0 in range(0, n + m, TILE):
-            i1 = min(i0 + TILE, n + m)
-            _run_parts(products, [(i0, i1, lo, hi) for lo, hi in tile_parts])
-            sums = row_sums[i0:i1] if s0 == 0 else None
-            _kernel_rows(block[: i1 - i0], sq[i0:i1], sq, params.gamma, ax, gx[:, i0:i1], sums)
+            rows = slice(i0, min(i0 + TILE, n + m))
+            splits = (ax, gx[:, rows], row_sums[rows])
+            _kernel_rows(block[: rows.stop - i0], pooled[rows], pooled, sq[rows], sq, params.gamma, splits)
         total = float(row_sums.sum())
         for s, (a, g) in enumerate(zip(ax, gx), start=s0):
             sxx = float(a @ g)

@@ -236,6 +236,17 @@ class FittedModel:
         return len(self.source_dims or _spec(self.kind).dims(self))
 
 
+def _centred(y: np.ndarray) -> tuple[float, np.ndarray]:
+    """The mean of the targets ``y`` and ``y`` minus it; ValueError where either overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ybar = float(y.mean())
+        yc = y - ybar
+    if not np.isfinite(yc).all():
+        cause = "centred values overflow" if np.isfinite(ybar) else "mean overflows"
+        raise ValueError(f"targets too large: their {cause}")
+    return ybar, yc
+
+
 class _Representation:
     """The lambda-independent part of a ridge fit on the training sources
     ``train`` at one hyperparameter point (everything but ``lam``), built
@@ -244,9 +255,7 @@ class _Representation:
 
     def __init__(self, matrix, train, *, explicit=False, lam_floor=0.0):
         self.lam_floor = lam_floor
-        y = train[0].targets
-        self.ybar = float(y.mean())
-        yc = y - self.ybar
+        self.ybar, yc = _centred(train[0].targets)
         # the matrix every solve factorizes: K, or the smaller of Z'Z and ZZ'
         self.back = None
         if explicit and matrix.shape[1] <= matrix.shape[0]:

@@ -9,12 +9,11 @@ error decays like O(D^-1/2). The cos/sin pairs keep everything real and give
 ||z(x)|| = 1 exactly, so dot products are directly comparable to RBF kernel
 values. One basis is shared by all bags.
 
-``bag_feature_sweep`` splits a dataset's bags into contiguous parts of
-near-equal row count, one per worker thread (``DISTREG_THREADS``, at most
-the usable CPUs, or all of them when it is unset or 0), because numpy
-releases the interpreter lock inside the matmul and the cos/sin. Every bag
-goes through the same arithmetic in whichever part it lands and writes only
-its own column, so the result is bitwise independent of the worker count.
+``bag_feature_sweep`` shares a dataset's bags out among the worker threads
+(``DISTREG_THREADS``), because numpy releases the interpreter lock inside the
+matmul and the cos/sin. Every bag goes through the same arithmetic in
+whichever share it lands and writes only its own column, so the result is
+bitwise independent of the worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _parts, _run_parts
+from . import _run_parts
 from .data import Bag, BagDataset, _check, canonical_rows
 
 __all__ = [
@@ -185,15 +184,11 @@ def bag_feature_sweep(data: BagDataset, basis: FourierBasis, n_halvings: int) ->
     # perfbench/tracer.py, which wraps those, sit on one stack for all threads
     xs = [canonical_rows(bag.instances) for bag in data.bags]
     sizes = [x.shape[0] for x in xs]
-    rows = min(_ROW_CHUNK, max(sizes))
 
-    def sweep(lo: int, hi: int, proj: np.ndarray, f: np.ndarray) -> None:
-        for i in range(lo, hi):
-            out[:, i] = _sweep_means(xs[i], basis, n_halvings, proj, f)
+    def sweep(i: int, scratch: tuple[np.ndarray, np.ndarray]) -> None:
+        out[:, i] = _sweep_means(xs[i], basis, n_halvings, *scratch)
 
-    # scratch from this thread: a worker's own allocations come from its
-    # malloc arena, which raised the variance-rff peak RSS by 4.4 MB
-    _run_parts(sweep, [(lo, hi, *_scratch(rows, basis)) for lo, hi in _parts(sizes)])
+    _run_parts(sweep, sizes, lambda: _scratch(min(_ROW_CHUNK, max(sizes)), basis))
     return out
 
 

@@ -63,7 +63,10 @@ def make_mean_task(
         bags.append(Bag(bid, inst))
         targets[i] = inst.mean(axis=0) @ coef + intercept
     if noise > 0:
-        targets = targets + noise * rng.standard_normal(n_bags)
+        with np.errstate(over="ignore"):
+            targets = targets + noise * rng.standard_normal(n_bags)
+        if not np.isfinite(targets).all():
+            raise ValueError(f"noise {noise!r} makes the targets overflow")
     return BagDataset(tuple(bags), targets)
 
 

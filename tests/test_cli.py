@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: run, synth, mmd, fit, predict."""
 
+import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -154,10 +156,14 @@ def test_interrupt_is_one_error_line(tmp_path, variance_files, capsys, monkeypat
         np.savetxt(tmp_path / "y.csv", x[20:], delimiter=",")
         argv = ["mmd", tmp_path / "x.csv", tmp_path / "y.csv", "--sigma", "1"]
         monkeypatch.setattr(kernels, "_SLICE", 16 * 40)  # row slices of 16 rows
-    calls = []
+    calls, sq_distances = [], kernels._sq_distances
 
     def interrupted_on_a_worker(*args):
+        # the calling thread works a share too: it computes as it would, so
+        # that the interrupt comes from a pool thread every time
         calls.append(threading.current_thread().name)
+        if threading.current_thread() is threading.main_thread():
+            return sq_distances(*args)
         raise KeyboardInterrupt
 
     monkeypatch.setattr(kernels, "_sq_distances", interrupted_on_a_worker)
@@ -238,6 +244,71 @@ def test_failed_write_keeps_the_old_file(tmp_path, variance_files, capsys, comma
     assert all((out / name).read_bytes() == b"old bytes\n" for name in names)
 
 
+def test_sigint_to_run_is_one_error_line(tmp_path):
+    # a real SIGINT once the run is working: exit 130, one error line, no
+    # traceback, and every file already in --out keeps its bytes
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run_cli("synth", "--kind", "variance-task", "--out", data) == 0
+    out.mkdir()
+    old = {name: f"old {name}\n".encode() for name in ("report_kdr.json", "table.txt", "notes.txt")}
+    for name, content in old.items():
+        (out / name).write_bytes(content)
+    config = {"instances": [str(data / "instances.csv")], "targets": str(data / "targets.csv"),
+              "models": ["kdr", "rdr"], "trials": 5, "out": str(out)}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    # Python turns SIGINT into KeyboardInterrupt only where its parent left
+    # SIGINT handled, which a shell's background job does not
+    code = "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); " \
+           "from distreg.cli import main; sys.exit(main())"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-c", code, "-v", "run", "--config", str(tmp_path / "config.json")]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env) as proc:
+        lines = []
+        for line in proc.stderr:  # the -v log: its first trial has ended
+            lines.append(line)
+            if line.startswith("INFO distreg.evaluate: kdr trial 0:"):
+                break
+        proc.send_signal(signal.SIGINT)
+        try:
+            err = "".join(lines) + proc.communicate(timeout=120)[1]
+        finally:
+            proc.kill()
+    assert proc.returncode == 130, err
+    assert err.splitlines()[-1] == "error: interrupted" and "Traceback" not in err, err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+
+
+def test_out_that_is_a_directory_named(tmp_path, variance_files, capsys):
+    # the failed move into place names --out, not the temporary file beside it
+    inst, tgt = variance_files
+    out = tmp_path / "adir"
+    (out / "x").mkdir(parents=True)
+    assert run_cli("fit", "--model", "lr", "--instances", inst, "--targets", tgt, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out}'\n"
+    assert os.listdir(out) == ["x"] and sorted(os.listdir(tmp_path)) == ["adir", "data"]
+
+
+@pytest.mark.parametrize("command", ["fit", "run"])
+def test_targets_whose_mean_overflows_named(tmp_path, capsys, command):
+    # finite targets near ±1.2e308, whose mean overflows: one line naming
+    # the targets file, and no numpy warning (the suite makes it an error)
+    data = tmp_path / "data"
+    assert run_cli("synth", "--kind", "mean-task", "--noise", "1e308", "--bags", "4", "--bag-size", "3",
+                   "--out", data) == 0
+    inst, tgt = data / "instances.csv", data / "targets.csv"
+    if command == "fit":
+        argv = ["fit", "--model", "kdr", "--instances", inst, "--targets", tgt, "--out", tmp_path / "model.json"]
+    else:
+        config = {"instances": [str(inst)], "targets": str(tgt), "models": ["kdr"], "trials": 1, "folds": 2,
+                  "out": str(tmp_path / "results")}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = ["run", "--config", tmp_path / "config.json"]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {tgt}: targets too large: their mean overflows\n"
+    assert not (tmp_path / "model.json").exists() and not (tmp_path / "results").exists()
+
+
 def test_model_file_in_missing_directory_named(tmp_path, variance_files, capsys):
     inst, tgt = variance_files
     out = tmp_path / "missing" / "model.json"
@@ -278,6 +349,12 @@ def test_lapack_without_cholesky_named(tmp_path, variance_files, capsys, monkeyp
 
 
 class TestSynth:
+    def test_noise_that_makes_the_targets_overflow_named(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("synth", "--kind", "mean-task", "--noise", "1e308", "--out", out) == 1
+        assert capsys.readouterr().err == "error: --noise 1e+308 makes the targets overflow\n"
+        assert not out.exists()
+
     def test_variance_files_load(self, variance_files):
         data = load_bags(*variance_files)
         assert data.n_bags == 30

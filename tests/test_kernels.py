@@ -118,9 +118,9 @@ class TestCrossGram:
         assert np.max(np.abs(full - tiled)) <= 1e-15
 
     def test_one_tile_alive_at_a_time(self, monkeypatch):
-        # a tile's distance and scratch buffers are freed before the next
-        # tile's are allocated: besides the output, about 3.3 tiles at the
-        # peak, against 5.3 when they are held over (which also slowed the
+        # besides the output, cross_gram's scratch is one distance band per
+        # share of at most a tile: no tile's buffers are held over into the
+        # next (5.3 tiles at the peak when they were, which also slowed the
         # permutation test by page faults)
         tile = 64
         monkeypatch.setattr(kernels, "TILE", tile)
@@ -745,10 +745,10 @@ SLICED = settings(max_examples=25, deadline=None, derandomize=True, database=Non
 
 
 class TestSlicedSplitProducts:
-    """Each kernel block's row slices are shared out among the worker
-    threads, which turn its row products into kernel values and compute the
-    split products; the block and every product are bitwise those of
-    ``cross_gram``'s whole block."""
+    """Each kernel block's column tiles and row slices are shared out among
+    the worker threads, which form its row products, turn them into kernel
+    values and compute the split products; the block and every product are
+    bitwise those of ``cross_gram`` on the same column tiles."""
 
     @SLICED
     @given(
@@ -771,8 +771,9 @@ class TestSlicedSplitProducts:
         rng = np.random.default_rng(seed)
         a, b = rng.standard_normal((rows, 3)), rng.standard_normal((cols, 3))
         params = RbfParams(1.3)
-        want = cross_gram(a, b, params)  # one tile: the gemm a @ b.T
-        block = a @ b.T
+        # one gemm per 16-column tile, as _kernel_rows forms them at TILE = 16
+        want = np.hstack([cross_gram(a, b[j : j + 16], params) for j in range(0, cols, 16)])
+        block = np.empty((rows, cols))
         ax = (rng.random((n_splits, cols)) < 0.5).astype(float)
         gx = np.full((n_splits, cols + rows + 5), np.nan)
         sums = np.full(rows + 4, np.nan)
@@ -783,7 +784,8 @@ class TestSlicedSplitProducts:
             # short; a 16-row tile: distance bands of one to 256 // cols rows
             mp.setattr(kernels, "_SLICE", slice_rows * cols)
             mp.setattr(kernels, "TILE", 16)
-            with_workers(workers, kernels._kernel_rows, block, *norms, params.gamma, ax, out, sums[2 : 2 + rows])
+            splits = (ax, out, sums[2 : 2 + rows])
+            with_workers(workers, kernels._kernel_rows, block, a, b, *norms, params.gamma, splits)
         assert block.tobytes() == want.tobytes()
         assert sums[2 : 2 + rows].tobytes() == want.sum(axis=1).tobytes()
         for a, g in zip(ax, out):

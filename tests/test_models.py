@@ -607,6 +607,19 @@ class TestFitModelValidation:
         with pytest.raises(TypeError):
             fit_model("kdr", MultiSourceDataset((data,)), {"lam": 1e-3, "sigma": 1.0})
 
+    @pytest.mark.parametrize("kind", ["lr", "kdr", "rdr"])
+    @pytest.mark.parametrize(
+        "targets,cause",
+        [([1.2e308, 1.2e308, 0.0], "mean overflows"), ([1.7e308, -1.7e308, -1.7e308], "centred values overflow")],
+        ids=["mean", "centred"],
+    )
+    def test_targets_that_cannot_be_centred_named(self, kind, targets, cause):
+        # finite targets: no numpy warning (the suite makes it an error)
+        rng = np.random.default_rng(36)
+        data = BagDataset(tuple(Bag(f"b{i}", rng.standard_normal((2, 2))) for i in range(3)), np.array(targets))
+        with pytest.raises(ValueError, match=f"^targets too large: their {cause}$"):
+            fit_model(kind, data, HYPERS[kind])
+
     def test_missing_hyper(self):
         rng = np.random.default_rng(35)
         with pytest.raises(ValueError, match="needs hyperparameter 'sigma'"):

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,9 @@ from distreg import (
     load_sample,
     predict_model,
 )
+import distreg.cli as distreg_cli
+import distreg.models as distreg_models
+import distreg.rff as distreg_rff
 from distreg.cli import _load_config, main as cli_main
 from distreg.kernels import _grams
 from distreg.models import _normalize, _spec, _transform
@@ -380,6 +384,50 @@ def test_cli_run_never_raises(cli_data, overrides, grid, models, flags):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         _assert_clean_exit("run", "--config", path, *[f"{flag}={value!r}" for flag, value in flags.items()])
+
+
+# An internal step of ``distreg run`` (its module and name) and the exit
+# status of each error it may raise.
+_STEPS = {"_grams": (distreg_models, "_grams"), "_features": (distreg_rff, "_features"),
+          "_solve_spd": (distreg_models, "_solve_spd"), "write": (distreg_cli, "_atomic_write")}
+_EXIT = {KeyboardInterrupt: 130, MemoryError: 1, ValueError: 1}
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_STEPS)), st.sampled_from(list(_EXIT)), st.integers(1, 3))
+@example("write", ValueError, 3)  # the first two files are whole by then
+@example("_features", KeyboardInterrupt, 2)  # on a worker thread
+@example("_solve_spd", MemoryError, 3)  # the last fit of kdr
+def test_failing_step_is_one_error_line_and_keeps_out(cli_data, step, error, n):
+    # the n-th call of the step raises: one error line, the error's exit
+    # status, and every file already in --out keeps its bytes
+    module, name = _STEPS[step]
+    real, calls, lock = getattr(module, name), [], threading.Lock()
+
+    def failing(*args, **kwargs):
+        with lock:  # _features runs on the worker threads
+            calls.append(len(calls) + 1)
+            if calls[-1] == n:
+                raise error("injected")
+        return real(*args, **kwargs)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        out = Path(tmp) / "out"
+        out.mkdir()
+        old = {f: f"old {f}\n".encode() for f in ("report_kdr.json", "report_rdr.json", "table.txt", "notes.txt")}
+        for f, content in old.items():
+            (out / f).write_bytes(content)
+        config = {"instances": [str(cli_data["one"])], "targets": str(cli_data["targets"]), "models": ["kdr", "rdr"],
+                  "test_fraction": 0.25, "trials": 1, "folds": 2, "out": str(out),
+                  "grid": {"lams": [1e-3], "sigma_scales": [1.0], "n_features": [8]}}
+        (Path(tmp) / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        mp.setattr(module, name, failing)
+        rc, err = _run_main("run", "--config", Path(tmp) / "config.json")
+        assert len(calls) >= n and rc == _EXIT[error], (rc, err)
+        assert "Traceback" not in err and [line for line in err.splitlines() if line.startswith("error:")] == [
+            err.splitlines()[-1]
+        ], err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
 
 
 @CLI_PROPERTY

@@ -47,6 +47,11 @@ class TestMeanTask:
         noisy = make_mean_task(20, 10, 3, noise=0.5, seed=7)
         assert not np.allclose(clean.targets, noisy.targets)
 
+    def test_noise_that_makes_the_targets_overflow_named(self):
+        # no numpy warning: the suite makes it an error
+        with pytest.raises(ValueError, match=r"^noise 1e\+308 makes the targets overflow$"):
+            make_mean_task(80, 30, 4, noise=1e308, seed=0)
+
 
 class TestMultisourceTask:
     def test_structure(self):
