@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python scripts/golden.py OUT
 
-writes 96 files under OUT and prints one ``sha256  path`` line per file,
+writes 105 files under OUT and prints one ``sha256  path`` line per file,
 with paths relative to OUT, sorted, after a first line that names what the
 bytes also depend on: the numpy and scipy versions, numpy's BLAS library and
 version, the LAPACK library and version that the ridge solves call (the one
@@ -34,13 +34,15 @@ The set:
   all nine kinds, with default and with explicit hyperparameters, and for
   ``kdr`` (150 bags of 8 rows) and ``mdr`` (60 two-source bags) on data
   whose pooled rows exceed one tile (``distreg.kernels.TILE``), so that
-  their Grams span several chunks, and for ``kdr`` on 6 bags of 1500 rows,
-  each larger than one tile and so cut into tile-row pieces;
+  their Grams span several chunks, for ``kdr`` on 6 bags of 1500 rows,
+  each larger than one tile and so cut into tile-row pieces, and for ``kdr``
+  and ``mdr`` on 10 bags, two of 2200 rows (cut into three pieces, the last
+  of which shares its chunk with the small bags after it) and eight of 40;
 - the ``grid_search_cv`` table of each of the nine kinds (params, mean and
   fold RMSEs as ``repr``, error text, and the best point) on the 30-bag
-  variance or the 24-bag multisource task, over the kind's default grid
-  plus one point that fails its check, so that a change in the last digit
-  of any cell shows;
+  variance or the 24-bag multisource task, and of ``kdr`` on those 10 bags,
+  over the kind's default grid plus one point that fails its check, so that
+  a change in the last digit of any cell shows;
 - ``distreg mmd`` stdout for the four two-sample gallery scenarios (300
   samples each side), with the median-heuristic sigma and with ``--sigma``,
   and for scenario ``c`` at 700 samples each side with 1100 permutations,
@@ -99,6 +101,30 @@ def _cv_table(path: Path, data, kind: str) -> None:
     ]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"best": result.best, "table": table}, indent=1) + "\n", encoding="utf-8")
+
+
+def _interleaved(out: Path, big: Path, small: Path) -> None:
+    """Write the bags of two ``synth`` outputs as one set under ``out``: each
+    bag of ``big`` (its id prefixed ``big``), then an equal share of the bags
+    of ``small`` (prefixed ``small``), in ``instances.csv`` and ``targets.csv``."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name in ("instances.csv", "targets.csv"):
+        groups = []
+        for prefix, path in (("big", big), ("small", small)):
+            header, *lines = (path / name).read_text(encoding="utf-8").splitlines()
+            bags: dict[str, list[str]] = {}
+            for line in lines:
+                bags.setdefault(line.split(",", 1)[0], []).append(prefix + line)
+            groups.append(list(bags.values()))
+        bigs, smalls = groups
+        share = len(smalls) // len(bigs)
+        rows = [
+            line
+            for i, bag in enumerate(bigs)
+            for part in (bag, *smalls[i * share : (i + 1) * share])
+            for line in part
+        ]
+        (out / name).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
 def write_golden(out: Path) -> list[Path]:
@@ -165,11 +191,23 @@ def write_golden(out: Path) -> list[Path]:
     _cli("synth", "--kind", "multisource-task", "--out", large_multi, "--bags", 60, "--seed", 6)
     _cli("synth", "--kind", "variance-task", "--out", large_bags,
          "--bags", 6, "--bag-size", 1500, "--dim", 2, "--seed", 9)
+    # two sources of bags above two tiles, each followed by small bags
+    cut = []
+    for source, dim in ((1, 2), (2, 1)):
+        parts = [out / "data" / f"cut-bags-{source}-{size}" for size in ("big", "small")]
+        _cli("synth", "--kind", "variance-task", "--out", parts[0],
+             "--bags", 2, "--bag-size", 2200, "--dim", dim, "--seed", 10 + source)
+        _cli("synth", "--kind", "variance-task", "--out", parts[1],
+             "--bags", 8, "--bag-size", 40, "--dim", dim, "--seed", 20 + source)
+        cut.append(out / "data" / f"cut-bags-{source}")
+        _interleaved(cut[-1], *parts)
     for label, kind, instances, targets in (
         ("kdr", "kdr", [large_variance / "instances.csv"], large_variance / "targets.csv"),
         ("mdr", "mdr", [large_multi / "source1_instances.csv", large_multi / "source2_instances.csv"],
          large_multi / "targets.csv"),
         ("kdr-large-bags", "kdr", [large_bags / "instances.csv"], large_bags / "targets.csv"),
+        ("kdr-cut-bags", "kdr", [cut[0] / "instances.csv"], cut[0] / "targets.csv"),
+        ("mdr-cut-bags", "mdr", [c / "instances.csv" for c in cut], cut[0] / "targets.csv"),
     ):
         sources = [arg for path in instances for arg in ("--instances", path)]
         for name, extra in (("default", []), ("explicit", EXPLICIT)):
@@ -179,6 +217,9 @@ def write_golden(out: Path) -> list[Path]:
             _cli("fit", "--model", kind, *sources, "--targets", targets, "--out", model, *extra)
             _cli("predict", "--model-file", model, *sources, "--out", preds)
             files += [model, preds]
+    path = out / "cv" / "kdr-cut-bags.json"
+    _cv_table(path, load_bags(cut[0] / "instances.csv", cut[0] / "targets.csv"), "kdr")
+    files.append(path)
     gallery = out / "data" / "gallery"
     _cli("synth", "--kind", "two-sample-gallery", "--out", gallery, "--samples", 300, "--seed", 7)
     (out / "mmd").mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,6 @@ import logging as _logging
 import os as _os
 import threading as _threading
 from collections.abc import Callable as _Callable, Sequence as _Sequence
-from itertools import accumulate as _accumulate
 
 
 def _configure_threads() -> int:
@@ -99,7 +98,7 @@ def _one_blas_thread(library, path: str) -> None:
     )
 
 
-# Threads of the one worker pool, and the most shares of ``_run_parts``; set by
+# Threads of the one worker pool, and the most threads of a ``_run_parts``; set by
 # ``_workers`` on first use, so that the CLI has configured logging before a
 # warning of ``_configure_threads`` is logged.
 _WORKERS: int | None = None
@@ -137,45 +136,50 @@ if hasattr(_os, "register_at_fork"):
 
 
 def _run_parts(item: _Callable[..., None], sizes: _Sequence[int], scratch: _Callable | None = None) -> None:
-    """Call ``item(i)``, or ``item(i, buffers)`` with one ``scratch()`` per
-    share, for the items i of the given sizes, in at most ``_workers()``
-    contiguous shares of about equal size (an item goes where its middle
-    falls): the calling thread works the first, the worker pool the others.
-    ``scratch`` runs on the calling thread, as a worker's allocations stay in
-    its malloc arena (4.4 MB more peak RSS on variance-rff). After an item
-    raises, or the calling thread gets an exception (KeyboardInterrupt too),
-    each share stops before its next item. Once all have stopped, the calling
-    thread's exception, else the first failing share's, is re-raised.
+    """Call ``item(i)``, or ``item(i, buffers)`` with its thread's
+    ``scratch()``, once for each item i of the given sizes. The calling
+    thread and at most ``_workers() - 1`` pool threads, one per item at most,
+    pull the items from one queue, largest first and equal sizes in index
+    order (Graham's longest-processing-time rule), so no thread idles while
+    another has items left. After an item raises, or the calling thread gets
+    an exception (KeyboardInterrupt too), no thread starts another item.
+    Once all have stopped, the calling thread's exception, else the first
+    failing thread's, is re-raised.
+
+    ``scratch`` runs once per thread on the calling thread, which also frees
+    the buffers before returning: a worker's allocations stay in its malloc
+    arena (4.4 MB more peak RSS on variance-rff).
 
     An item may call numpy but no public function of distreg: the benchmark's
     tracer wraps those and keeps one span stack for all threads. Nor may an
-    item call ``_run_parts``: shares waiting on shares that no free worker can
-    take would deadlock a full pool.
+    item call ``_run_parts``: threads waiting on threads that no free worker
+    can start would deadlock a full pool.
     """
-    total, workers = sum(sizes), _workers()
-    owners = [int(workers * (done + size / 2) / total) for done, size in zip(_accumulate(sizes, initial=0), sizes)]
-    cuts = [i for i in range(1, len(sizes)) if owners[i] != owners[i - 1]]
-    stop = _threading.Event()
+    queue = iter(sorted(range(len(sizes)), key=lambda i: -sizes[i]))
+    pulling, stop = _threading.Lock(), _threading.Event()
 
-    def share(lo: int, hi: int, *buffers) -> None:
+    def pull(thread: int) -> None:
         try:
-            for i in range(lo, hi):
-                if stop.is_set():
+            while not stop.is_set():
+                with pulling:
+                    i = next(queue, None)
+                if i is None:
                     return
-                item(i, *buffers)
+                item(i, *threads[thread])
         except BaseException:
             stop.set()
             raise
 
-    shares = [(lo, hi, *(() if scratch is None else (scratch(),))) for lo, hi in zip([0, *cuts], [*cuts, len(sizes)])]
+    threads = [() if scratch is None else (scratch(),) for _ in range(min(_workers(), len(sizes)))]
     running: list[_futures.Future] = []
-    try:  # an interrupt during the submissions stops the shares submitted so far
-        running.extend(_executor().submit(share, *part) for part in shares[1:])
-        share(*shares[0])
+    try:  # an interrupt during the submissions stops the threads submitted so far
+        running.extend(_executor().submit(pull, thread) for thread in range(1, len(threads)))
+        pull(0)
         _futures.wait(running)
-    finally:  # stops the pool's shares where this thread did not end its own
+    finally:  # stops the pool's threads where this thread did not end its own
         stop.set()
         _futures.wait(running)
+        threads.clear()
     for future in running:
         future.result()
 

@@ -78,12 +78,25 @@ def compute_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
         raise ValueError(f"length mismatch: {y_true.shape[0]} targets vs {y_pred.shape[0]} predictions")
     if y_true.shape[0] == 0:
         raise ValueError("metrics need at least one sample")
-    err = y_pred - y_true
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
+    err, rmse = _errors(y_true, y_pred)
+    with np.errstate(over="ignore"):  # an infinite SS_tot leaves R^2 = 1 - 0
+        ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
     if ss_tot == 0.0:
         raise ValueError("R^2 is undefined: y_true is constant")
     r2 = 1.0 - float(np.sum(err**2)) / ss_tot
-    return Metrics(me=float(err.mean()), rmse=float(np.sqrt(np.mean(err**2))), r2=r2)
+    return Metrics(me=float(err.mean()), rmse=rmse, r2=r2)
+
+
+def _errors(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, float]:
+    """The prediction errors and their root-mean-square. Raises ValueError
+    where the squared errors overflow, instead of reporting an infinite
+    RMSE with numpy's warning."""
+    with np.errstate(over="ignore"):
+        err = np.asarray(y_pred, dtype=float).ravel() - y_true
+        rmse = float(np.sqrt(np.mean(err**2)))
+    if not np.isfinite(rmse):
+        raise ValueError("prediction errors too large: their squares overflow")
+    return err, rmse
 
 
 def kfold_split(n_bags: int, k: int, seed: int) -> list[np.ndarray]:
@@ -201,11 +214,9 @@ def grid_search_cv(
                 if i in errors:
                     continue
                 try:
-                    pred = rep.solve(points[i]["lam"]).predict(m_va)
+                    rmse[i, fi] = _errors(y_val, rep.solve(points[i]["lam"]).predict(m_va))[1]
                 except _CV_ERRORS as exc:
                     fail([i], fi, exc)
-                    continue
-                rmse[i, fi] = float(np.sqrt(np.mean((pred - y_val) ** 2)))
 
     for fi, val_idx in enumerate(folds if members else ()):
         run_fold(fi, val_idx)
@@ -265,8 +276,8 @@ def _protocol_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
     """
     y_true = np.asarray(y_true, dtype=float).ravel()
     if np.all(y_true == y_true[0]):
-        err = np.asarray(y_pred, dtype=float).ravel() - y_true
-        return Metrics(me=float(err.mean()), rmse=float(np.sqrt(np.mean(err**2))), r2=float("nan"))
+        err, rmse = _errors(y_true, y_pred)
+        return Metrics(me=float(err.mean()), rmse=rmse, r2=float("nan"))
     return compute_metrics(y_true, y_pred)
 
 

@@ -10,29 +10,35 @@ embeddings never needs the feature maps explicitly, because
 
     <mu_b, mu_b'> = (1 / (n_b n_b')) sum_i sum_j k(x_i^b, x_j^b').
 
-Every such sum goes through one tile engine, ``_grams``; ``bag_gram``,
-``cross_bag_gram``, ``bag_mean_kernel_entry``, ``multisource_bag_gram`` and
-``mmd_squared`` are its one-sigma calls. Bags are taken in canonical row
-order, a bag of more than TILE rows is cut into TILE-row pieces, and the
-pieces are packed into chunks of at most TILE pooled rows. So no kernel block
-larger than TILE x TILE is ever materialized, and one squared-distance pass
-per chunk pair serves every sigma of a call (cross-validation gets all sigmas
-of a fold this way): only the scaling, ``exp`` and per-bag sums run per
-sigma. The calling thread computes a chunk pair's row products in one gemm,
-into the first of two tiles; the pair's bag row blocks are then shared out,
-in runs of consecutive blocks of about 1 MB of entries, among the package's
-worker threads (``DISTREG_THREADS``). Each run builds its squared distances
-in its own row band of the second tile, then scales, exponentiates and sums
-them at each sigma in its band of the first, whose products it has used up,
-and adds its per-bag sums straight into its own output rows, so no two
-threads write the same memory. A chunk paired with itself computes only the
-bag blocks on and above its diagonal, which are all that the symmetric Gram
-reads (there each block is a run of its own); the upper triangle is then
-mirrored in place. So a call holds its S x B x B' outputs plus two tiles,
-whatever the sigma count S and the worker count. These sums are bitwise
-those of whole-tile passes at every worker count: the gemm keeps its shape,
-the rest is elementwise, and ``np.add.reduceat`` sums each segment
-independently of the others.
+Every such sum goes through one tile engine, ``_grams``, which takes a
+list of Gram jobs; ``bag_gram``, ``cross_bag_gram``, ``bag_mean_kernel_entry``,
+``multisource_bag_gram`` and ``mmd_squared`` are its one-sigma calls, and a
+batch of model states gets every source's Gram and cross Gram from one call.
+Bags are taken in canonical row order, a bag of more than TILE rows is cut
+into TILE-row pieces, and the pieces are packed into chunks of at most TILE
+pooled rows. So no kernel block larger than TILE x TILE is ever
+materialized, and one squared-distance pass per chunk pair serves every
+sigma of a job (cross-validation gets all sigmas of a fold this way): only
+the scaling, ``exp`` and per-bag sums run per sigma.
+
+Every chunk pair of every job is one item of one queue of the package's
+worker threads (``DISTREG_THREADS``), largest first. The thread that pulls a
+pair computes its row products in one gemm, into its product tile; then the
+pair's bag row blocks, in runs of consecutive blocks of about 1 MB of
+entries, one run after the other: each builds its squared distances in the
+thread's distance band, then scales, exponentiates and sums them at each
+sigma in its rows of the product tile, whose products it has used up, and
+adds its per-bag sums straight into its own output entries. A chunk paired
+with itself computes only the bag blocks on and above its diagonal, which
+are all that the symmetric Gram reads (there each block is a run of its
+own); the upper triangle is then mirrored in place. The entries of a bag cut
+across chunks take sums from several pairs: those the pairs return, and
+they are added once the queue is done, in chunk-pair order. So a call holds
+its S x B x B' outputs plus one product tile and one band per thread,
+whatever the sigma count S and the job count, and its sums are bitwise
+those of whole-tile passes in chunk-pair order at every worker count: the
+gemm keeps its shape, the rest is elementwise, and ``np.add.reduceat`` sums
+each segment independently of the others.
 
 ``cross_gram`` and the MMD permutation test build kernel values a block of
 TILE rows at a time in one function, ``_kernel_rows``, on the worker
@@ -208,6 +214,7 @@ class _Chunk:
     starts: np.ndarray  # first row of each piece in ``rows``
     rows: np.ndarray
     sq: np.ndarray  # squared norm of each row
+    cut: tuple[bool, bool]  # whether its first and its last bag have rows in other chunks
 
 
 def _chunks(data: BagDataset) -> list[_Chunk]:
@@ -237,18 +244,19 @@ def _chunks(data: BagDataset) -> list[_Chunk]:
             starts=np.cumsum([0] + [piece.shape[0] for _, piece in group[:-1]]),
             rows=rows,
             sq=_row_norms(rows, "instances"),
+            cut=tuple(data.bags[group[end][0]].n_instances > TILE for end in (0, -1)),
         ))
     return chunks
 
 
-def _pair_product(ca: _Chunk, cb: _Chunk) -> tuple[np.ndarray, np.ndarray]:
-    """The two tiles of a chunk pair: ``ca.rows @ cb.rows.T`` from one gemm,
-    and an uninitialized tile of the same shape."""
+def _pair_product(ca: _Chunk, cb: _Chunk, tile: np.ndarray) -> np.ndarray:
+    """``ca.rows @ cb.rows.T`` from one gemm, in the front of the flat
+    ``tile``."""
     # numpy sends a @ a.T on one array to syrk, which rounds differently from
     # the gemm of every other chunk pair
     b_rows = cb.rows.copy() if cb is ca else cb.rows
-    prod = ca.rows @ b_rows.T
-    return prod, np.empty_like(prod)
+    shape = (ca.rows.shape[0], cb.rows.shape[0])
+    return np.matmul(ca.rows, b_rows.T, out=tile[: shape[0] * shape[1]].reshape(shape))
 
 
 def _band(tile: np.ndarray, r0: int, r1: int, cols: int) -> np.ndarray:
@@ -257,79 +265,159 @@ def _band(tile: np.ndarray, r0: int, r1: int, cols: int) -> np.ndarray:
     return tile[r0:r1].reshape(-1)[: (r1 - r0) * cols].reshape(r1 - r0, cols)
 
 
-def _add_pair_sums(out: np.ndarray, ca: _Chunk, cb: _Chunk, gammas: Sequence[float], mirror: bool) -> None:
+def _run_limit() -> int:
+    """Entries of a run of bag row blocks: ``_SLICE``, and at most an eighth
+    of a tile, so a thread's distance band adds at most that to its product
+    tile (the two agree at the default TILE)."""
+    return min(_SLICE, TILE * TILE // 8)
+
+
+def _runs(ca: _Chunk, cb: _Chunk) -> list[tuple[int, int, int]]:
+    """The runs of bag row blocks of a chunk pair: (lo, hi, j0) for the row
+    blocks [lo, hi) against the bag columns from j0 on, of at most
+    ``_run_limit()`` entries or one block. On a chunk paired with itself,
+    each block from the diagonal on is a run of its own."""
+    width, diagonal, limit = cb.rows.shape[0], cb is ca, _run_limit()
+    ends = np.append(ca.starts[1:], ca.rows.shape[0])
+    runs, lo = [], 0
+    for hi in range(1, len(ends) + 1):
+        if diagonal or hi == len(ends) or (ends[hi] - ca.starts[lo]) * width > limit:
+            runs.append((lo, hi, lo if diagonal else 0))
+            lo = hi
+    return runs
+
+
+def _shared(h: int, w: int, top: int, bottom: int, left: int, right: int) -> list[tuple[slice, slice]]:
+    """The parts of an h x w block outside its rows [top, h - bottom) and
+    columns [left, w - right): its first ``top`` and last ``bottom`` rows,
+    then the first ``left`` and last ``right`` columns of the rows between;
+    the empty ones left out."""
+    rows = slice(top, h - bottom)
+    parts = [(slice(0, top), slice(0, w)), (slice(h - bottom, h), slice(0, w)),
+             (rows, slice(0, left)), (rows, slice(w - right, w))]
+    return [(r, c) for r, c in parts if r.start < r.stop and c.start < c.stop]
+
+
+def _add_pair_sums(
+    out: np.ndarray, ca: _Chunk, cb: _Chunk, gammas: Sequence[float], mirror: bool,
+    tile: np.ndarray, band: np.ndarray,
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Add the per-bag-pair kernel sums between two chunks into
     ``out[g, ca.bags, cb.bags]`` for each gamma g, from one distance pass:
-    the calling thread's gemm, then runs of bag row blocks of about
-    ``_SLICE`` entries on the worker pool, a run per item, each in its own
-    row band of the two tiles. On a chunk paired with itself, each block from
-    the diagonal on is a run of its own. ``mirror`` marks an off-diagonal
-    chunk pair of a symmetric Gram: a bag cut across both chunks adds its
-    cross-piece sum to its diagonal entry twice, once for each orientation.
+    the gemm into ``tile``, then the pair's ``_runs`` in turn, each building
+    its squared distances in ``band`` and scaling, exponentiating and
+    summing them in its rows of the tile, whose products it has used up.
+
+    The entries of a bag cut across chunks are sums over several chunk
+    pairs, which must be added in pair order to keep their bits: those are
+    returned as (part of ``out``, values) to add instead. ``mirror`` marks an
+    off-diagonal chunk pair of a symmetric Gram: a bag cut across both chunks
+    adds its cross-piece sum to its diagonal entry twice, once for each
+    orientation.
     """
-    prod, dist = _pair_product(ca, cb)
+    prod = _pair_product(ca, cb, tile)
     width = prod.shape[1]
     ends = np.append(ca.starts[1:], ca.rows.shape[0])
-    diagonal = cb is ca
-    runs, lo = [], 0  # [lo, hi) of blocks
-    for hi in range(1, len(ends) + 1):
-        if diagonal or hi == len(ends) or (ends[hi] - ca.starts[lo]) * width > _SLICE:
-            runs.append((lo, hi))
-            lo = hi
-
-    def sums(run: int) -> None:
-        lo, hi = runs[run]
-        j0 = lo if diagonal else 0  # first bag column
-        r0, r1, c0 = ca.starts[lo], ends[hi - 1], cb.starts[j0]
-        d2 = _sq_distances(ca.sq[r0:r1], cb.sq[c0:], prod[r0:r1, c0:], _band(dist, r0, r1, width - c0))
-        scratch = _band(prod, r0, r1, width - c0)  # its products are used up
-        rows = slice(ca.bags.start + lo, ca.bags.start + hi)
-        cols = slice(cb.bags.start + j0, cb.bags.stop)
-        # numpy's error state is per thread, so each item sets its own: a
-        # distance times -gamma may overflow to -inf, whose exp is 0
-        with np.errstate(over="ignore"):
-            for total, gamma in zip(out, gammas):
+    deferred = []
+    # numpy's error state is per thread, so each item sets its own: a
+    # distance times -gamma may overflow to -inf, whose exp is 0
+    with np.errstate(over="ignore"):
+        for lo, hi, j0 in _runs(ca, cb):
+            r0, r1, c0 = ca.starts[lo], ends[hi - 1], cb.starts[j0]
+            d2 = band[: (r1 - r0) * (width - c0)].reshape(r1 - r0, width - c0)
+            d2 = _sq_distances(ca.sq[r0:r1], cb.sq[c0:], prod[r0:r1, c0:], d2)
+            scratch = _band(prod, r0, r1, width - c0)  # its products are used up
+            rows = slice(ca.bags.start + lo, ca.bags.start + hi)
+            cols = slice(cb.bags.start + j0, cb.bags.stop)
+            # the first and last row and column of the block where they are a bag cut across chunks
+            h, w = hi - lo, cols.stop - cols.start
+            top, left = int(lo == 0 and ca.cut[0]), int(j0 == 0 and cb.cut[0])
+            bottom, right = int(hi == len(ends) and ca.cut[1] and h > top), int(cb.cut[1] and w > left)
+            inner = (slice(top, h - bottom), slice(left, w - right))
+            own = out[:, rows, cols][:, inner[0], inner[1]]
+            parts = [(r, c, np.empty((len(gammas), r.stop - r.start, c.stop - c.start)))
+                     for r, c in _shared(h, w, top, bottom, left, right)]
+            corner = np.empty((len(gammas), 1, 1)) if mirror and rows.stop - 1 == cb.bags.start else None
+            for g, gamma in enumerate(gammas):
                 np.multiply(d2, -gamma, out=scratch)
                 np.exp(scratch, out=scratch)
                 # reduceat sums each segment on its own, so a run gets the
                 # bits of a whole tile; sum(axis=0) would round differently
                 block = np.add.reduceat(scratch, ca.starts[lo:hi] - r0, axis=0)
                 block = np.add.reduceat(block, cb.starts[j0:] - c0, axis=1)
-                total[rows, cols] += block
-                if mirror and rows.stop - 1 == cb.bags.start:
-                    total[cb.bags.start, cb.bags.start] += block[-1, 0]
-
-    _run_parts(sums, [(ends[hi - 1] - ca.starts[lo]) * (width - cb.starts[lo if diagonal else 0]) for lo, hi in runs])
+                own[g] += block[inner]
+                for r, c, values in parts:
+                    values[g] = block[r, c]
+                if corner is not None:
+                    corner[g] = block[-1, 0]
+            deferred += [(out[:, rows, cols][:, r, c], values) for r, c, values in parts]
+            if corner is not None:
+                k = slice(cb.bags.start, cb.bags.start + 1)
+                deferred.append((out[:, k, k], corner))
+    return deferred
 
 
 def _bag_sizes(data: BagDataset) -> np.ndarray:
     return np.array([b.n_instances for b in data.bags], dtype=float)
 
 
-def _grams(a: BagDataset, b: BagDataset | None, gammas: Sequence[float]) -> np.ndarray:
-    """Bag Gram values of ``a`` against ``b``, or against itself when ``b``
-    is None, at each gamma: one (gammas, bags of a, bags of b) array, from
-    one distance pass per chunk pair. Beside the output, the scratch is two
-    tiles, whatever the number of gammas and of worker threads."""
-    symmetric, b = b is None, a if b is None else b
-    if a.dim != b.dim:
-        raise ValueError(f"feature dimension mismatch: test d={a.dim}, train d={b.dim}")
-    chunks_a = _chunks(a)
-    chunks_b = chunks_a if symmetric else _chunks(b)
-    out = np.zeros((len(gammas), a.n_bags, b.n_bags))
-    for ia, ca in enumerate(chunks_a):
-        for cb in chunks_b[ia:] if symmetric else chunks_b:
-            _add_pair_sums(out, ca, cb, gammas, mirror=symmetric and cb is not ca)
-    # row by row and sigma by sigma: one row of scratch, never a B x B one
-    sizes_b = _bag_sizes(b)
-    for i, n_i in enumerate(_bag_sizes(a)):
-        scale = n_i * sizes_b  # row i of np.outer(sizes_a, sizes_b)
-        for total in out:
-            if symmetric:
-                # the upper triangle holds every sum; mirror it for exact symmetry
-                total[i + 1 :, i] = total[i, i + 1 :]
-            total[i] /= scale
-    return out
+def _grams(jobs: Sequence[tuple[BagDataset, BagDataset | None, Sequence[float]]]) -> list[np.ndarray]:
+    """For each job ``(a, b, gammas)``, the bag Gram values of ``a`` against
+    ``b``, or against itself when ``b`` is None, at each gamma: one (gammas,
+    bags of a, bags of b) array, from one distance pass per chunk pair.
+
+    Every chunk pair of every job is one item of one ``_run_parts`` queue,
+    largest first. Beside the outputs, the scratch is one product tile and
+    one distance band per thread, whatever the number of gammas and of
+    jobs. The sums a pair returns (those of bags cut across chunks) are
+    added once the queue is done, in the order of the pairs.
+    """
+    pairs, outs = [], []
+    for a, b, gammas in jobs:
+        symmetric, b = b is None, a if b is None else b
+        if a.dim != b.dim:
+            raise ValueError(f"feature dimension mismatch: test d={a.dim}, train d={b.dim}")
+        chunks_a = _chunks(a)
+        chunks_b = chunks_a if symmetric else _chunks(b)
+        outs.append(np.zeros((len(gammas), a.n_bags, b.n_bags)))
+        for ia, ca in enumerate(chunks_a):
+            for cb in chunks_b[ia:] if symmetric else chunks_b:
+                pairs.append((outs[-1], ca, cb, gammas, symmetric and cb is not ca))
+    sizes = [ca.rows.shape[0] * cb.rows.shape[0] for _, ca, cb, *_ in pairs]
+    # a run is at most _run_limit() entries, or one bag block where that is larger
+    tallest = min(TILE, max(bag.n_instances for a, _, _ in jobs for bag in a.bags))
+    band = min(max(sizes), max(_run_limit(), tallest * TILE))
+    deferred: list = [None] * len(pairs)
+
+    def item(p: int, scratch: tuple[np.ndarray, np.ndarray]) -> None:
+        deferred[p] = _add_pair_sums(*pairs[p], *scratch)
+
+    def scratch() -> tuple[np.ndarray, np.ndarray]:
+        # Freed below the buffers, an eighth of a tile takes the small blocks
+        # numpy allocates while they are in use. Carved from the heap above
+        # them, those would keep the buffers' memory from going back to the
+        # top of the heap, where a later large buffer such as the median
+        # heuristic's reuses it (18 MB more peak RSS on multisource).
+        below = np.empty(max(sizes) // 8)
+        buffers = np.empty(max(sizes)), np.empty(band)
+        del below
+        return buffers
+
+    _run_parts(item, sizes, scratch)
+    for adds in deferred:
+        for part, values in adds:
+            part += values
+    for (a, b, _), out in zip(jobs, outs):
+        # row by row and sigma by sigma: one row of scratch, never a B x B one
+        symmetric, sizes_b = b is None, _bag_sizes(a if b is None else b)
+        for i, n_i in enumerate(_bag_sizes(a)):
+            scale = n_i * sizes_b  # row i of np.outer(sizes_a, sizes_b)
+            for total in out:
+                if symmetric:
+                    # the upper triangle holds every sum; mirror it for exact symmetry
+                    total[i + 1 :, i] = total[i, i + 1 :]
+                total[i] /= scale
+    return outs
 
 
 def bag_mean_kernel_entry(bag_b: Bag, bag_bp: Bag, params: RbfParams) -> float:
@@ -337,8 +425,8 @@ def bag_mean_kernel_entry(bag_b: Bag, bag_bp: Bag, params: RbfParams) -> float:
 
     Returns (1 / (n_b n_b')) sum_i sum_j k(x_i, x_j').
     """
-    (entry,) = _grams(BagDataset((bag_b,), [0.0]), BagDataset((bag_bp,), [0.0]), (params.gamma,))
-    return float(entry[0, 0])
+    (entry,) = _grams([(BagDataset((bag_b,), [0.0]), BagDataset((bag_bp,), [0.0]), (params.gamma,))])
+    return float(entry[0, 0, 0])
 
 
 def bag_gram(data: BagDataset, params: RbfParams) -> BagGram:
@@ -348,7 +436,7 @@ def bag_gram(data: BagDataset, params: RbfParams) -> BagGram:
     mirrored), with entries in (0, 1] and positive semidefinite up to
     round-off.
     """
-    return BagGram(_grams(data, None, (params.gamma,))[0])
+    return BagGram(_grams([(data, None, (params.gamma,))])[0][0])
 
 
 def cross_bag_gram(
@@ -359,7 +447,7 @@ def cross_bag_gram(
     Entry (t, b) is (1 / (m_t n_b)) sum_l sum_i k(x_l^t, x_i^b); predictions of
     a dual model are this matrix times its coefficient vector.
     """
-    return _grams(test, train, (params.gamma,))[0]
+    return _grams([(test, train, (params.gamma,))])[0][0]
 
 
 def multisource_bag_gram(
@@ -371,7 +459,8 @@ def multisource_bag_gram(
             f"need one RbfParams per source: got {len(params)} for "
             f"{data.n_sources} sources"
         )
-    return BagGram(sum(_grams(src, None, (p.gamma,))[0] for src, p in zip(data.sources, params)))
+    grams = _grams([(src, None, (p.gamma,)) for src, p in zip(data.sources, params)])
+    return BagGram(sum(gram[0] for gram in grams))
 
 
 def mmd_squared(

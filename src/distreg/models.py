@@ -303,15 +303,18 @@ def _centred_means(m: FittedModel, sources) -> np.ndarray:
 def _summed_grams(sources: Callable[[FittedModel], tuple[BagDataset, ...]]):
     """The hook of dual ridge on the sum over sources of the bag
     mean-embedding Grams against the training sources ``sources(state)``.
-    Each source's Grams and cross Grams at every sigma of the batch come
-    from one squared-distance pass per tile; the per-source matrices are
-    summed in source order."""
+    Every source's Gram and cross Gram at every sigma of the batch come from
+    one ``_grams`` call, with one squared-distance pass per tile; the
+    per-source matrices are summed in source order."""
 
     def matrices(states, train, test):
         fitted_on = sources(states[0])
         gammas = [list(dict.fromkeys(m.kernel_params[f].gamma for m in states)) for f in range(len(fitted_on))]
-        grams = None if train is None else [_grams(s, None, g) for s, g in zip(fitted_on, gammas)]
-        crosses = None if test is None else [_grams(t, s, g) for t, s, g in zip(test, fitted_on, gammas)]
+        jobs = [] if train is None else [(s, None, g) for s, g in zip(fitted_on, gammas)]
+        jobs += [] if test is None else [(t, s, g) for t, s, g in zip(test, fitted_on, gammas)]
+        values = _grams(jobs)
+        grams = None if train is None else values[: len(fitted_on)]
+        crosses = None if test is None else values[-len(fitted_on) :]
         out = []
         for m in states:
             at = [g.index(p.gamma) for g, p in zip(gammas, m.kernel_params)]

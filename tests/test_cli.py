@@ -149,21 +149,24 @@ def test_interrupt_is_one_error_line(tmp_path, variance_files, capsys, monkeypat
     if command == "fit":
         argv = ["fit", "--model", "kdr", "--instances", inst, "--targets", tgt, "--sigma", "1",
                 "--out", tmp_path / "model.json"]
-        monkeypatch.setattr(kernels, "_SLICE", 64)  # bag row blocks in several parts
+        monkeypatch.setattr(kernels, "TILE", 64)  # 240 rows in 4 chunks: 10 chunk pairs
     else:
         x = np.random.default_rng(3).standard_normal((40, 2))
         np.savetxt(tmp_path / "x.csv", x[:20], delimiter=",")
         np.savetxt(tmp_path / "y.csv", x[20:], delimiter=",")
         argv = ["mmd", tmp_path / "x.csv", tmp_path / "y.csv", "--sigma", "1"]
         monkeypatch.setattr(kernels, "_SLICE", 16 * 40)  # row slices of 16 rows
-    calls, sq_distances = [], kernels._sq_distances
+    calls, sq_distances, pool_in = [], kernels._sq_distances, threading.Event()
 
     def interrupted_on_a_worker(*args):
-        # the calling thread works a share too: it computes as it would, so
-        # that the interrupt comes from a pool thread every time
+        # the calling thread pulls items too: it computes as it would once a
+        # pool thread has pulled one, so that the interrupt comes from a pool
+        # thread every time
         calls.append(threading.current_thread().name)
         if threading.current_thread() is threading.main_thread():
+            assert pool_in.wait(10)
             return sq_distances(*args)
+        pool_in.set()
         raise KeyboardInterrupt
 
     monkeypatch.setattr(kernels, "_sq_distances", interrupted_on_a_worker)
@@ -307,6 +310,31 @@ def test_targets_whose_mean_overflows_named(tmp_path, capsys, command):
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err == f"error: {tgt}: targets too large: their mean overflows\n"
     assert not (tmp_path / "model.json").exists() and not (tmp_path / "results").exists()
+
+
+def test_run_whose_squared_errors_overflow_is_one_error_line(tmp_path, capsys):
+    # finite targets near ±1e200, whose mean and centred values are finite
+    # but whose squared prediction errors overflow: every CV cell fails with
+    # that reason, the run ends with one error line, and --out keeps its files
+    data, out = tmp_path / "data", tmp_path / "results"
+    out.mkdir()
+    (out / "table.txt").write_bytes(b"old table\n")
+    config = {"instances": [str(data / "instances.csv")], "targets": str(data / "targets.csv"),
+              "models": ["lr", "kdr"], "trials": 1, "folds": 2, "out": str(out),
+              "grid": {"lams": [1e-3, 1.0], "sigma_scales": [1.0], "n_features": [8]}}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("synth", "--kind", "mean-task", "--noise", "1e200", "--bags", "20", "--bag-size", "3",
+                       "--out", data) == 0
+        capsys.readouterr()
+        assert run_cli("run", "--config", tmp_path / "config.json") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        "error: all 2 grid points failed cross-validation; first failure: "
+        "fold 0: prediction errors too large: their squares overflow"
+    ] == err[-1:]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {"table.txt": b"old table\n"}
 
 
 def test_model_file_in_missing_directory_named(tmp_path, variance_files, capsys):

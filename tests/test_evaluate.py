@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from distreg import (
     run_protocol,
     split_train_test,
 )
-from conftest import random_dataset
+from conftest import random_dataset, with_workers
 
 
 def normalized(data):
@@ -82,6 +84,25 @@ class TestComputeMetrics:
     def test_constant_targets_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             compute_metrics([2.0, 2.0], [1.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "metrics,y_true",
+        [(compute_metrics, [1e200, -2e200, 3e200]), (evaluate._protocol_metrics, [1e200, -2e200, 3e200]),
+         (evaluate._protocol_metrics, [1e200, 1e200, 1e200])],
+        ids=["compute", "protocol", "protocol-constant"],
+    )
+    def test_overflowing_squared_errors_named(self, metrics, y_true):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^prediction errors too large: their squares overflow$"):
+                metrics(np.array(y_true), -np.array(y_true))
+
+    def test_targets_whose_squares_overflow_keep_r2_finite(self):
+        # SS_tot overflows to inf while the squared errors do not: R^2 is 1 - 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = compute_metrics([1e160, -2e160, 3e160], [1e160 + 1e150, -2e160, 3e160])
+        assert m.r2 == 1.0 and m.rmse == pytest.approx(np.sqrt(1e300 / 3), rel=1e-5)
 
 
 class TestKfoldSplit:
@@ -242,6 +263,59 @@ class TestGridSearch:
         data = random_dataset(rng, 10)
         with pytest.raises(RuntimeError, match="all 1 grid points failed"):
             grid_search_cv(data, "kdr", [{"lam": 1e-3, "sigma": -1.0}], k=2, seed=0)
+
+    def test_failing_pair_item_fails_every_point_on_its_fold(self, monkeypatch):
+        # a chunk pair of fold 1's one Gram queue raises on a pool thread:
+        # every point's cell names that fold, and the search fails
+        import distreg.kernels as kernels
+        import distreg.models as models
+
+        grams, add_pair_sums, folds, pool_in = models._grams, kernels._add_pair_sums, [], threading.Event()
+
+        def fold_queue(jobs):
+            folds.append(len(folds))
+            return grams(jobs)
+
+        def failing_on_fold_1(*args):
+            # the calling thread computes its pairs once a pool thread has pulled one
+            if folds[-1] == 1 and threading.current_thread() is threading.main_thread():
+                assert pool_in.wait(10)
+            elif folds[-1] == 1:
+                pool_in.set()
+                raise ValueError("injected pair failure")
+            return add_pair_sums(*args)
+
+        monkeypatch.setattr(models, "_grams", fold_queue)
+        monkeypatch.setattr(kernels, "_add_pair_sums", failing_on_fold_1)
+        monkeypatch.setattr(kernels, "TILE", 16)  # several chunk pairs per fold
+        data = random_dataset(np.random.default_rng(17), 24)
+        grid = default_grid("kdr", data, lams=[1e-2, 1.0], sigma_scales=[0.5, 1.0])
+        with pytest.raises(RuntimeError) as caught:
+            with_workers(2, grid_search_cv, data, "kdr", grid, k=3, seed=0)
+        assert str(caught.value) == (
+            f"all {len(grid)} grid points failed cross-validation; first failure: fold 1: injected pair failure"
+        )
+        assert pool_in.is_set() and folds == [0, 1, 2]
+
+    def test_ill_conditioned_lambda_excluded_alone(self, monkeypatch):
+        import distreg.models as models
+
+        solve = models._solve_spd
+
+        def refusing(matrix, rhs, lam):
+            if lam == 1e-2:
+                raise models.IllConditionedError("injected: no factorization")
+            return solve(matrix, rhs, lam)
+
+        monkeypatch.setattr(models, "_solve_spd", refusing)
+        data = random_dataset(np.random.default_rng(18), 12)
+        grid = default_grid("kdr", data, lams=[1e-4, 1e-2, 1.0], sigma_scales=[1.0, 2.0])
+        result = grid_search_cv(data, "kdr", grid, k=3, seed=0)
+        failed = [cell for cell in result.table if cell.error is not None]
+        assert [cell.params["lam"] for cell in failed] == [1e-2, 1e-2]
+        assert all(cell.error == "fold 0: injected: no factorization" and cell.fold_rmse is None for cell in failed)
+        assert all(len(cell.fold_rmse) == 3 for cell in result.table if cell.params["lam"] != 1e-2)
+        assert result.best["lam"] != 1e-2
 
     def test_empty_grid_rejected(self):
         rng = np.random.default_rng(8)
@@ -432,9 +506,9 @@ class TestGridSearch:
         calls = []
         original = kernels._pair_product
 
-        def spy(ca, cb):
+        def spy(ca, cb, tile):
             calls.append((ca.rows.shape[0], cb.rows.shape[0]))
-            return original(ca, cb)
+            return original(ca, cb, tile)
 
         monkeypatch.setattr(kernels, "_pair_product", spy)
         rng = np.random.default_rng(14)

@@ -119,7 +119,7 @@ class TestCrossGram:
 
     def test_one_tile_alive_at_a_time(self, monkeypatch):
         # besides the output, cross_gram's scratch is one distance band per
-        # share of at most a tile: no tile's buffers are held over into the
+        # thread of at most a tile: no tile's buffers are held over into the
         # next (5.3 tiles at the peak when they were, which also slowed the
         # permutation test by page faults)
         tile = 64
@@ -259,8 +259,8 @@ class TestSigmaSweep:
         train = self.ragged(rng, [5, 1, 9, 3, 2, 4, 1, 7])
         test = self.ragged(rng, [2, 6, 1, 3, 4], prefix="t")
         sigmas = [0.3, 0.75, 1.0, 2.4, 7.0]
-        grams = kernels._grams(train, None, [RbfParams(s).gamma for s in sigmas])
-        crosses = kernels._grams(test, train, [RbfParams(s).gamma for s in sigmas])
+        grams = kernels._grams([(train, None, [RbfParams(s).gamma for s in sigmas])])[0]
+        crosses = kernels._grams([(test, train, [RbfParams(s).gamma for s in sigmas])])[0]
         for sigma, gram, cross in zip(sigmas, grams, crosses):
             assert np.array_equal(gram, kernels.bag_gram(train, RbfParams(sigma)).values)
             assert np.array_equal(cross, kernels.cross_bag_gram(test, train, RbfParams(sigma)))
@@ -277,24 +277,29 @@ class TestSigmaSweep:
             assert np.array_equal(cross_gram(a, b, RbfParams(sigma)), np.exp(d2))
 
     @staticmethod
-    def whole_tile_pair_sums(out, ca, cb, gammas, mirror):
+    def whole_tile_pair_sums(out, ca, cb, gammas, mirror, *scratch):
         """Reference form of ``kernels._add_pair_sums``: scale and ``exp``
         over the whole tile at each gamma, then two ``reduceat`` passes,
         whose block is added to the output, and its transpose too on an
-        off-diagonal chunk pair of a symmetric Gram."""
+        off-diagonal chunk pair of a symmetric Gram. It returns every add,
+        so ``_grams`` makes them all in chunk-pair order, one pair after the
+        other as a serial loop would."""
         b_rows = cb.rows.copy() if cb is ca else cb.rows
         d2 = np.add.outer(ca.sq, cb.sq)
         buf = ca.rows @ b_rows.T
         buf *= 2.0
         d2 -= buf
         np.maximum(d2, 0.0, out=d2)
-        for total, gamma in zip(out, gammas):
+        blocks = []
+        for gamma in gammas:
             np.multiply(d2, -gamma, out=buf)
             tile = np.exp(buf, out=buf)
-            block = np.add.reduceat(np.add.reduceat(tile, ca.starts, axis=0), cb.starts, axis=1)
-            total[ca.bags, cb.bags] += block
-            if mirror:
-                total[cb.bags, ca.bags] += block.T
+            blocks.append(np.add.reduceat(np.add.reduceat(tile, ca.starts, axis=0), cb.starts, axis=1))
+        blocks = np.stack(blocks)
+        adds = [(out[:, ca.bags, cb.bags], blocks)]
+        if mirror:
+            adds.append((out[:, cb.bags, ca.bags], blocks.transpose(0, 2, 1)))
+        return adds
 
     @pytest.mark.parametrize(
         "tile,sizes,test_sizes",
@@ -312,12 +317,13 @@ class TestSigmaSweep:
         train = self.ragged(rng, sizes)
         test = self.ragged(rng, test_sizes, prefix="t")
         gammas = [RbfParams(s).gamma for s in (0.3, 0.5, 0.75, 1.0, 1.6, 2.4, 7.0)]
-        grams = kernels._grams(train, None, gammas)
-        crosses = kernels._grams(test, train, gammas)
+        jobs = [(train, None, gammas), (test, train, gammas)]
+        grams, crosses = kernels._grams(jobs)
         monkeypatch.setattr(kernels, "_add_pair_sums", self.whole_tile_pair_sums)
-        for got, want in zip(grams, kernels._grams(train, None, gammas)):
+        want_grams, want_crosses = kernels._grams(jobs)
+        for got, want in zip(grams, want_grams):
             assert np.array_equal(got, want)
-        for got, want in zip(crosses, kernels._grams(test, train, gammas)):
+        for got, want in zip(crosses, want_crosses):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("tile", [4, 1024])
@@ -353,10 +359,10 @@ class TestSigmaSweep:
         counts = []
         for gammas in ([0.7], np.linspace(0.1, 2.0, 7)):
             entries.clear()
-            kernels._grams(train, None, gammas)
+            kernels._grams([(train, None, gammas)])
             counts.append(sum(entries))
             entries.clear()
-            kernels._grams(test, train, gammas)
+            kernels._grams([(test, train, gammas)])
             counts.append(sum(entries))
         assert counts == [want_gram, want_cross, 7 * want_gram, 7 * want_cross]
 
@@ -371,9 +377,9 @@ class TestSigmaSweep:
         calls = []
         original = kernels._pair_product
 
-        def spy(ca, cb):
+        def spy(ca, cb, tile):
             calls.append(ca.rows.shape[0])
-            return original(ca, cb)
+            return original(ca, cb, tile)
 
         monkeypatch.setattr(kernels, "_pair_product", spy)
         train = self.ragged(np.random.default_rng(43), sizes)
@@ -381,10 +387,10 @@ class TestSigmaSweep:
         counts = []
         for n_sigmas in (1, 7):
             calls.clear()
-            kernels._grams(train, None, np.linspace(0.1, 2.0, n_sigmas))
+            kernels._grams([(train, None, np.linspace(0.1, 2.0, n_sigmas))])
             counts.append(len(calls))
             calls.clear()
-            kernels._grams(test, train, np.linspace(0.1, 2.0, n_sigmas))
+            kernels._grams([(test, train, np.linspace(0.1, 2.0, n_sigmas))])
             counts.append(len(calls))
         n_train, n_test = len(kernels._chunks(train)), len(kernels._chunks(test))
         assert counts == [n_train * (n_train + 1) // 2, n_test * n_train] * 2
@@ -646,7 +652,8 @@ class TestBlockedMmdTest:
 class TestGramMemory:
     """The tile engine holds its outputs, one copy of the pooled rows and a
     few tiles, whatever the sigma count and the worker count: no scratch
-    grows with S, and the pooled row blocks share the two tiles."""
+    grows with S, and each thread pulling chunk pairs has one product tile
+    and a distance band of at most an eighth of a tile."""
 
     @settings(max_examples=6, deadline=None, derandomize=True, database=None)
     @given(
@@ -684,7 +691,7 @@ class TestGramMemory:
         gammas = list(np.linspace(0.1, 2.0, n_sigmas))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "TILE", tile)
-            peak = with_workers(workers, traced_peak, kernels._grams, a, b, gammas)
+            peak = with_workers(workers, traced_peak, kernels._grams, [(a, b, gammas)])
         rows = sum(bag.n_instances for ds in (a, b) if ds is not None for bag in ds.bags)
         outputs = 8 * n_sigmas * n_a * n_b
         # per-bag slack: each bag's piece, its squared norms and its share of
@@ -703,9 +710,10 @@ def ragged_bag_sets(draw):
 
 
 class TestPooledRowBlocks:
-    """The bag row blocks of each chunk pair run on the worker pool in runs
-    of about ``_SLICE`` entries, each in its own row band of the two tiles;
-    the Grams are the same bytes at every worker count and run length."""
+    """The chunk pairs of one queue run on the worker pool, each pair's bag
+    row blocks in runs of about ``_SLICE`` entries through its thread's
+    distance band; the Grams are the same bytes at every worker count and
+    run length."""
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
@@ -731,7 +739,7 @@ class TestPooledRowBlocks:
 
         def grams():
             # the symmetric Gram mirrors cut bags across chunk pairs; the cross one does not
-            return kernels._grams(train, None, gammas).tobytes() + kernels._grams(test, train, gammas).tobytes()
+            return b"".join(gram.tobytes() for gram in kernels._grams([(train, None, gammas), (test, train, gammas)]))
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "TILE", tile)

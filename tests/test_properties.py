@@ -97,10 +97,10 @@ def test_invariant_to_instance_order(pair, sigmas, data):
         rows = [data.draw(st.permutations(range(b.n_instances))) for b in ds.bags]
         shuffled.append(_reorder(ds, range(ds.n_bags), rows))
     gammas = _gammas(sigmas)
-    for want, got in zip(_grams(train, None, gammas), _grams(shuffled[0], None, gammas)):
+    for want, got in zip(_grams([(train, None, gammas)])[0], _grams([(shuffled[0], None, gammas)])[0]):
         assert np.array_equal(want, got)
     for want, got in zip(
-        _grams(test, train, gammas), _grams(shuffled[1], shuffled[0], gammas)
+        _grams([(test, train, gammas)])[0], _grams([(shuffled[1], shuffled[0], gammas)])[0]
     ):
         assert np.array_equal(want, got)
 
@@ -119,13 +119,13 @@ def test_permutes_with_bag_order(pair, sigmas, data):
     idx = np.arange(len(p))
     kept = (np.subtract.outer(idx, idx) >= 0) == (np.subtract.outer(p, p) >= 0)
     moved_train = _reorder(train, p)
-    for want, got in zip(_grams(train, None, gammas), _grams(moved_train, None, gammas)):
+    for want, got in zip(_grams([(train, None, gammas)])[0], _grams([(moved_train, None, gammas)])[0]):
         want = want[np.ix_(p, p)]
         assert np.array_equal(want[kept], got[kept])
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-300)
     for want, got in zip(
-        _grams(test, train, gammas),
-        _grams(_reorder(test, q), moved_train, gammas),
+        _grams([(test, train, gammas)])[0],
+        _grams([(_reorder(test, q), moved_train, gammas)])[0],
     ):
         assert np.array_equal(want[np.ix_(q, p)], got)
 
@@ -136,7 +136,7 @@ def test_matches_loop_oracle(pair, sigmas):
     train, test = pair
     gammas = _gammas(sigmas)
     for sigma, gram, cross in zip(
-        sigmas, _grams(train, None, gammas), _grams(test, train, gammas)
+        sigmas, *_grams([(train, None, gammas), (test, train, gammas)])
     ):
         assert np.max(np.abs(gram - oracle_bag_gram(train, sigma))) <= 1e-12
         assert np.max(np.abs(cross - oracle_cross_bag_gram(test, train, sigma))) <= 1e-12
