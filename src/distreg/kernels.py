@@ -21,24 +21,29 @@ materialized, and one squared-distance pass per chunk pair serves every
 sigma of a job (cross-validation gets all sigmas of a fold this way): only
 the scaling, ``exp`` and per-bag sums run per sigma.
 
-Every chunk pair of every job is one item of one queue of the package's
-worker threads (``DISTREG_THREADS``), largest first. The thread that pulls a
-pair computes its row products in one gemm, into its product tile; then the
-pair's bag row blocks, in runs of consecutive blocks of about 1 MB of
-entries, one run after the other: each builds its squared distances in the
-thread's distance band, then scales, exponentiates and sums them at each
-sigma in its rows of the product tile, whose products it has used up, and
-adds its per-bag sums straight into its own output entries. A chunk paired
-with itself computes only the bag blocks on and above its diagonal, which
-are all that the symmetric Gram reads (there each block is a run of its
-own); the upper triangle is then mirrored in place. The entries of a bag cut
-across chunks take sums from several pairs: those the pairs return, and
-they are added once the queue is done, in chunk-pair order. So a call holds
-its S x B x B' outputs plus one product tile and one band per thread,
-whatever the sigma count S and the job count, and its sums are bitwise
-those of whole-tile passes in chunk-pair order at every worker count: the
-gemm keeps its shape, the rest is elementwise, and ``np.add.reduceat`` sums
-each segment independently of the others.
+Every pair of chunk groups of every job is one item of one queue of the
+package's worker threads (``DISTREG_THREADS``), largest first. A chunk group
+is a run of consecutive chunks joined by a bag cut across them, and any
+other chunk is a group of its own, so where no bag is cut an item is one
+chunk pair. The thread that pulls an item takes its chunk pairs in
+chunk-pair order. Each computes its row products in one gemm, into the
+thread's product tile; then its bag row blocks, in runs of consecutive
+blocks of about 1 MB of entries, one run after the other: each builds its
+squared distances in the thread's distance band, then scales,
+exponentiates and sums them at each sigma in its rows of the product tile,
+whose products it has used up, and adds its per-bag sums straight into the
+outputs. A chunk paired with itself computes only the bag blocks on and
+above its diagonal, which are all that the symmetric Gram reads (there each
+block is a run of its own); the upper triangle is then mirrored in place.
+No two items add into one output entry. So a call holds its S x B x B'
+outputs plus one product tile and one band per thread, sized by the largest
+chunk pair, whatever the sigma count S and the job count, and its sums are
+bitwise those of whole-tile passes in chunk-pair order at every worker
+count: the gemm keeps its shape, the rest is elementwise, and
+``np.add.reduceat`` sums each segment independently of the others. The
+price is that the chunk pairs of one item never run at once: a single
+entry of two large bags runs on one thread, which is why ``mmd_squared``
+queues its three entries together.
 
 ``cross_gram`` and the MMD permutation test build kernel values a block of
 TILE rows at a time in one function, ``_kernel_rows``, on the worker
@@ -214,7 +219,6 @@ class _Chunk:
     starts: np.ndarray  # first row of each piece in ``rows``
     rows: np.ndarray
     sq: np.ndarray  # squared norm of each row
-    cut: tuple[bool, bool]  # whether its first and its last bag have rows in other chunks
 
 
 def _chunks(data: BagDataset) -> list[_Chunk]:
@@ -244,9 +248,15 @@ def _chunks(data: BagDataset) -> list[_Chunk]:
             starts=np.cumsum([0] + [piece.shape[0] for _, piece in group[:-1]]),
             rows=rows,
             sq=_row_norms(rows, "instances"),
-            cut=tuple(data.bags[group[end][0]].n_instances > TILE for end in (0, -1)),
         ))
     return chunks
+
+
+def _chunk_groups(chunks: list[_Chunk]) -> list[range]:
+    """The runs of consecutive chunks joined by a bag cut across them; a
+    chunk with no cut bag is a group of its own. No two groups share a bag."""
+    firsts = [k for k, c in enumerate(chunks) if k == 0 or c.bags.start != chunks[k - 1].bags.stop - 1]
+    return [range(k, end) for k, end in zip(firsts, firsts[1:] + [len(chunks)])]
 
 
 def _pair_product(ca: _Chunk, cb: _Chunk, tile: np.ndarray) -> np.ndarray:
@@ -272,12 +282,13 @@ def _run_limit() -> int:
     return min(_SLICE, TILE * TILE // 8)
 
 
-def _runs(ca: _Chunk, cb: _Chunk) -> list[tuple[int, int, int]]:
+def _runs(ca: _Chunk, cb: _Chunk, diagonal: bool) -> list[tuple[int, int, int]]:
     """The runs of bag row blocks of a chunk pair: (lo, hi, j0) for the row
     blocks [lo, hi) against the bag columns from j0 on, of at most
-    ``_run_limit()`` entries or one block. On a chunk paired with itself,
-    each block from the diagonal on is a run of its own."""
-    width, diagonal, limit = cb.rows.shape[0], cb is ca, _run_limit()
+    ``_run_limit()`` entries or one block. On a ``diagonal`` pair, a chunk
+    paired with itself in a symmetric Gram, each block from the diagonal on
+    is a run of its own."""
+    width, limit = cb.rows.shape[0], _run_limit()
     ends = np.append(ca.starts[1:], ca.rows.shape[0])
     runs, lo = [], 0
     for hi in range(1, len(ends) + 1):
@@ -287,57 +298,34 @@ def _runs(ca: _Chunk, cb: _Chunk) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _shared(h: int, w: int, top: int, bottom: int, left: int, right: int) -> list[tuple[slice, slice]]:
-    """The parts of an h x w block outside its rows [top, h - bottom) and
-    columns [left, w - right): its first ``top`` and last ``bottom`` rows,
-    then the first ``left`` and last ``right`` columns of the rows between;
-    the empty ones left out."""
-    rows = slice(top, h - bottom)
-    parts = [(slice(0, top), slice(0, w)), (slice(h - bottom, h), slice(0, w)),
-             (rows, slice(0, left)), (rows, slice(w - right, w))]
-    return [(r, c) for r, c in parts if r.start < r.stop and c.start < c.stop]
-
-
 def _add_pair_sums(
-    out: np.ndarray, ca: _Chunk, cb: _Chunk, gammas: Sequence[float], mirror: bool,
+    out: np.ndarray, ca: _Chunk, cb: _Chunk, gammas: Sequence[float], diagonal: bool, mirror: bool,
     tile: np.ndarray, band: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> None:
     """Add the per-bag-pair kernel sums between two chunks into
     ``out[g, ca.bags, cb.bags]`` for each gamma g, from one distance pass:
     the gemm into ``tile``, then the pair's ``_runs`` in turn, each building
     its squared distances in ``band`` and scaling, exponentiating and
     summing them in its rows of the tile, whose products it has used up.
 
-    The entries of a bag cut across chunks are sums over several chunk
-    pairs, which must be added in pair order to keep their bits: those are
-    returned as (part of ``out``, values) to add instead. ``mirror`` marks an
-    off-diagonal chunk pair of a symmetric Gram: a bag cut across both chunks
-    adds its cross-piece sum to its diagonal entry twice, once for each
-    orientation.
+    ``mirror`` marks an off-diagonal chunk pair of a symmetric Gram: a bag
+    cut across both chunks adds its cross-piece sum to its diagonal entry
+    twice, once for each orientation.
     """
     prod = _pair_product(ca, cb, tile)
     width = prod.shape[1]
     ends = np.append(ca.starts[1:], ca.rows.shape[0])
-    deferred = []
     # numpy's error state is per thread, so each item sets its own: a
     # distance times -gamma may overflow to -inf, whose exp is 0
     with np.errstate(over="ignore"):
-        for lo, hi, j0 in _runs(ca, cb):
+        for lo, hi, j0 in _runs(ca, cb, diagonal):
             r0, r1, c0 = ca.starts[lo], ends[hi - 1], cb.starts[j0]
             d2 = band[: (r1 - r0) * (width - c0)].reshape(r1 - r0, width - c0)
             d2 = _sq_distances(ca.sq[r0:r1], cb.sq[c0:], prod[r0:r1, c0:], d2)
             scratch = _band(prod, r0, r1, width - c0)  # its products are used up
             rows = slice(ca.bags.start + lo, ca.bags.start + hi)
-            cols = slice(cb.bags.start + j0, cb.bags.stop)
-            # the first and last row and column of the block where they are a bag cut across chunks
-            h, w = hi - lo, cols.stop - cols.start
-            top, left = int(lo == 0 and ca.cut[0]), int(j0 == 0 and cb.cut[0])
-            bottom, right = int(hi == len(ends) and ca.cut[1] and h > top), int(cb.cut[1] and w > left)
-            inner = (slice(top, h - bottom), slice(left, w - right))
-            own = out[:, rows, cols][:, inner[0], inner[1]]
-            parts = [(r, c, np.empty((len(gammas), r.stop - r.start, c.stop - c.start)))
-                     for r, c in _shared(h, w, top, bottom, left, right)]
-            corner = np.empty((len(gammas), 1, 1)) if mirror and rows.stop - 1 == cb.bags.start else None
+            own = out[:, rows, cb.bags.start + j0 : cb.bags.stop]
+            corner = mirror and rows.stop - 1 == cb.bags.start
             for g, gamma in enumerate(gammas):
                 np.multiply(d2, -gamma, out=scratch)
                 np.exp(scratch, out=scratch)
@@ -345,20 +333,20 @@ def _add_pair_sums(
                 # bits of a whole tile; sum(axis=0) would round differently
                 block = np.add.reduceat(scratch, ca.starts[lo:hi] - r0, axis=0)
                 block = np.add.reduceat(block, cb.starts[j0:] - c0, axis=1)
-                own[g] += block[inner]
-                for r, c, values in parts:
-                    values[g] = block[r, c]
-                if corner is not None:
-                    corner[g] = block[-1, 0]
-            deferred += [(out[:, rows, cols][:, r, c], values) for r, c, values in parts]
-            if corner is not None:
-                k = slice(cb.bags.start, cb.bags.start + 1)
-                deferred.append((out[:, k, k], corner))
-    return deferred
+                own[g] += block
+                if corner:
+                    own[g, -1, 0] += block[-1, 0]
 
 
 def _bag_sizes(data: BagDataset) -> np.ndarray:
     return np.array([b.n_instances for b in data.bags], dtype=float)
+
+
+def _chunk_pairs(group_a: range, group_b: range, symmetric: bool):
+    """The chunk pairs (ia, ib) of a pair of chunk groups, in chunk-pair
+    order; in a symmetric Gram only those with ib >= ia."""
+    for ia in group_a:
+        yield from ((ia, ib) for ib in range(max(ia, group_b.start) if symmetric else group_b.start, group_b.stop))
 
 
 def _grams(jobs: Sequence[tuple[BagDataset, BagDataset | None, Sequence[float]]]) -> list[np.ndarray]:
@@ -366,31 +354,41 @@ def _grams(jobs: Sequence[tuple[BagDataset, BagDataset | None, Sequence[float]]]
     ``b``, or against itself when ``b`` is None, at each gamma: one (gammas,
     bags of a, bags of b) array, from one distance pass per chunk pair.
 
-    Every chunk pair of every job is one item of one ``_run_parts`` queue,
-    largest first. Beside the outputs, the scratch is one product tile and
-    one distance band per thread, whatever the number of gammas and of
-    jobs. The sums a pair returns (those of bags cut across chunks) are
-    added once the queue is done, in the order of the pairs.
+    Each dataset is cut into chunks once per call. Every pair of chunk
+    groups of every job is one item of one ``_run_parts`` queue, largest
+    first, and its thread runs the group pair's chunk pairs in chunk-pair
+    order. No other item adds into its output entries, so each entry gets
+    its sums in that order at every worker count. Beside the outputs, the
+    scratch is one product tile and one distance band per thread, sized by
+    the largest chunk pair, whatever the number of gammas and of jobs.
     """
-    pairs, outs = [], []
+    chunked: dict[int, list[_Chunk]] = {}
+    items, sizes, outs, largest = [], [], [], 0
     for a, b, gammas in jobs:
         symmetric, b = b is None, a if b is None else b
         if a.dim != b.dim:
             raise ValueError(f"feature dimension mismatch: test d={a.dim}, train d={b.dim}")
-        chunks_a = _chunks(a)
-        chunks_b = chunks_a if symmetric else _chunks(b)
+        for data in (a, b):
+            if id(data) not in chunked:
+                chunked[id(data)] = _chunks(data)
+        chunks_a, chunks_b = chunked[id(a)], chunked[id(b)]
         outs.append(np.zeros((len(gammas), a.n_bags, b.n_bags)))
-        for ia, ca in enumerate(chunks_a):
-            for cb in chunks_b[ia:] if symmetric else chunks_b:
-                pairs.append((outs[-1], ca, cb, gammas, symmetric and cb is not ca))
-    sizes = [ca.rows.shape[0] * cb.rows.shape[0] for _, ca, cb, *_ in pairs]
+        height_a, height_b = [c.rows.shape[0] for c in chunks_a], [c.rows.shape[0] for c in chunks_b]
+        largest = max(largest, max(height_a) * max(height_b))
+        groups_b = _chunk_groups(chunks_b)
+        for ga, group_a in enumerate(_chunk_groups(chunks_a)):
+            for group_b in groups_b[ga:] if symmetric else groups_b:
+                items.append((outs[-1], chunks_a, group_a, chunks_b, group_b, gammas, symmetric))
+                sizes.append(sum(height_a[ia] * height_b[ib] for ia, ib in _chunk_pairs(group_a, group_b, symmetric)))
     # a run is at most _run_limit() entries, or one bag block where that is larger
     tallest = min(TILE, max(bag.n_instances for a, _, _ in jobs for bag in a.bags))
-    band = min(max(sizes), max(_run_limit(), tallest * TILE))
-    deferred: list = [None] * len(pairs)
+    band = min(largest, max(_run_limit(), tallest * TILE))
 
-    def item(p: int, scratch: tuple[np.ndarray, np.ndarray]) -> None:
-        deferred[p] = _add_pair_sums(*pairs[p], *scratch)
+    def item(i: int, scratch: tuple[np.ndarray, np.ndarray]) -> None:
+        out, chunks_a, group_a, chunks_b, group_b, gammas, symmetric = items[i]
+        for ia, ib in _chunk_pairs(group_a, group_b, symmetric):
+            diagonal = symmetric and ia == ib
+            _add_pair_sums(out, chunks_a[ia], chunks_b[ib], gammas, diagonal, symmetric and not diagonal, *scratch)
 
     def scratch() -> tuple[np.ndarray, np.ndarray]:
         # Freed below the buffers, an eighth of a tile takes the small blocks
@@ -398,15 +396,12 @@ def _grams(jobs: Sequence[tuple[BagDataset, BagDataset | None, Sequence[float]]]
         # them, those would keep the buffers' memory from going back to the
         # top of the heap, where a later large buffer such as the median
         # heuristic's reuses it (18 MB more peak RSS on multisource).
-        below = np.empty(max(sizes) // 8)
-        buffers = np.empty(max(sizes)), np.empty(band)
+        below = np.empty(largest // 8)
+        buffers = np.empty(largest), np.empty(band)
         del below
         return buffers
 
     _run_parts(item, sizes, scratch)
-    for adds in deferred:
-        for part, values in adds:
-            part += values
     for (a, b, _), out in zip(jobs, outs):
         # row by row and sigma by sigma: one row of scratch, never a B x B one
         symmetric, sizes_b = b is None, _bag_sizes(a if b is None else b)
@@ -475,8 +470,10 @@ def mmd_squared(
     the row order of either sample, and ``mmd_squared(x, x)`` is exactly 0.
     """
     x, y = _check_pair(sample_x, sample_y, ("sample_x", "sample_y"))
-    x, y = Bag("sample_x", x), Bag("sample_y", y)
-    kxx, kyy, kxy = (bag_mean_kernel_entry(a, b, params) for a, b in ((x, x), (y, y), (x, y)))
+    x, y = (BagDataset((Bag(name, s),), [0.0]) for name, s in (("sample_x", x), ("sample_y", y)))
+    g = (params.gamma,)
+    # the three entries share one queue
+    kxx, kyy, kxy = (float(k[0, 0, 0]) for k in _grams([(x, x, g), (y, y, g), (x, y, g)]))
     value = kxx + kyy - 2.0 * kxy
     return 0.0 if -1e-12 <= value < 0.0 else value
 
@@ -522,8 +519,9 @@ def _kernel_rows(
 
     The worker pool forms the row products, a TILE-column tile per item (syrk
     on a diagonal tile of one array, gemm elsewhere), then turns them into
-    kernel values, a row slice per item, a band at a time through its share's
-    scratch of at most one tile; the slice serves every split while in cache.
+    kernel values, a row slice per item, a band at a time through the pulling
+    thread's scratch of at most one tile; the slice serves every split while
+    in cache.
     All but the products is elementwise or a per-row sum, so the bits do not
     depend on the worker count. A slice's split products come from one
     ``np.matmul`` call, which makes the BLAS gemv calls ``np.dot`` would make

@@ -283,7 +283,7 @@ class TestGridSearch:
             elif folds[-1] == 1:
                 pool_in.set()
                 raise ValueError("injected pair failure")
-            return add_pair_sums(*args)
+            add_pair_sums(*args)
 
         monkeypatch.setattr(models, "_grams", fold_queue)
         monkeypatch.setattr(kernels, "_add_pair_sums", failing_on_fold_1)

@@ -2,8 +2,8 @@
 thread and the pool threads pull the items from one queue, largest first;
 after a failing item or an interrupt of the calling thread, no thread starts
 another item, and the call returns only once they all have stopped. And the
-tile engine's one queue of chunk pairs (``kernels._grams``) gives the same
-bytes whichever thread pulls which pair, in whichever order."""
+tile engine's one queue of pairs of chunk groups (``kernels._grams``) gives
+the same bytes whichever thread pulls which item, in whichever order."""
 
 import threading
 import types
@@ -125,7 +125,7 @@ def test_one_scratch_per_pulling_thread(n_items):
 
 def reversed_pulls(item, sizes, scratch=None):
     """``_run_parts`` on the calling thread with the items in reverse index
-    order: the chunk pairs of a ``_grams`` queue last pair first."""
+    order: the pairs of chunk groups of a ``_grams`` queue last first."""
     buffers = () if scratch is None else (scratch(),)
     for i in reversed(range(len(sizes))):
         item(i, *buffers)
@@ -145,7 +145,7 @@ def cut_bag_sets(draw):
 def test_grams_same_bytes_whichever_thread_pulls_which_pair(sets, n_sigmas, dim, seed):
     # the sums of a bag cut across chunks are added in chunk-pair order
     # whichever thread computed them: at 1 and 2 workers, and with the
-    # pairs of the one queue of both Grams pulled last first
+    # items of the one queue of both Grams pulled last first
     tile, sizes, test_sizes = sets
     rng = np.random.default_rng(seed)
 
