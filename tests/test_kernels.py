@@ -978,7 +978,7 @@ class TestMedianHeuristic:
             got = median_heuristic(x, max_points=max_points, seed=seed)
             assert got == triu_median_heuristic(x, max_points=max_points, seed=seed)
 
-    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         k=st.integers(2, 2600),
         d=st.integers(1, 8),
