@@ -10,7 +10,7 @@ baselines, an evaluation protocol, and a CLI are included.
 
 from __future__ import annotations
 
-import concurrent.futures as _futures
+import functools as _functools
 import logging as _logging
 import os as _os
 import threading as _threading
@@ -21,8 +21,8 @@ def _configure_threads() -> int:
     """Workers of ``_run_parts``: DISTREG_THREADS, never more than the usable
     CPUs; 0, empty or unset gives every usable CPU, and so does any other
     value that is not a count, with a warning. BLAS is not sized by it: it
-    runs on one thread at every setting (``_one_blas_thread``). Called once,
-    by ``_workers``."""
+    runs on one thread at every setting (``_one_blas_thread``). Read once,
+    through ``_workers``."""
     if hasattr(_os, "sched_getaffinity"):
         cpus = len(_os.sched_getaffinity(0))
     else:  # no affinity masks on this platform
@@ -98,90 +98,63 @@ def _one_blas_thread(library, path: str) -> None:
     )
 
 
-# Threads of the one worker pool, and the most threads of a ``_run_parts``; set by
-# ``_workers`` on first use, so that the CLI has configured logging before a
-# warning of ``_configure_threads`` is logged.
-_WORKERS: int | None = None
-
-
-def _workers() -> int:
-    global _WORKERS
-    if _WORKERS is None:
-        _WORKERS = _configure_threads()
-    return _WORKERS
-
-
-_pool: _futures.ThreadPoolExecutor | None = None
-_pool_lock = _threading.Lock()
-
-
-def _executor() -> _futures.ThreadPoolExecutor:
-    """The process's worker pool, created on first use with ``_workers()``
-    threads (``concurrent.futures`` imports its thread module only then)."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = _futures.ThreadPoolExecutor(max_workers=_workers(), thread_name_prefix="distreg")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has none of the parent's threads: it starts its own pool
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, _threading.Lock()
-
-
-if hasattr(_os, "register_at_fork"):
-    _os.register_at_fork(after_in_child=_forget_pool)
+# The most threads of a ``_run_parts``, read on first use, so that the CLI has
+# configured logging before a warning of ``_configure_threads`` is logged.
+_workers = _functools.cache(_configure_threads)
 
 
 def _run_parts(item: _Callable[..., None], sizes: _Sequence[int], scratch: _Callable | None = None) -> None:
     """Call ``item(i)``, or ``item(i, buffers)`` with its thread's
     ``scratch()``, once for each item i of the given sizes. The calling
-    thread and at most ``_workers() - 1`` pool threads, one per item at most,
-    pull the items from one queue, largest first and equal sizes in index
-    order (Graham's longest-processing-time rule), so no thread idles while
-    another has items left. After an item raises, or the calling thread gets
-    an exception (KeyboardInterrupt too), no thread starts another item.
-    Once all have stopped, the calling thread's exception, else the first
-    failing thread's, is re-raised.
+    thread and at most ``_workers() - 1`` threads that this call starts, one
+    per item at most, pull the items from one queue, largest first and equal
+    sizes in index order (Graham's longest-processing-time rule), so no
+    thread idles while another has items left. After an item raises, or the
+    calling thread gets an exception (KeyboardInterrupt too), no thread
+    starts another item. The started threads are joined before the call
+    returns or raises; the calling thread's exception, else the first
+    failing thread's, is raised.
 
     ``scratch`` runs once per thread on the calling thread, which also frees
     the buffers before returning: a worker's allocations stay in its malloc
     arena (4.4 MB more peak RSS on variance-rff).
 
     An item may call numpy but no public function of distreg: the benchmark's
-    tracer wraps those and keeps one span stack for all threads. Nor may an
-    item call ``_run_parts``: threads waiting on threads that no free worker
-    can start would deadlock a full pool.
+    tracer wraps those and keeps one span stack for all threads.
     """
     queue = iter(sorted(range(len(sizes)), key=lambda i: -sizes[i]))
     pulling, stop = _threading.Lock(), _threading.Event()
+    failures: list[BaseException] = []
 
-    def pull(thread: int) -> None:
+    def pull(buffers: tuple, failed: list | None = None) -> None:
         try:
             while not stop.is_set():
                 with pulling:
                     i = next(queue, None)
                 if i is None:
                     return
-                item(i, *threads[thread])
-        except BaseException:
+                item(i, *buffers)
+        except BaseException as error:
             stop.set()
-            raise
+            if failed is None:
+                raise
+            failed.append(error)  # raised by the calling thread, so never printed by a thread
 
-    threads = [() if scratch is None else (scratch(),) for _ in range(min(_workers(), len(sizes)))]
-    running: list[_futures.Future] = []
-    try:  # an interrupt during the submissions stops the threads submitted so far
-        running.extend(_executor().submit(pull, thread) for thread in range(1, len(threads)))
-        pull(0)
-        _futures.wait(running)
-    finally:  # stops the pool's threads where this thread did not end its own
+    scratches = [() if scratch is None else (scratch(),) for _ in range(min(_workers(), len(sizes)))]
+    started: list[_threading.Thread] = []
+    try:  # an interrupt while threads start stops the ones started so far
+        for n in range(1, len(scratches)):
+            thread = _threading.Thread(target=pull, args=(scratches[n], failures), name=f"distreg_{n}")
+            thread.start()
+            started.append(thread)
+        pull(scratches[0])
+    finally:
         stop.set()
-        _futures.wait(running)
-        threads.clear()
-    for future in running:
-        future.result()
+        for thread in started:
+            thread.join()
+        scratches.clear()
+    if failures:
+        raise failures[0]
 
 
 # numpy's BLAS; the first ridge solve pins scipy's, whose LAPACK it calls

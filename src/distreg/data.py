@@ -17,6 +17,8 @@ import json
 import math
 import numbers
 import os
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
@@ -437,9 +439,9 @@ def load_bags(instances_path: str | Path, targets_path: str | Path | None = None
     set to 0.0.
     """
     inst_path = Path(instances_path)
-    rows: dict[str, list[list[float]]] = {}
+    rows: defaultdict[str, array] = defaultdict(lambda: array("d"))  # each bag's numbers, row after row
     for _, bag_id, values in _rows(inst_path, "bag_id,f1,...,fd"):
-        rows.setdefault(bag_id, []).append(values)
+        rows[bag_id].extend(values)
     if not rows:
         raise DataFormatError(f"{inst_path}: no bags (file has no instance rows)")
 
@@ -455,17 +457,21 @@ def load_bags(instances_path: str | Path, targets_path: str | Path | None = None
             if bid not in targets:
                 raise DataFormatError(f"{targets_path}: missing target for bag {bid!r}")
 
-    bags = tuple(Bag(bid, np.asarray(values, dtype=float)) for bid, values in rows.items())
-    return BagDataset(bags, np.asarray([targets[bid] for bid in rows], dtype=float))
+    ids, d = list(rows), len(values)  # every record has the header's width
+    # each bag's numbers are freed once its array is made: the peak is about the arrays
+    bags = tuple(Bag(bid, np.frombuffer(rows.pop(bid)).reshape(-1, d).copy()) for bid in ids)
+    return BagDataset(bags, np.asarray([targets[bid] for bid in ids], dtype=float))
 
 
 def load_sample(path: str | Path) -> np.ndarray:
     """The (n, d) sample in a headerless numeric CSV, as ``distreg mmd``
     reads it: one instance per line; ``#`` comments and blank lines are skipped."""
-    values = [row for _, _, row in _rows(path, None)]
+    values = array("d")
+    for _, _, row in _rows(path, None):
+        values.extend(row)
     if not values:
         raise DataFormatError(f"{path}: empty sample")
-    return np.asarray(values, dtype=float)
+    return np.frombuffer(values).reshape(-1, len(row))  # a view: a copy would double the peak
 
 
 @contextlib.contextmanager

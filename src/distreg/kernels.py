@@ -21,8 +21,9 @@ materialized, and one squared-distance pass per chunk pair serves every
 sigma of a job (cross-validation gets all sigmas of a fold this way): only
 the scaling, ``exp`` and per-bag sums run per sigma.
 
-Every pair of chunk groups of every job is one item of one queue of the
-package's worker threads (``DISTREG_THREADS``), largest first. A chunk group
+Every pair of chunk groups of every job is one item of one queue of
+``_run_parts``, which runs them on the calling thread and the threads it
+starts (at most ``DISTREG_THREADS``), largest first. A chunk group
 is a run of consecutive chunks joined by a bag cut across them, and any
 other chunk is a group of its own, so where no bag is cut an item is one
 chunk pair. The thread that pulls an item takes its chunk pairs in
@@ -517,11 +518,11 @@ def _kernel_rows(
     ``splits = (ax, gx, row_sums)``, also ``gx[s] = block @ ax[s]`` for every
     split s and the block's ``row_sums``.
 
-    The worker pool forms the row products, a TILE-column tile per item (syrk
-    on a diagonal tile of one array, gemm elsewhere), then turns them into
-    kernel values, a row slice per item, a band at a time through the pulling
-    thread's scratch of at most one tile; the slice serves every split while
-    in cache.
+    The calling thread and the threads that ``_run_parts`` starts form the
+    row products, a TILE-column tile per item (syrk on a diagonal tile of one
+    array, gemm elsewhere), then turn them into kernel values, a row slice
+    per item, a band at a time through the pulling thread's scratch of at
+    most one tile; the slice serves every split while in cache.
     All but the products is elementwise or a per-row sum, so the bits do not
     depend on the worker count. A slice's split products come from one
     ``np.matmul`` call, which makes the BLAS gemv calls ``np.dot`` would make

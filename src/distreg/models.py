@@ -173,7 +173,8 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RidgeSolution:
-    """Coefficients of a solved ridge system: dual alpha or primal weights."""
+    """Coefficients of a solved ridge system: dual alpha or primal weights,
+    a finite intercept and the ``lam`` it was solved at."""
 
     coefficients: np.ndarray
     intercept: float
@@ -183,7 +184,10 @@ class RidgeSolution:
         coef = np.asarray(self.coefficients, dtype=float).ravel()
         if not np.all(np.isfinite(coef)):
             raise ValueError("ridge coefficients are not finite")
+        if not np.isfinite(self.intercept):
+            raise ValueError(f"ridge intercept is not finite, got {self.intercept!r}")
         object.__setattr__(self, "coefficients", coef)
+        object.__setattr__(self, "lam", _check("real>0", self.lam, "lambda"))
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
         """Predictions for the rows of a test matrix (cross Gram or features)."""
@@ -732,6 +736,8 @@ def _dec_array(obj: dict, ndim: int | None = None) -> np.ndarray:
     a = flat.reshape(obj["shape"]).copy()
     if ndim is not None and a.ndim != ndim:
         raise ValueError(f"expected a {ndim}-D array, got shape {list(a.shape)}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("array holds a non-finite value")
     return a
 
 
@@ -757,7 +763,7 @@ _CODECS = {
     "kind": (str, str),
     "solution": (
         lambda s: {"coefficients": _enc_array(s.coefficients), "intercept": s.intercept, "lam": s.lam},
-        lambda v: RidgeSolution(_dec_array(v["coefficients"]), float(v["intercept"]), float(v["lam"])),
+        lambda v: RidgeSolution(_dec_array(v["coefficients"]), float(v["intercept"]), v["lam"]),
     ),
     "normalizers": (
         lambda v: [{"mean": _enc_array(n.mean), "scale": _enc_array(n.scale)} for n in v],

@@ -9,8 +9,9 @@ error decays like O(D^-1/2). The cos/sin pairs keep everything real and give
 ||z(x)|| = 1 exactly, so dot products are directly comparable to RBF kernel
 values. One basis is shared by all bags.
 
-``bag_feature_sweep`` makes a dataset's bags the items of one queue of the
-worker threads (``DISTREG_THREADS``), largest first, because numpy releases
+``bag_feature_sweep`` makes a dataset's bags the items of one queue of
+``_run_parts``, which runs them on the calling thread and the threads it
+starts (at most ``DISTREG_THREADS``), largest first, because numpy releases
 the interpreter lock inside the matmul and the cos/sin. Every bag goes
 through the same arithmetic on whichever thread pulls it and writes only its
 own column, so the result is bitwise independent of the worker count.

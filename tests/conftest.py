@@ -50,19 +50,16 @@ HYPERS = {
 
 
 def with_workers(workers: int, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` on a fresh worker pool of ``workers`` threads
-    (possibly more than the CPUs), which switch every microsecond."""
+    """``fn(*args, **kwargs)`` with ``workers`` threads per ``_run_parts``
+    call (possibly more than the CPUs), which switch every microsecond."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(distreg, "_WORKERS", workers)
-        mp.setattr(distreg, "_pool", None)
+        mp.setattr(distreg, "_workers", lambda: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             return fn(*args, **kwargs)
         finally:
             sys.setswitchinterval(interval)
-            if distreg._pool is not None:
-                distreg._pool.shutdown()
 
 
 # ---------------------------------------------------------------------------

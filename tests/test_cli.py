@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: run, synth, mmd, fit, predict."""
 
+import base64
 import errno
 import json
+import math
 import os
 import signal
 import subprocess
@@ -160,8 +162,8 @@ def test_interrupt_is_one_error_line(tmp_path, variance_files, capsys, monkeypat
 
     def interrupted_on_a_worker(*args):
         # the calling thread pulls items too: it computes as it would once a
-        # pool thread has pulled one, so that the interrupt comes from a pool
-        # thread every time
+        # started thread has pulled one, so that the interrupt comes from a
+        # started thread every time
         calls.append(threading.current_thread().name)
         if threading.current_thread() is threading.main_thread():
             assert pool_in.wait(10)
@@ -1126,6 +1128,19 @@ class TestFitPredict:
         [
             (lambda doc: doc.pop("solution"), "missing field 'solution'"),
             (lambda doc: doc.update(kind="xyz"), "field 'kind' is 'xyz'"),
+            # Python's JSON parser reads Infinity and NaN
+            (lambda doc: doc["solution"].update(intercept=math.inf),
+             "malformed field 'solution': ridge intercept is not finite, got inf"),
+            (lambda doc: doc["solution"].update(intercept=math.nan),
+             "malformed field 'solution': ridge intercept is not finite, got nan"),
+            (lambda doc: doc["solution"].update(lam=math.nan),
+             "malformed field 'solution': lambda must be positive and finite, got nan"),
+            (lambda doc: doc["solution"].update(lam=-1),
+             "malformed field 'solution': lambda must be positive and finite, got -1"),
+            # every array is checked, also one that a kdr model does not read
+            (lambda doc: doc.update(feature_means={"shape": [2], "data": base64.b64encode(
+                np.array([0.0, math.inf]).tobytes()).decode("ascii")}),
+             "malformed field 'feature_means': array holds a non-finite value"),
         ],
     )
     def test_invalid_model_file_named(self, tmp_path, variance_files, capsys, edit, message):

@@ -2,6 +2,7 @@
 
 import csv
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,41 @@ class TestLoadSample:
         sample = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))
         path = write(tmp_path / "s.csv", "".join(",".join(repr(float(v)) for v in row) + "\n" for row in sample))
         assert load_sample(path).tobytes() == sample.tobytes()
+
+
+@pytest.mark.parametrize("reader", ["load_bags", "load_sample"])
+def test_load_peak_is_about_the_arrays(tmp_path, reader):
+    # the numbers go into compact arrays as they are parsed, not into a
+    # Python float per value: the traced peak is at most 1.5 times the
+    # returned arrays, plus a term per bag and a constant for the reader
+    rng = np.random.default_rng(13)
+    rows, n_bags = 30_000, 300
+    x = rng.standard_normal((rows, 3))
+    if reader == "load_bags":
+        ids = rng.integers(0, n_bags, rows)
+        inst = write(tmp_path / "i.csv", "bag_id,f1,f2,f3\n" + "".join(
+            f"b{i},{a!r},{b!r},{c!r}\n" for i, (a, b, c) in zip(ids, x.tolist())))
+        tgt = write(tmp_path / "t.csv", "bag_id,y\n" + "".join(f"b{i},{i}\n" for i in range(n_bags)))
+
+        def load():
+            data = load_bags(inst, tgt)
+            return [bag.instances for bag in data.bags] + [data.targets]
+    else:
+        n_bags = 1
+        path = write(tmp_path / "s.csv", "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in x.tolist()))
+
+        def load():
+            return [load_sample(path)]
+
+    tracemalloc.start()
+    try:
+        arrays = load()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(a.nbytes for a in arrays)
+    assert nbytes >= rows * 3 * 8
+    assert peak <= 1.5 * nbytes + 1024 * n_bags + 65536, (peak, nbytes)
 
 
 class TestNormalizer:

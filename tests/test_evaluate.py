@@ -265,7 +265,7 @@ class TestGridSearch:
             grid_search_cv(data, "kdr", [{"lam": 1e-3, "sigma": -1.0}], k=2, seed=0)
 
     def test_failing_pair_item_fails_every_point_on_its_fold(self, monkeypatch):
-        # a chunk pair of fold 1's one Gram queue raises on a pool thread:
+        # a chunk pair of fold 1's one Gram queue raises on a started thread:
         # every point's cell names that fold, and the search fails
         import distreg.kernels as kernels
         import distreg.models as models
@@ -277,7 +277,7 @@ class TestGridSearch:
             return grams(jobs)
 
         def failing_on_fold_1(*args):
-            # the calling thread computes its pairs once a pool thread has pulled one
+            # the calling thread computes its pairs once a started thread has pulled one
             if folds[-1] == 1 and threading.current_thread() is threading.main_thread():
                 assert pool_in.wait(10)
             elif folds[-1] == 1:

@@ -759,7 +759,7 @@ class TestGramMemory:
         # norms, and the bookkeeping of a TILE-row piece's chunk; per bag:
         # its ragged last piece; per bag pair: its share of the queue. None
         # grows with the chunk pairs, about pieces^2 per bag pair. The
-        # constant covers the worker pool's start (10 KB at two threads).
+        # constant covers the threads' start (10 KB at two threads).
         tiles = (2 * workers + 1) * 8 * tile * tile
         per_row = 2 * 8 * (dim + 1) + 1024 // tile
         slack = 1024 * (n_a + n_b) + 256 * n_a * n_b + 32768
@@ -776,10 +776,10 @@ def ragged_bag_sets(draw):
 
 
 class TestPooledRowBlocks:
-    """The chunk pairs of one queue run on the worker pool, each pair's bag
-    row blocks in runs of about ``_SLICE`` entries through its thread's
-    distance band; the Grams are the same bytes at every worker count and
-    run length."""
+    """The chunk pairs of one queue run on the calling thread and the threads
+    that ``_run_parts`` starts, each pair's bag row blocks in runs of about
+    ``_SLICE`` entries through its thread's distance band; the Grams are the
+    same bytes at every worker count and run length."""
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
@@ -1047,7 +1047,7 @@ class TestExtremeScales:
         params = RbfParams(1e-150)
         data = BagDataset((Bag("x", x), Bag("y", y)), np.zeros(2))
         want = (pooled[:, None] == pooled[None]).all(axis=2).astype(float)
-        # several row slices in the MMD test, so that they run on the pool
+        # several row slices in the MMD test, so that they run on started threads
         monkeypatch.setattr(kernels, "_SLICE", 16 * pooled.shape[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,9 +1,10 @@
-"""The worker pool's one entry point, ``distreg._run_parts``: the calling
-thread and the pool threads pull the items from one queue, largest first;
-after a failing item or an interrupt of the calling thread, no thread starts
-another item, and the call returns only once they all have stopped. And the
-tile engine's one queue of pairs of chunk groups (``kernels._grams``) gives
-the same bytes whichever thread pulls which item, in whichever order."""
+"""The package's one entry point for parallel work, ``distreg._run_parts``:
+the calling thread and the threads that the call starts pull the items from
+one queue, largest first; after a failing item or an interrupt of the
+calling thread, no thread starts another item, and the call returns only
+once it has joined every thread it started. And the tile engine's one queue
+of pairs of chunk groups (``kernels._grams``) gives the same bytes whichever
+thread pulls which item, in whichever order."""
 
 import threading
 import types
@@ -28,11 +29,12 @@ def stopped(monkeypatch):
             super().set()
             stopped.set()
 
-    monkeypatch.setattr(distreg, "_threading", types.SimpleNamespace(Event=Stop, Lock=threading.Lock))
+    namespace = types.SimpleNamespace(Event=Stop, Lock=threading.Lock, Thread=threading.Thread)
+    monkeypatch.setattr(distreg, "_threading", namespace)
     return stopped
 
 
-def test_failing_item_stops_every_share(stopped):
+def test_failing_item_stops_every_thread(stopped):
     # 6 items at 3 workers, pulled in index order: items 0 and 1 hold their
     # threads until the stop, so the third thread pulls item 2, which fails
     # once both are running
@@ -56,7 +58,7 @@ def test_failing_item_stops_every_share(stopped):
 
 def test_interrupt_of_the_caller_waits_for_the_pool(stopped):
     # 4 items at 2 workers: the calling thread is interrupted in its first
-    # item once the pool thread is in one of its own
+    # item once the started thread is in one of its own
     log, pool_in = [], threading.Event()
 
     def item(i):
@@ -72,11 +74,11 @@ def test_interrupt_of_the_caller_waits_for_the_pool(stopped):
     def interrupted_then_again():
         with pytest.raises(KeyboardInterrupt):
             distreg._run_parts(item, [1] * 4)
-        # the pool thread's item had ended before the interrupt came back,
-        # and no thread had started an item after the stop
+        # the started thread's item had ended before the interrupt came
+        # back, and no thread had started an item after the stop
         assert sorted(log) == [("end", False), ("start", False), ("start", True)]
         # the next call starts at once: its two items meet, so they run on
-        # the calling thread and a pool thread at the same time
+        # the calling thread and a started thread at the same time
         meeting, threads = threading.Barrier(2, timeout=10), []
 
         def meet(i):
@@ -88,6 +90,37 @@ def test_interrupt_of_the_caller_waits_for_the_pool(stopped):
 
     threads = with_workers(2, interrupted_then_again)
     assert threading.main_thread() in threads and len(set(threads)) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("end", ["return", "failing item", "interrupted caller"])
+def test_no_thread_outlives_the_call(workers, end):
+    # the first `workers` items meet, one on each thread, so that every
+    # thread has started; then the call returns, or those items fail on the
+    # started threads (on the calling thread at 1 worker), or the calling
+    # thread is interrupted in its own
+    meeting, ran, raised = threading.Barrier(workers, timeout=10), set(), []
+
+    def item(i):
+        ran.add(threading.current_thread().name)
+        if i < workers:
+            meeting.wait()
+            caller = threading.current_thread() is threading.main_thread()
+            if end == "failing item" and caller == (workers == 1):
+                raise ValueError(f"item {i} failed")
+            if end == "interrupted caller" and caller:
+                raise KeyboardInterrupt
+
+    def call():
+        try:
+            distreg._run_parts(item, [1] * (2 * workers))
+        except (ValueError, KeyboardInterrupt) as error:
+            raised.append(type(error))
+        return [thread.name for thread in threading.enumerate() if thread.name.startswith("distreg")]
+
+    assert with_workers(workers, call) == []
+    assert len(ran) == workers
+    assert raised == {"return": [], "failing item": [ValueError], "interrupted caller": [KeyboardInterrupt]}[end]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

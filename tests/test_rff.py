@@ -274,7 +274,7 @@ class TestWorkerSplit:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_worker_error_reaches_caller(self, monkeypatch, workers):
-        monkeypatch.setattr(distreg, "_WORKERS", workers)
+        monkeypatch.setattr(distreg, "_workers", lambda: workers)
         rng = np.random.default_rng(24)
         data = BagDataset(
             tuple(Bag(f"b{i}", rng.standard_normal((3, 2))) for i in range(6)), np.zeros(6)
@@ -286,9 +286,9 @@ class TestWorkerSplit:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.parametrize("work", ["sweep", "mmd"])
     def test_forked_child_gets_its_own_pool(self, monkeypatch, work):
-        # the parent's pool threads do not exist in a forked child: reusing
-        # its pool there would wait forever
-        monkeypatch.setattr(distreg, "_WORKERS", 2)
+        # a forked child has none of the parent's threads: each call in it
+        # starts its own, and computes the parent's bytes
+        monkeypatch.setattr(distreg, "_workers", lambda: 2)
         rng = np.random.default_rng(25)
         if work == "sweep":
             data = BagDataset(
@@ -304,7 +304,7 @@ class TestWorkerSplit:
             def compute():
                 r = mmd_permutation_test(x, y, RbfParams(1.0), n_permutations=100)
                 return np.array([r.statistic, r.p_value, r.null_q95, r.null_q99])
-        # parts long enough that the parent's pool starts both its threads
+        # parts long enough that each call starts its second thread
         want = compute()
         read_end, write_end = os.pipe()
         pid = os.fork()
