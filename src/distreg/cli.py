@@ -13,7 +13,6 @@ import contextlib
 import json
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +29,9 @@ from .models import (
     _grid_values,
     _SourceError,
     _centred,
-    _fit,
-    _median_sigmas,
-    _normalize,
     _spec,
+    default_sigmas,
+    fit_model,
     load_model,
     predict_model,
     save_model,
@@ -142,8 +140,10 @@ def _check_kind(kind: str, n_files: int) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     config.update((key, value) for key, value in vars(args).items() if key in _RUN_KEYS and value is not None)
-    for kind in config["models"]:
+    for i, kind in enumerate(config["models"]):
         _check_kind(kind, len(config["instances"]))
+        if kind in config["models"][:i]:
+            raise ValueError(f"model kind {kind!r} is listed more than once")
     data = _load_dataset(config["instances"], config["targets"], len(config["instances"]) > 1)
 
     reports = []
@@ -249,11 +249,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     hyper = _hyper_from_args(args, kind)
     data = _load_dataset(args.instances, args.targets, kind in MULTISOURCE_KINDS)
     with _naming_sources(args.instances):
-        # normalized once: the median heuristic and the fit read the same data
-        normalized, normalizers = _normalize(data)
         if any(key not in hyper for key in HYPER_AXES[kind]):
-            hyper = {**_median_sigmas(kind, normalized), **hyper}
-        model = replace(_fit(kind, normalized, hyper), normalizers=normalizers)
+            hyper = {**default_sigmas(kind, data), **hyper}
+        model = fit_model(kind, data, hyper)
     save_model(model, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -265,7 +263,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
         f"model file {args.model_file} (kind {model.kind!r})", len(args.instances), model.n_sources
     )
     data = _load_dataset(args.instances, None, model.kind in MULTISOURCE_KINDS)
-    predictions = predict_model(model, data)
+    try:
+        predictions = predict_model(model, data)
+    except ValueError as exc:  # a source's error names its file; any other (overflowing distances) all
+        files = [args.instances[exc.source]] if isinstance(exc, _SourceError) else args.instances
+        raise ValueError(f"{', '.join(files)}: {exc}") from None
     lines = ["bag_id,y_pred"]
     for bag_id, value in zip(data.bag_ids, predictions):
         lines.append(f"{_csv_field(bag_id)},{float(value)!r}")

@@ -54,7 +54,7 @@ __all__ = [
 logger = logging.getLogger("distreg.evaluate")
 
 # Failures that exclude a grid point from the search instead of aborting it.
-_CV_ERRORS = (IllConditionedError, ValueError, ArithmeticError, np.linalg.LinAlgError)
+_CV_ERRORS = (IllConditionedError, ValueError, ArithmeticError)
 
 
 @dataclass(frozen=True)

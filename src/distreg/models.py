@@ -28,9 +28,9 @@ Gram kinds, one cos/sin pass per ratio-2 sigma chain for ``rdr``.
 
 All fits center the targets and add the mean back at prediction time, so the
 dual/primal algebra is unchanged but predictions are unbiased under target
-shifts. ``fit_model`` / ``predict_model`` normalize each source with
-statistics fitted on the training bags only, then call the low-level
-``_fit`` / ``_predict``, which take already-normalized data.
+shifts. ``fit_model`` normalizes each source with statistics fitted on the
+training bags only, then calls the low-level ``_fit``, which takes
+already-normalized data; ``predict_model`` applies the stored normalization.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import ctypes
 import functools
 import json
 import logging
+import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -588,19 +589,24 @@ def _fit_normalizer(source: int, data: BagDataset) -> Normalizer:
         raise _SourceError(source, str(exc)) from None
 
 
+# The dataset ``_normalize`` last fitted normalizers on (held weakly) and those
+# normalizers: ``default_sigmas`` then ``fit_model`` on one dataset fit them once.
+_last_fitted = (lambda: None, ())
+
+
 def _normalize(data, normalizers=None):
     """Normalize each source of ``data`` (a BagDataset or MultiSourceDataset),
     fitting the normalizers on it when none are given; returns the normalized
     data, of the same type, and the normalizers. A source whose normalizer
     cannot be fitted raises ``_SourceError``."""
+    global _last_fitted
     multi = isinstance(data, MultiSourceDataset)
     sources = data.sources if multi else (data,)
     if normalizers is None:
-        normalizers = tuple(_fit_normalizer(s, src) for s, src in enumerate(sources))
-    elif len(normalizers) != len(sources):
-        raise ValueError(
-            f"source count mismatch: model expects {len(normalizers)}, got {len(sources)}"
-        )
+        fitted_on, normalizers = _last_fitted
+        if fitted_on() is not data:
+            normalizers = tuple(_fit_normalizer(s, src) for s, src in enumerate(sources))
+            _last_fitted = (weakref.ref(data), normalizers)
     out = tuple(apply_normalizer(src, n) for src, n in zip(sources, normalizers))
     return (MultiSourceDataset(out) if multi else out[0]), normalizers
 
@@ -649,15 +655,10 @@ def default_sigmas(kind: str, data) -> dict:
     transform receives, which are stacked for ``stacked-*``: ``kr`` uses the
     instances themselves, ``stacked-kr`` the stacked bag means.
     """
-    return _median_sigmas(kind, _normalize(data)[0])
-
-
-def _median_sigmas(kind: str, normalized) -> dict:
-    """``default_sigmas`` on data that ``_normalize`` has normalized already."""
     axes = [a for a in _axes(kind) if _AXES[a].default is None]
     if not axes:
         return {}
-    meds = [median_heuristic_bags(src) for src in _stack(kind, normalized)]
+    meds = [median_heuristic_bags(src) for src in _stack(kind, _normalize(data)[0])]
     return {a: meds if _AXES[a].domain == "reals>0" else meds[0] for a in axes}
 
 
@@ -668,27 +669,8 @@ def _fit(kind: str, data, hyper: dict) -> FittedModel:
     train = _transform(kind, data)
     state = _state(kind, train, point)
     [(rep, _)] = _spec(kind).matrices([state], train, None)
-    stacked = _base(kind) != kind
-    return replace(
-        state,
-        solution=rep.solve(point["lam"]),
-        source_dims=tuple(data.dims) if stacked else None,
-    )
-
-
-def _predict(model: FittedModel, data) -> np.ndarray:
-    """Predict on already-normalized data; ``predict_model`` calls this
-    after normalizing."""
-    spec = _spec(model.kind)
-    dims = tuple(data.dims) if isinstance(data, MultiSourceDataset) else (data.dim,)
-    expected = model.source_dims or spec.dims(model)
-    if dims != expected:
-        raise ValueError(
-            f"feature dimension mismatch: model expects d={','.join(map(str, expected))}, "
-            f"got d={','.join(map(str, dims))}"
-        )
-    [(_, matrix)] = spec.matrices([model], None, _transform(model.kind, data))
-    return model.solution.predict(matrix)
+    source_dims = tuple(data.dims) if _base(kind) != kind else None
+    return replace(state, solution=rep.solve(point["lam"]), source_dims=source_dims)
 
 
 def fit_model(kind: str, data: BagDataset | MultiSourceDataset, hyper: dict) -> FittedModel:
@@ -709,10 +691,24 @@ def fit_model(kind: str, data: BagDataset | MultiSourceDataset, hyper: dict) -> 
 
 
 def predict_model(model: FittedModel, data: BagDataset | MultiSourceDataset) -> np.ndarray:
-    """Predict on raw bags, applying the model's stored normalization first."""
+    """Predict on raw bags, applying the model's stored normalization (none
+    for a model from ``_fit``) once each source's feature dimension is checked:
+    ``_SourceError`` names the first source that differs from the model's."""
+    spec = _spec(model.kind)
+    dims = tuple(data.dims) if isinstance(data, MultiSourceDataset) else (data.dim,)
+    expected = model.source_dims or spec.dims(model)
+    if len(dims) != len(expected):
+        raise ValueError(f"source count mismatch: model expects {len(expected)}, got {len(dims)}")
+    if dims != expected:
+        raise _SourceError(
+            next(s for s, (d, e) in enumerate(zip(dims, expected)) if d != e),
+            f"feature dimension mismatch: model expects d={','.join(map(str, expected))}, "
+            f"got d={','.join(map(str, dims))}",
+        )
     if model.normalizers is not None:
         data = _normalize(data, model.normalizers)[0]
-    return _predict(model, data)
+    [(_, matrix)] = spec.matrices([model], None, _transform(model.kind, data))
+    return model.solution.predict(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -811,8 +807,8 @@ def _decode_field(path, doc: dict, name: str, decode):
 
 
 def _check_fields(model: FittedModel, path) -> None:
-    """Check that a loaded model has every field its kind predicts with and
-    that their sizes agree with the coefficients."""
+    """Check that a loaded model has every field its kind predicts with, that
+    their sizes agree with the coefficients and their widths with each other."""
     spec = _spec(model.kind)
     stacked = _base(model.kind) != model.kind
     for name in spec.fields + (("source_dims",) if stacked else ()):
@@ -826,23 +822,24 @@ def _check_fields(model: FittedModel, path) -> None:
             f"model file {path}: field 'solution' holds {n_coef} coefficients, "
             f"but field {spec.fields[0]!r} implies {n_expected}"
         )
-    counts = {"normalizers": model.n_sources}
-    if "kernel_params" in spec.fields:
-        counts["kernel_params"] = 1 if stacked else model.n_sources
-    for name, count in counts.items():
-        value = getattr(model, name)
-        if value is not None and len(value) != count:
-            raise ValueError(
-                f"model file {path}: field {name!r} holds {len(value)} entries, expected {count}"
-            )
+    dims, read = model.source_dims or spec.dims(model), spec.dims(model)
+    if stacked and (sum(dims),) != read:  # the stacked sources are what the base kind reads
+        raise ValueError(f"model file {path}: field 'source_dims' sums to {sum(dims)}, but the model reads d={read[0]}")
+    if model.normalizers is not None and tuple(n.dim for n in model.normalizers) != dims:
+        widths = [n.dim for n in model.normalizers]
+        raise ValueError(f"model file {path}: field 'normalizers' has widths {widths}, expected {list(dims)}")
+    count = 1 if stacked else len(dims)
+    if "kernel_params" in spec.fields and len(model.kernel_params) != count:
+        raise ValueError(f"model file {path}: field 'kernel_params' holds {len(model.kernel_params)} entries, "
+                         f"expected {count}")
 
 
 def load_model(path: str | Path) -> FittedModel:
     """Read a model written by ``save_model``.
 
     A file with a missing or malformed field, an unknown kind, or fields whose
-    sizes disagree with the coefficients raises ``ValueError`` naming the
-    file and the field.
+    sizes disagree with the coefficients or widths with each other raises
+    ``ValueError`` naming the file and the field.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:

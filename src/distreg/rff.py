@@ -137,9 +137,8 @@ def _sweep_means(
     sin 2t = 2 sin t cos t), so only level 0 evaluates trig. Rows go
     through in batches of ``len(proj)`` at every level, inside the scratch
     ``proj`` (rows x D) and ``f`` (rows x 2D), bounding memory for large
-    bags.
+    bags. The caller has checked ``x`` against the basis.
     """
-    _check_input(x, basis)
     n, rows = x.shape[0], proj.shape[0]
     root_d = np.sqrt(basis.n_components)
     sums = np.zeros((n_halvings + 1, basis.feature_dim))
@@ -180,6 +179,7 @@ def bag_feature_sweep(data: BagDataset, basis: FourierBasis, n_halvings: int) ->
     a few ulps times 2^k. One trig pass per bag thus serves the whole sweep.
     """
     n_halvings = _check("int>=0", n_halvings, "n_halvings")
+    _check_input(data.bags[0].instances, basis)  # every bag has the dataset's dimension
     out = np.empty((n_halvings + 1, data.n_bags, basis.feature_dim))
     # sorted here, so that the workers call no public function: the spans of
     # perfbench/tracer.py, which wraps those, sit on one stack for all threads

@@ -491,6 +491,24 @@ class TestRun:
         assert capsys.readouterr().err == "error: kr failed\n"
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
+    @pytest.mark.parametrize("where", ["config", "flags"])
+    def test_kind_listed_twice_rejected_before_reading(self, run_config, tmp_path, capsys, where):
+        # the instances file does not exist: the duplicate is named before any data is read
+        config, out_dir = run_config
+        assert run_cli("run", "--config", config) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["instances"] = [str(tmp_path / "missing.csv")]
+        raw["models"] = ["lr", "kdr", "kdr"] if where == "config" else ["lr"]
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        flags = ["--model", "kdr", "--model", "lr", "--model", "kdr"] if where == "flags" else []
+        capsys.readouterr()
+        assert run_cli("run", "--config", config, *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: model kind 'kdr' is listed more than once\n"
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
     @pytest.mark.parametrize(
         "flag,value",
         [("--trials", 1), ("--folds", 2), ("--seed", 4), ("--test-fraction", 0.4), ("--out", "elsewhere"),
@@ -1020,6 +1038,54 @@ class TestFitPredict:
                        "--out", tmp_path / "p.csv") != 0
         err = capsys.readouterr().err
         assert "d=2" in err and "d=3" in err
+        assert err == f"error: {other / 'instances.csv'}: feature dimension mismatch: model expects d=2, got d=3\n"
+
+    @pytest.mark.parametrize("kind", ["mdr", "stacked-kdr"])
+    def test_swapped_sources_named(self, tmp_path, capsys, kind):
+        out = tmp_path / "ms"
+        run_cli("synth", "--kind", "multisource-task", "--out", out, "--bags", "8")
+        first, second = out / "source1_instances.csv", out / "source2_instances.csv"
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--model", kind, "--instances", first, "--instances", second,
+                       "--targets", out / "targets.csv", "--out", model_path) == 0
+        capsys.readouterr()
+        assert run_cli("predict", "--model-file", model_path, "--instances", second, "--instances", first,
+                       "--out", tmp_path / "p.csv") == 1
+        assert capsys.readouterr().err == (
+            f"error: {second}: feature dimension mismatch: model expects d=3,2, got d=2,3\n"
+        )
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_stacked_source_dims_checked_on_load(self, tmp_path, capsys):
+        out = tmp_path / "ms"
+        run_cli("synth", "--kind", "multisource-task", "--out", out, "--bags", "8")
+        sources = [a for src in ("source1_instances.csv", "source2_instances.csv") for a in ("--instances", out / src)]
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--model", "stacked-kdr", *sources, "--targets", out / "targets.csv",
+                       "--out", model_path) == 0
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        doc["source_dims"] = [3, 3]
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("predict", "--model-file", model_path, *sources, "--out", tmp_path / "p.csv") == 1
+        assert capsys.readouterr().err == (
+            f"error: model file {model_path}: field 'source_dims' sums to 6, but the model reads d=5\n"
+        )
+
+    def test_overflowing_distances_named(self, tmp_path, capsys):
+        # each value normalizes to a finite number; no one source claims the overflow
+        inst, tgt, big = tmp_path / "i.csv", tmp_path / "t.csv", tmp_path / "big.csv"
+        inst.write_text("bag_id,f1\na,1\na,2\nb,2\nb,3\nc,3\nc,5\n", encoding="utf-8")
+        tgt.write_text("bag_id,y\na,1\nb,2\nc,3\n", encoding="utf-8")
+        big.write_text("bag_id,f1\nbag01,1e308\nbag01,-1e308\n", encoding="utf-8")
+        model_path = tmp_path / "m.json"
+        assert run_cli("fit", "--model", "kdr", "--instances", inst, "--targets", tgt, "--out", model_path) == 0
+        capsys.readouterr()
+        assert run_cli("predict", "--model-file", model_path, "--instances", big,
+                       "--out", tmp_path / "p.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {big}: instances are too large: their squared distances overflow")
+        assert err.count("\n") == 1
 
     def test_overflowing_feature_named(self, tmp_path, capsys, recwarn):
         # finite values whose spread overflows the normalizer's variance
@@ -1141,6 +1207,11 @@ class TestFitPredict:
             (lambda doc: doc.update(feature_means={"shape": [2], "data": base64.b64encode(
                 np.array([0.0, math.inf]).tobytes()).decode("ascii")}),
              "malformed field 'feature_means': array holds a non-finite value"),
+            # each normalizer must be as wide as the source it normalizes
+            (lambda doc: doc["normalizers"][0].update(
+                {key: {"shape": [3], "data": base64.b64encode(np.ones(3).tobytes()).decode("ascii")}
+                 for key in ("mean", "scale")}),
+             "field 'normalizers' has widths [3], expected [2]"),
         ],
     )
     def test_invalid_model_file_named(self, tmp_path, variance_files, capsys, edit, message):

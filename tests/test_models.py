@@ -28,7 +28,7 @@ from distreg import (
     stack_multisource,
 )
 from distreg.evaluate import compute_metrics, split_train_test
-from distreg.models import _JITTERS, _fit, _predict, _solve_spd
+from distreg.models import _JITTERS, _SourceError, _fit, _solve_spd
 from conftest import HYPERS, oracle_krr, random_dataset
 
 
@@ -158,7 +158,7 @@ class TestKdr:
         train = BagDataset((Bag("only", rng.standard_normal((4, 2))),), [7.5])
         model = _fit("kdr", train, {"lam": 1e-3, "sigma": 1.0})
         test = random_dataset(rng, 3, dim=2, prefix="t")
-        np.testing.assert_allclose(_predict(model, test), 7.5, atol=1e-12)
+        np.testing.assert_allclose(predict_model(model, test), 7.5, atol=1e-12)
 
     def test_interpolation_limit(self):
         # Bags far apart give a well-conditioned Gram; tiny lambda interpolates.
@@ -168,7 +168,7 @@ class TestKdr:
         )
         train = BagDataset(bags, rng.standard_normal(6))
         model = _fit("kdr", train, {"lam": 1e-10, "sigma": 1.0})
-        fitted = _predict(model, train)
+        fitted = predict_model(model, train)
         assert np.linalg.norm(fitted - train.targets) <= 1e-6 * np.linalg.norm(train.targets)
 
     def test_duplicated_test_instances_predict_identically(self):
@@ -180,7 +180,7 @@ class TestKdr:
             tuple(Bag(b.id, np.vstack([b.instances, b.instances])) for b in test.bags),
             test.targets,
         )
-        assert np.max(np.abs(_predict(model, test) - _predict(model, doubled))) <= 1e-12
+        assert np.max(np.abs(predict_model(model, test) - predict_model(model, doubled))) <= 1e-12
 
     def test_variance_task_r2(self):
         data = make_variance_task(40, 30, 3, seed=7)
@@ -207,7 +207,21 @@ class TestKdr:
         rng = np.random.default_rng(8)
         model = _fit("kdr", random_dataset(rng, 4, dim=3), {"lam": 1e-3, "sigma": 1.0})
         with pytest.raises(ValueError, match="d=3.*d=2"):
-            _predict(model, random_dataset(rng, 2, dim=2, prefix="t"))
+            predict_model(model, random_dataset(rng, 2, dim=2, prefix="t"))
+
+    def test_dimension_checked_before_normalizing(self):
+        # a model from fit_model holds normalizers, which must not see the data first
+        rng = np.random.default_rng(39)
+        model = fit_model("kdr", random_dataset(rng, 4, dim=3), {"lam": 1e-3, "sigma": 1.0})
+        with pytest.raises(_SourceError, match="^feature dimension mismatch: model expects d=3, got d=2$") as info:
+            predict_model(model, random_dataset(rng, 2, dim=2, prefix="t"))
+        assert info.value.source == 0
+        data = make_multisource_task(8, seed=39)
+        swapped = MultiSourceDataset(data.sources[::-1])
+        for kind in ("mdr", "stacked-kdr"):
+            model = fit_model(kind, data, HYPERS[kind])
+            with pytest.raises(_SourceError, match="^feature dimension mismatch: model expects d=3,2, got d=2,3$"):
+                predict_model(model, swapped)
 
 
 class TestRdr:
@@ -224,7 +238,7 @@ class TestRdr:
         train = BagDataset((Bag("only", rng.standard_normal((3, 2))),), [-2.5])
         model = _fit("rdr", train, {"lam": 1e-3, "sigma": 1.0, "n_features": 16, "rff_seed": 0})
         test = random_dataset(rng, 4, dim=2, prefix="t")
-        np.testing.assert_allclose(_predict(model, test), -2.5, atol=1e-12)
+        np.testing.assert_allclose(predict_model(model, test), -2.5, atol=1e-12)
 
     def test_primal_and_dual_routes_agree(self):
         rng = np.random.default_rng(11)
@@ -247,8 +261,8 @@ class TestRdr:
         rng = np.random.default_rng(12)
         train = random_dataset(rng, 10)
         model = _fit("rdr", train, {"lam": 1e-2, "sigma": 1.2, "n_features": 24, "rff_seed": 3})
-        again = _predict(model, train)
-        once = _predict(model, train)
+        again = predict_model(model, train)
+        once = predict_model(model, train)
         assert np.array_equal(again, once)
 
     def test_duplication_invariance(self):
@@ -260,7 +274,7 @@ class TestRdr:
             tuple(Bag(b.id, np.vstack([b.instances, b.instances])) for b in test.bags),
             test.targets,
         )
-        assert np.max(np.abs(_predict(model, test) - _predict(model, doubled))) <= 1e-12
+        assert np.max(np.abs(predict_model(model, test) - predict_model(model, doubled))) <= 1e-12
 
     def test_agreement_with_kdr_grows_with_components(self):
         data = make_variance_task(40, 20, 3, seed=14)
@@ -381,7 +395,7 @@ class TestBaselines:
         rng = np.random.default_rng(22)
         model = _fit("lr", random_dataset(rng, 4, dim=3), {"lam": 1e-3})
         with pytest.raises(ValueError, match="d=3.*d=2"):
-            _predict(model, random_dataset(rng, 2, dim=2, prefix="t"))
+            predict_model(model, random_dataset(rng, 2, dim=2, prefix="t"))
 
 
 class TestStacked:
